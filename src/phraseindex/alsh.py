@@ -6,11 +6,25 @@ with zeros, and both sides are hashed by sign bits of shared random
 hyperplanes. Bucket collisions propose candidates; the proposals are then
 re-scored exactly against the original vectors, so approximation can only
 lose recall, never corrupt scores.
+
+Each hash table is stored flat, as in an inverted-file index: the distinct
+codes in ascending order, CSR bounds into one ordinal array, and the
+ordinals of each bucket in ascending order. A lookup is one binary search.
+
+File format (all integers little-endian):
+
+    magic "PQAH" | version u32=2 | m u32 | U f64 | bits u32 | tables u32
+    | seed i64 | max_norm f64 | augmented dim u32
+    | tables x bits x augmented dim float64 hyperplanes
+    | per table: u64 bucket count B, B x code u64 (strictly increasing),
+      B x bucket size u64 (each >= 1), then the ordinals u64 of every
+      bucket in code order, ascending within a bucket
 """
 
 from __future__ import annotations
 
 import struct
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +33,7 @@ from .errors import ConfigError, FormatError
 from .index import PhraseIndex, SearchHit, _Reader, _top_k
 
 MAGIC = b"PQAH"
-VERSION = 1
+VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -44,12 +58,52 @@ class AlshParams:
             raise ConfigError(f"tables must be >= 1, got {self.tables}")
 
 
+class BucketTable(Mapping):
+    """Read-only code -> ascending ordinals map over three flat arrays.
+
+    ``codes`` (u64, strictly increasing) names the non-empty buckets, and
+    bucket i holds ``ordinals[indptr[i]:indptr[i + 1]]``. Lookups are binary
+    searches; ``len()`` is the bucket count.
+    """
+
+    __slots__ = ("codes", "indptr", "ordinals")
+
+    def __init__(self, codes: np.ndarray, indptr: np.ndarray, ordinals: np.ndarray):
+        for arr in (codes, indptr, ordinals):
+            arr.flags.writeable = False
+        self.codes = codes
+        self.indptr = indptr
+        self.ordinals = ordinals
+
+    def get(self, code, default=None):
+        try:
+            key = np.uint64(code)
+        except (OverflowError, TypeError, ValueError):
+            return default
+        i = int(self.codes.searchsorted(key))
+        if i == len(self.codes) or self.codes[i] != code:
+            return default
+        return self.ordinals[self.indptr[i] : self.indptr[i + 1]]
+
+    def __getitem__(self, code) -> np.ndarray:
+        ords = self.get(code)
+        if ords is None:
+            raise KeyError(code)
+        return ords
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.codes.tolist())
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+
 @dataclass
 class AlshIndex:
     params: AlshParams
     max_norm: float
     hyperplanes: np.ndarray  # (T, b, dim + m) float64, unit rows
-    buckets: list[dict[int, np.ndarray]]  # per table: code -> ascending ordinals
+    buckets: list[BucketTable]  # one per hash table
     backing: PhraseIndex
 
 
@@ -102,8 +156,15 @@ def build_alsh(index: PhraseIndex, params: AlshParams = AlshParams()) -> AlshInd
     t, b, m = params.tables, params.bits_per_table, params.m
     aug_dim = index.dim + m
 
-    norms = np.linalg.norm(index.vectors.astype(np.float64), axis=1) if n else np.zeros(0)
-    max_norm = float(norms.max()) if n and norms.max() > 0 else 1.0
+    step = max(1, (1 << 21) // max(1, aug_dim))
+    chunks = [(start, min(n, start + step)) for start in range(0, n, step)]
+    # Chunked like the hashing below: a float64 copy of the whole block would
+    # double the build's peak memory. Row norms do not depend on the chunking.
+    chunk_norms = (
+        np.linalg.norm(index.vectors[lo:hi].astype(np.float64), axis=1) for lo, hi in chunks
+    )
+    top = np.max([norms.max() for norms in chunk_norms], initial=0.0)
+    max_norm = float(top) if top > 0 else 1.0
 
     rng = np.random.Generator(np.random.Philox(key=params.seed))
     hyperplanes = rng.normal(size=(t, b, aug_dim))
@@ -114,9 +175,7 @@ def build_alsh(index: PhraseIndex, params: AlshParams = AlshParams()) -> AlshInd
     if b and n:
         flat = hyperplanes.reshape(t * b, aug_dim)
         scale = params.U / max_norm
-        step = max(1, (1 << 21) // max(1, aug_dim))
-        for start in range(0, n, step):
-            stop = min(n, start + step)
+        for start, stop in chunks:
             scaled = index.vectors[start:stop].astype(np.float64) * scale
             aug = np.concatenate(
                 [scaled, _norm_terms((scaled * scaled).sum(axis=1), m)], axis=1
@@ -125,17 +184,20 @@ def build_alsh(index: PhraseIndex, params: AlshParams = AlshParams()) -> AlshInd
             for ti in range(t):
                 codes[ti, start:stop] = _pack_codes(proj[:, ti * b : (ti + 1) * b], b)
 
-    buckets: list[dict[int, np.ndarray]] = []
-    for ti in range(t):
-        table: dict[int, np.ndarray] = {}
-        if n:
-            order = np.argsort(codes[ti], kind="stable")
-            sorted_codes = codes[ti][order]
-            bounds = np.flatnonzero(np.r_[True, sorted_codes[1:] != sorted_codes[:-1]])
-            for i, lo in enumerate(bounds):
-                hi = bounds[i + 1] if i + 1 < len(bounds) else n
-                table[int(sorted_codes[lo])] = order[lo:hi].astype(np.uint64)
-        buckets.append(table)
+    buckets = []
+    for row in codes:
+        order = np.argsort(row, kind="stable")
+        sorted_codes = row[order]
+        first = np.ones(n, dtype=bool)
+        first[1:] = sorted_codes[1:] != sorted_codes[:-1]
+        starts = np.flatnonzero(first)
+        buckets.append(
+            BucketTable(
+                sorted_codes[starts],
+                np.append(starts, n).astype(np.uint64),
+                order.astype(np.uint64),
+            )
+        )
     return AlshIndex(params, max_norm, hyperplanes, buckets, index)
 
 
@@ -158,13 +220,10 @@ def search_approx(
         raise ValueError(f"query dim {q.shape} does not match index dim {index.dim}")
     q_aug = preprocess_query(q, alsh.params.m)
 
-    parts = []
-    b = alsh.params.bits_per_table
-    for ti in range(alsh.params.tables):
-        code = int(_pack_codes(alsh.hyperplanes[ti] @ q_aug, b)) if b else 0
-        hit = alsh.buckets[ti].get(code)
-        if hit is not None:
-            parts.append(hit)
+    t, b, aug_dim = alsh.hyperplanes.shape
+    codes = _pack_codes((alsh.hyperplanes.reshape(t * b, aug_dim) @ q_aug).reshape(t, b), b)
+    found = (table.get(code) for table, code in zip(alsh.buckets, codes))
+    parts = [hit for hit in found if hit is not None]
     if not parts:
         return [], 0
     gathered = np.unique(np.concatenate(parts)).astype(np.int64)
@@ -194,13 +253,33 @@ def save_alsh(alsh: AlshIndex, path: str) -> None:
         np.ascontiguousarray(alsh.hyperplanes, dtype="<f8").tobytes(),
     ]
     for table in alsh.buckets:
-        parts.append(struct.pack("<Q", len(table)))
-        for code in sorted(table):
-            ords = table[code]
-            parts.append(struct.pack("<QQ", code, len(ords)))
-            parts.append(np.ascontiguousarray(ords, dtype="<u8").tobytes())
+        parts += [
+            struct.pack("<Q", len(table)),
+            table.codes.astype("<u8").tobytes(),
+            np.diff(table.indptr).astype("<u8").tobytes(),
+            table.ordinals.astype("<u8").tobytes(),
+        ]
     with open(path, "wb") as f:
         f.write(b"".join(parts))
+
+
+def _table_problem(
+    codes: np.ndarray, indptr: np.ndarray, ordinals: np.ndarray, bits: int, n: int
+) -> str | None:
+    """What makes a loaded table unusable, or None; each check is vectorised."""
+    if np.any(codes[1:] <= codes[:-1]):
+        return "has codes that are not strictly increasing"
+    if bits < 64 and len(codes) and codes[-1] >= 2**bits:
+        return f"has code 0x{int(codes[-1]):x} wider than {bits} bits"
+    if np.any(indptr[1:] <= indptr[:-1]):  # a zero size, or sizes that wrap u64
+        return "has an empty bucket or bucket sizes past 2**64"
+    if len(ordinals) and ordinals.max() >= n:
+        return "references ordinal beyond index"
+    rising = ordinals[1:] > ordinals[:-1]
+    rising[indptr[1:-1].astype(np.int64) - 1] = True  # bucket boundaries may fall
+    if not rising.all():
+        return "has ordinals out of order within a bucket"
+    return None
 
 
 def load_alsh(path: str, backing: PhraseIndex) -> AlshIndex:
@@ -224,20 +303,19 @@ def load_alsh(path: str, backing: PhraseIndex) -> AlshIndex:
         )
     planes = r.array(np.dtype("<f8"), tables * bits * aug_dim, "hyperplanes")
     hyperplanes = planes.reshape(tables, bits, aug_dim)
-    buckets: list[dict[int, np.ndarray]] = []
+    u64 = np.dtype("<u8")
+    buckets = []
     for ti in range(tables):
-        table: dict[int, np.ndarray] = {}
-        for _ in range(r.u64(f"bucket count of table {ti}")):
-            at = r.pos
-            code = r.u64("bucket code")
-            size = r.u64("bucket size")
-            ords = r.array(np.dtype("<u8"), size, f"bucket 0x{code:x} of table {ti}")
-            if np.any(ords >= len(backing)):
-                raise FormatError(
-                    f"{path}: bucket 0x{code:x} references ordinal beyond index", offset=at
-                )
-            table[int(code)] = ords
-        buckets.append(table)
+        at = r.pos
+        count = r.u64(f"bucket count of table {ti}")
+        codes = r.array(u64, count, f"codes of table {ti}")
+        indptr = np.zeros(count + 1, dtype=np.uint64)
+        np.cumsum(r.array(u64, count, f"bucket sizes of table {ti}"), out=indptr[1:])
+        ordinals = r.array(u64, indptr[-1], f"ordinals of table {ti}")
+        problem = _table_problem(codes, indptr, ordinals, bits, len(backing))
+        if problem:
+            raise FormatError(f"{path}: table {ti} {problem}", offset=at)
+        buckets.append(BucketTable(codes, indptr, ordinals))
     if r.pos != len(r.buf):
         raise FormatError(f"{path}: {len(r.buf) - r.pos} bytes of trailing data", offset=r.pos)
     return AlshIndex(params, max_norm, hyperplanes, buckets, backing)

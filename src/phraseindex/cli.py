@@ -12,6 +12,8 @@ import logging
 import os
 import sys
 
+import numpy as np
+
 from .alsh import AlshParams, build_alsh, load_alsh, save_alsh
 from .config import ENCODERS, EngineConfig
 from .corpus import load_squad
@@ -168,8 +170,18 @@ def cmd_alsh_build(args) -> int:
     alsh = build_alsh(index, params)
     out = _alsh_sidecar(args.index, args.out)
     save_alsh(alsh, out)
-    buckets = sum(len(t) for t in alsh.buckets)
-    print(json.dumps({"tables": params.tables, "buckets": buckets, "out": out}))
+    sizes = np.concatenate([np.diff(t.indptr) for t in alsh.buckets])
+    print(
+        json.dumps(
+            {
+                "tables": params.tables,
+                "buckets": len(sizes),
+                "max_bucket": int(sizes.max(initial=0)),
+                "mean_bucket": float(sizes.mean()) if len(sizes) else 0.0,
+                "out": out,
+            }
+        )
+    )
     return 0
 
 

@@ -141,10 +141,11 @@ class _Handler(BaseHTTPRequestHandler):
             if not isinstance(question, str):
                 raise ValueError("'question' must be a string")
             doc_id = request.get("doc_id")
-            if doc_id is not None and not isinstance(doc_id, int):
+            # bool is a subclass of int, but JSON true/false is no document or count
+            if doc_id is not None and (isinstance(doc_id, bool) or not isinstance(doc_id, int)):
                 raise ValueError("'doc_id' must be an integer or null")
             top_k = request.get("top_k", 1)
-            if not isinstance(top_k, int) or top_k < 1:
+            if isinstance(top_k, bool) or not isinstance(top_k, int) or top_k < 1:
                 raise ValueError("'top_k' must be an integer >= 1")
             approx = request.get("approx", False)
             if not isinstance(approx, bool):

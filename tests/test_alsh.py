@@ -1,8 +1,14 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phraseindex.alsh import (
     AlshParams,
+    _norm_terms,
+    _pack_codes,
     build_alsh,
     load_alsh,
     preprocess_data,
@@ -11,7 +17,7 @@ from phraseindex.alsh import (
     search_approx,
 )
 from phraseindex.errors import ConfigError, FormatError
-from phraseindex.index import METADATA_DTYPE, PhraseIndex, search_exact
+from phraseindex.index import METADATA_DTYPE, PhraseIndex, _top_k, search_exact
 
 from .test_index import make_meta, quantized, sparse_fixture
 
@@ -284,3 +290,196 @@ def test_load_rejects_trailing_data(tmp_path):
     with pytest.raises(FormatError, match="trailing") as err:
         load_alsh(str(path), dense)
     assert err.value.offset == len(raw)
+
+def _table_words(raw, alsh):
+    """Offset of table 0 and writable u64 views of its codes, sizes and ordinals.
+
+    Assumes a one-table sidecar, so the ordinals run to the end of the file.
+    """
+    t, b, aug_dim = alsh.hyperplanes.shape
+    at = 48 + 8 * t * b * aug_dim
+    count = struct.unpack_from("<Q", raw, at)[0]
+    words = np.frombuffer(raw, dtype="<u8", offset=at + 8)
+    return at, words[:count], words[count : 2 * count], words[2 * count :]
+
+
+def _unsorted_codes(codes, sizes, ords):
+    codes[[0, 1]] = codes[[1, 0]]
+
+
+def _duplicate_code(codes, sizes, ords):
+    codes[1] = codes[0]
+
+
+def _code_too_wide(codes, sizes, ords):
+    codes[-1] = 2**3
+
+
+def _empty_bucket(codes, sizes, ords):
+    sizes[1] += sizes[0]
+    sizes[0] = 0
+
+
+def _sizes_wrap_u64(codes, sizes, ords):
+    sizes[0] += 2**63  # the two additions cancel mod 2**64: same ordinal count
+    sizes[1] += 2**63
+
+
+def _ordinals_out_of_order(codes, sizes, ords):
+    i = int(np.flatnonzero(sizes >= 2)[0])
+    lo = int(sizes[:i].sum())
+    ords[[lo, lo + 1]] = ords[[lo + 1, lo]]
+
+
+def _ordinal_beyond_index(codes, sizes, ords):
+    ords[-1] = 16
+
+
+CORRUPTIONS = {
+    "unsorted codes": (_unsorted_codes, "strictly increasing"),
+    "duplicate code": (_duplicate_code, "strictly increasing"),
+    "code too wide": (_code_too_wide, "wider than 3 bits"),
+    "empty bucket": (_empty_bucket, "empty bucket"),
+    "sizes wrap u64": (_sizes_wrap_u64, "empty bucket"),
+    "ordinals out of order": (_ordinals_out_of_order, "out of order"),
+    "ordinal beyond index": (_ordinal_beyond_index, "beyond index"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CORRUPTIONS))
+def test_load_rejects_malformed_table(tmp_path, case):
+    dense = dense_fixture(n=16, dim=4)
+    alsh = build_alsh(dense, AlshParams(tables=1, bits_per_table=3, seed=1))
+    path, raw = _saved(tmp_path, alsh)
+    at, codes, sizes, ords = _table_words(raw, alsh)
+    assert len(codes) >= 2 and sizes.max() >= 2
+    corrupt, message = CORRUPTIONS[case]
+    corrupt(codes, sizes, ords)
+    path.write_bytes(raw)
+    with pytest.raises(FormatError, match=message) as err:
+        load_alsh(str(path), dense)
+    assert err.value.offset == at
+
+
+def test_load_rejects_version_one(tmp_path):
+    dense = dense_fixture(n=16, dim=4)
+    path, raw = _saved(tmp_path, build_alsh(dense, AlshParams(tables=1, bits_per_table=2)))
+    raw[4:8] = struct.pack("<I", 1)
+    path.write_bytes(raw)
+    with pytest.raises(FormatError, match="unsupported version 1") as err:
+        load_alsh(str(path), dense)
+    assert err.value.offset == 4
+
+
+# ------------------------------------------- flat tables vs dict-of-arrays oracle
+
+
+def _reference_build(index, params):
+    """The per-bucket dict build the flat tables replaced: (max_norm, planes, dicts)."""
+    n = len(index)
+    t, b, m = params.tables, params.bits_per_table, params.m
+    aug_dim = index.dim + m
+    norms = np.linalg.norm(index.vectors.astype(np.float64), axis=1) if n else np.zeros(0)
+    max_norm = float(norms.max()) if n and norms.max() > 0 else 1.0
+    rng = np.random.Generator(np.random.Philox(key=params.seed))
+    hyperplanes = rng.normal(size=(t, b, aug_dim))
+    if b:
+        hyperplanes /= np.linalg.norm(hyperplanes, axis=2, keepdims=True)
+    codes = np.zeros((t, n), dtype=np.uint64)
+    if b and n:
+        flat = hyperplanes.reshape(t * b, aug_dim)
+        scale = params.U / max_norm
+        step = max(1, (1 << 21) // max(1, aug_dim))
+        for start in range(0, n, step):
+            stop = min(n, start + step)
+            scaled = index.vectors[start:stop].astype(np.float64) * scale
+            aug = np.concatenate(
+                [scaled, _norm_terms((scaled * scaled).sum(axis=1), m)], axis=1
+            )
+            proj = aug @ flat.T
+            for ti in range(t):
+                codes[ti, start:stop] = _pack_codes(proj[:, ti * b : (ti + 1) * b], b)
+    buckets = []
+    for ti in range(t):
+        table = {}
+        if n:
+            order = np.argsort(codes[ti], kind="stable")
+            sorted_codes = codes[ti][order]
+            bounds = np.flatnonzero(np.r_[True, sorted_codes[1:] != sorted_codes[:-1]])
+            for i, lo in enumerate(bounds):
+                hi = bounds[i + 1] if i + 1 < len(bounds) else n
+                table[int(sorted_codes[lo])] = order[lo:hi].astype(np.uint64)
+        buckets.append(table)
+    return max_norm, hyperplanes, buckets
+
+
+def _reference_search(params, hyperplanes, buckets, index, q, k_top, doc_id):
+    """One code and one dict lookup per table, as before the batched codes."""
+    q_aug = preprocess_query(q, params.m)
+    parts = []
+    b = params.bits_per_table
+    for ti in range(params.tables):
+        code = int(_pack_codes(hyperplanes[ti] @ q_aug, b)) if b else 0
+        hit = buckets[ti].get(code)
+        if hit is not None:
+            parts.append(hit)
+    if not parts:
+        return [], 0
+    gathered = np.unique(np.concatenate(parts)).astype(np.int64)
+    if doc_id is not None:
+        lo, hi = index.doc_range(doc_id)
+        gathered = gathered[(gathered >= lo) & (gathered < hi)]
+    if len(gathered) == 0:
+        return [], 0
+    scores = np.ascontiguousarray(index.vectors[gathered]) @ q.astype(np.float32)
+    picked = _top_k(scores, min(k_top, len(gathered)))
+    return [(index.span(int(gathered[i])), float(scores[i])) for i in picked], len(gathered)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    docs=st.lists(st.integers(0, 25), min_size=1, max_size=3),
+    dim=st.integers(1, 6),
+    m=st.integers(0, 3),
+    U=st.floats(0.05, 1.0),
+    bits=st.integers(0, 10),
+    tables=st.integers(1, 5),
+    seed=st.integers(0, 2**16),
+)
+def test_flat_tables_match_dict_reference(docs, dim, m, U, bits, tables, seed):
+    n = sum(docs)
+    index = PhraseIndex("dense", make_meta(docs), vectors=quantized((n, dim), seed))
+    params = AlshParams(m=m, U=U, bits_per_table=bits, tables=tables, seed=seed)
+    alsh = build_alsh(index, params)
+    max_norm, hyperplanes, reference = _reference_build(index, params)
+    assert alsh.max_norm == max_norm
+    assert np.array_equal(alsh.hyperplanes, hyperplanes)
+    assert len(alsh.buckets) == tables
+    for table, ref in zip(alsh.buckets, reference):
+        assert list(table) == sorted(ref)
+        for code, ords in ref.items():
+            assert table[code].dtype == np.uint64
+            np.testing.assert_array_equal(table[code], ords)
+    for qseed in range(3):
+        q = quantized(dim, seed + 1 + qseed)
+        if not q.any():
+            continue
+        for doc_id in (None, qseed % len(docs)):
+            hits, probes = search_approx(alsh, q, k_top=3, doc_id=doc_id)
+            expected = _reference_search(params, hyperplanes, reference, index, q, 3, doc_id)
+            assert ([(h.span, h.score) for h in hits], probes) == expected
+
+
+def test_build_over_several_chunks_matches_dict_reference():
+    """Wide rows make the build hash in chunks of 15 rows; the largest is last."""
+    dim = 1 << 17
+    vectors = quantized((40, dim), 12)
+    vectors[-1] *= 2
+    index = PhraseIndex("dense", make_meta([40]), vectors=vectors)
+    params = AlshParams(bits_per_table=3, tables=2, seed=6)
+    alsh = build_alsh(index, params)
+    max_norm, _, reference = _reference_build(index, params)
+    assert alsh.max_norm == max_norm
+    for table, ref in zip(alsh.buckets, reference):
+        assert list(table) == sorted(ref)
+        assert all(np.array_equal(table[code], ords) for code, ords in ref.items())

@@ -5,7 +5,9 @@ from pathlib import Path
 
 import pytest
 
+from phraseindex.alsh import load_alsh
 from phraseindex.cli import main
+from phraseindex.index import load_index
 
 DATA = Path(__file__).parent / "data" / "mini_squad.json"
 
@@ -110,6 +112,24 @@ def test_query_dense_uses_question_ids(ws):
     )
     assert rc == 0
     assert out.startswith("1. score=")
+
+
+def test_alsh_build_reports_bucket_sizes(ws, tmp_path):
+    out_path = str(tmp_path / "side.alsh")
+    rc, out, _ = run(
+        "alsh-build", "--index", ws["dense"], "--bits", "4", "--tables", "3", "--out", out_path,
+    )
+    assert rc == 0
+    report = json.loads(out)
+    sizes = [
+        len(ords)
+        for table in load_alsh(out_path, load_index(ws["dense"])).buckets
+        for ords in table.values()
+    ]
+    assert report["buckets"] == len(sizes)
+    assert report["max_bucket"] == max(sizes)
+    assert report["mean_bucket"] == pytest.approx(sum(sizes) / len(sizes))
+    assert sum(sizes) == 3 * 504  # every candidate once per table
 
 
 def test_eval_sparse_writes_metrics(ws, tmp_path):

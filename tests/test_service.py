@@ -143,6 +143,14 @@ def test_malformed_bodies_are_400(base_url):
     assert post(url, {"question": "x", "approx": "yes"})[0] == 400
 
 
+@pytest.mark.parametrize("field", ["doc_id", "top_k"])
+@pytest.mark.parametrize("flag", [True, False])
+def test_boolean_doc_id_and_top_k_are_400(base_url, field, flag):
+    status, body = post(base_url + "/query", {"question": "x", field: flag})
+    assert status == 400
+    assert field in body["error"]
+
+
 def test_engine_errors_surface_as_400(base_url):
     status, body = post(base_url + "/query", {"question": "x", "approx": True})
     assert status == 400
