@@ -8,6 +8,8 @@ import string
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
+import numpy as np
+
 from .errors import EvaluationError
 
 if TYPE_CHECKING:
@@ -84,8 +86,10 @@ def evaluate(
 
     encode_question maps a QAExample to a query vector matching the index
     kind. Search is restricted to the example's document unless
-    restrict_to_doc is False (open-corpus mode). Predictions are rendered
-    from raw character offsets so normalization sees the original text.
+    restrict_to_doc is False (open-corpus mode). Exact dense search encodes
+    every question first, then searches each scope's questions as one
+    block. Predictions are rendered from raw character offsets so
+    normalization sees the original text.
 
     allow_missing_docs permits documents absent from the index (legitimate
     after aggressive filtering); such examples score with an empty
@@ -104,15 +108,32 @@ def evaluate(
                 + ("..." if len(missing) > 20 else "")
             )
 
+    examples = corpus.examples
+    if alsh is None and index.kind == "dense":
+        # A GEMM per block of questions instead of a GEMV per question.
+        queries = [encode_question(ex) for ex in examples]
+        groups: dict[int | None, list[int]] = {}
+        for i, ex in enumerate(examples):
+            groups.setdefault(ex.doc_id if restrict_to_doc else None, []).append(i)
+        results: list = [None] * len(examples)
+        for doc_filter, members in groups.items():
+            block = np.asarray([queries[i] for i in members], dtype=np.float32)
+            for i, hits in zip(members, search_exact(index, block, 1, doc_id=doc_filter)):
+                results[i] = hits
+    else:
+        results = []
+        for ex in examples:
+            query = encode_question(ex)
+            doc_filter = ex.doc_id if restrict_to_doc else None
+            if alsh is not None:
+                hits, _ = search_approx(alsh, query, 1, doc_id=doc_filter)
+            else:
+                hits = search_exact(index, query, 1, doc_id=doc_filter)
+            results.append(hits)
+
     f1s: list[float] = []
     ems: list[float] = []
-    for ex in corpus.examples:
-        query = encode_question(ex)
-        doc_filter = ex.doc_id if restrict_to_doc else None
-        if alsh is not None:
-            hits, _ = search_approx(alsh, query, 1, doc_id=doc_filter)
-        else:
-            hits = search_exact(index, query, 1, doc_id=doc_filter)
+    for ex, hits in zip(examples, results):
         if hits:
             span, score = hits[0].span, hits[0].score
             prediction = corpus.document(span.doc_id).span_text(span)
@@ -124,7 +145,7 @@ def evaluate(
         if per_example is not None:
             per_example.append((ex.question_id, prediction, f1, em, score))
 
-    count = len(corpus.examples)
+    count = len(examples)
     if count == 0:
         return Metrics(0.0, 0.0, 0)
     return Metrics(

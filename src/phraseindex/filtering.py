@@ -78,6 +78,19 @@ def _weighted_logistic_loss(z: np.ndarray, y: np.ndarray, w: np.ndarray) -> floa
     return float((w * per).sum() / w.sum())
 
 
+# Rows gathered per step by _rows_float64.
+_GATHER_ROWS = 8192
+
+
+def _rows_float64(vectors: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """vectors[rows] as float64, gathered chunk by chunk: the float32
+    fancy-index copy of all rows at once would add half again to the peak."""
+    out = np.empty((len(rows), vectors.shape[1]), dtype=np.float64)
+    for start in range(0, len(rows), _GATHER_ROWS):
+        out[start : start + _GATHER_ROWS] = vectors[rows[start : start + _GATHER_ROWS]]
+    return out
+
+
 def train_filter(
     index: PhraseIndex,
     corpus: "Corpus",
@@ -106,13 +119,13 @@ def train_filter(
         # tiny or unlucky split: train on everything, validate on everything
         held = train = np.arange(n)
 
-    x = index.vectors[train].astype(np.float64)
+    x = _rows_float64(index.vectors, train)
     y = labels[train]
     pos = y.sum()
     neg = len(y) - pos
     pos_weight = neg / pos if pos and neg else 1.0
     w_train = np.where(y == 1.0, pos_weight, 1.0)
-    x_held = index.vectors[held].astype(np.float64)
+    x_held = _rows_float64(index.vectors, held)
     y_held = labels[held]
     w_held = np.where(y_held == 1.0, pos_weight, 1.0)
 

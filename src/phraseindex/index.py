@@ -218,6 +218,12 @@ def build_index(
 
 def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
     """Exact top-k row indices: score descending, then index ascending."""
+    if k == 1:
+        # argmax returns the first maximum, the lowest index; a NaN maximum
+        # (argmax stops at the first NaN) takes the general path below.
+        best = int(scores.argmax())
+        if not np.isnan(scores[best]):
+            return np.array([best])
     n = len(scores)
     if k >= n:
         picked = np.arange(n)
@@ -236,10 +242,11 @@ def search_exact(
     query,
     k_top: int = 1,
     doc_id: int | None = None,
-) -> list[SearchHit]:
+) -> list[SearchHit] | list[list[SearchHit]]:
     """Exhaustive maximum-inner-product search.
 
-    Dense queries are 1-D arrays of the index dim; sparse queries are
+    Dense queries are 1-D arrays of the index dim, or a (m, dim) block of
+    m queries, which returns one hit list per row; sparse queries are
     SparseVector instances. doc_id restricts the scan to one document's
     candidates. Ties break by (doc_id, s, e) ascending. Sparse candidates
     sharing no term with the query score zero and fill trailing slots only
@@ -248,15 +255,19 @@ def search_exact(
     if k_top < 1:
         raise ValueError("k_top must be >= 1")
     lo, hi = (0, len(index)) if doc_id is None else index.doc_range(doc_id)
-    if hi == lo:
-        return []
 
     if index.kind == "dense":
         q = np.asarray(query, dtype=np.float32)
-        if q.ndim != 1 or q.shape[0] != index.dim:
+        if q.ndim not in (1, 2) or q.shape[-1] != index.dim:
             raise ValueError(f"query dim {q.shape} does not match index dim {index.dim}")
+        if q.ndim == 2:
+            return _search_dense_block(index, q, k_top, lo, hi)
+        if hi == lo:
+            return []
         scores = index.vectors[lo:hi] @ q
     else:
+        if hi == lo:
+            return []
         if not isinstance(query, SparseVector):
             raise ValueError("sparse index expects a SparseVector query")
         scores = np.zeros(hi - lo, dtype=np.float64)
@@ -270,8 +281,31 @@ def search_exact(
             sel = ords[a:b].astype(np.int64) - lo
             scores[sel] += float(weight) * ws[a:b].astype(np.float64)
 
-    rows = _top_k(scores, min(k_top, hi - lo))
-    return [SearchHit(index.span(lo + int(r)), float(scores[r])) for r in rows]
+    return _hits(index, scores, k_top, lo)
+
+
+# Budget of one float32 score block in a batched dense search.
+_SCORE_BLOCK_BYTES = 16 << 20
+
+
+def _search_dense_block(
+    index: PhraseIndex, queries: np.ndarray, k_top: int, lo: int, hi: int
+) -> list[list[SearchHit]]:
+    """One GEMM per chunk of query rows, then each row's top-k."""
+    if hi == lo:
+        return [[] for _ in queries]
+    rows = index.vectors[lo:hi]
+    step = max(1, _SCORE_BLOCK_BYTES // (4 * (hi - lo)))
+    out: list[list[SearchHit]] = []
+    for start in range(0, len(queries), step):
+        block = queries[start : start + step] @ rows.T
+        out.extend(_hits(index, scores, k_top, lo) for scores in block)
+    return out
+
+
+def _hits(index: PhraseIndex, scores: np.ndarray, k_top: int, lo: int) -> list[SearchHit]:
+    picked = _top_k(scores, min(k_top, len(scores)))
+    return [SearchHit(index.span(lo + int(r)), float(scores[r])) for r in picked]
 
 
 @dataclass

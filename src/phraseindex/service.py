@@ -110,6 +110,11 @@ class QueryEngine:
 
 class _Handler(BaseHTTPRequestHandler):
     server: "QueryServer"
+    # Keep-alive: a client reuses one connection (and one server thread) for
+    # many queries. Without Nagle the body is not held back behind the
+    # headers waiting for the client's delayed ACK.
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
 
     def log_message(self, fmt, *args):
         log.info("%s %s", self.address_string(), fmt % args)
@@ -119,6 +124,11 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json; charset=utf-8")
         self.send_header("Content-Length", str(len(body)))
+        if status != 200:
+            # As send_error does: an error may be sent before the request body
+            # was read, and the next request must not be parsed out of it.
+            self.send_header("Connection", "close")
+            self.close_connection = True
         self.end_headers()
         self.wfile.write(body)
 
@@ -134,6 +144,8 @@ class _Handler(BaseHTTPRequestHandler):
             return
         try:
             length = int(self.headers.get("Content-Length", "0"))
+            if length < 0:  # read(-1) would wait for the client to close
+                raise ValueError("negative Content-Length")
             request = json.loads(self.rfile.read(length).decode("utf-8"))
             if not isinstance(request, dict):
                 raise ValueError("body must be a JSON object")

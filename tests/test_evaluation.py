@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 from phraseindex.alsh import AlshParams, build_alsh
 from phraseindex.corpus import Corpus, Document, QAExample, tokenize
+from phraseindex.encode.dense import LSTM_SA, compose_question
 from phraseindex.errors import EvaluationError
 from phraseindex.evaluation import Metrics, evaluate, f1_em_single, normalize_answer
-from phraseindex.index import METADATA_DTYPE, PhraseIndex
+from phraseindex.index import METADATA_DTYPE, PhraseIndex, search_exact
 
 from .toyset import one_hot_setup
 
@@ -200,3 +201,74 @@ def test_empty_example_list():
     corpus, index, encode, _ = one_hot_setup()
     corpus.examples.clear()
     assert evaluate(index, corpus, encode) == Metrics(0.0, 0.0, 0)
+
+
+# --------------------------------------------------- batched dense evaluation
+
+
+def evaluate_one_by_one(index, corpus, encode, restrict_to_doc):
+    """evaluate's per_example rows from one 1-D search per question: the loop
+    that a dense evaluate ran before it searched a block of questions at once."""
+    rows = []
+    for ex in corpus.examples:
+        doc_filter = ex.doc_id if restrict_to_doc else None
+        hits = search_exact(index, encode(ex), 1, doc_id=doc_filter)
+        if hits:
+            prediction = corpus.document(hits[0].span.doc_id).span_text(hits[0].span)
+            score = hits[0].score
+        else:
+            prediction, score = "", 0.0
+        f1, em = f1_em_single(prediction, ex.gold_answers)
+        rows.append((ex.question_id, prediction, f1, em, score))
+    return rows
+
+
+def assert_same_rows(got, want):
+    assert [r[:4] for r in got] == [r[:4] for r in want]
+    assert [r[4] for r in got] == pytest.approx([r[4] for r in want], rel=1e-5)
+
+
+@pytest.mark.parametrize("restrict_to_doc", [True, False])
+def test_batched_rows_match_the_per_question_loop(
+    mini_corpus, toy_vectors, dense_index, restrict_to_doc
+):
+    def encode(ex):
+        return compose_question(toy_vectors.question(ex.question_id), LSTM_SA)
+
+    rows = []
+    evaluate(dense_index, mini_corpus, encode, restrict_to_doc=restrict_to_doc, per_example=rows)
+    assert len(rows) == len(mini_corpus.examples)
+    assert_same_rows(rows, evaluate_one_by_one(dense_index, mini_corpus, encode, restrict_to_doc))
+
+
+@pytest.mark.parametrize("restrict_to_doc", [True, False])
+def test_batched_rows_match_the_per_question_loop_with_missing_docs(restrict_to_doc):
+    """Three documents, questions interleaved across them, the middle document
+    filtered out of the index."""
+    texts = ["aa bb cc", "dd ee ff", "gg hh ii"]
+    docs = []
+    for i, text in enumerate(texts):
+        toks, offs = tokenize(text)
+        docs.append(Document(i, text, toks, offs))
+    rng = np.random.Generator(np.random.Philox(key=8))
+    examples = [
+        QAExample(f"q{i}", ["w"], int(d), [texts[d].split()[i % 3]], [])
+        for i, d in enumerate(rng.integers(0, 3, size=12))
+    ]
+    corpus = Corpus(docs, examples, {t: 1 for text in texts for t in text.split()}, 3)
+    rows = [(d, s, e) for d in (0, 2) for s in range(3) for e in range(s, 3)]
+    metadata = np.array(rows, dtype=METADATA_DTYPE)
+    vectors = (rng.integers(-4, 5, size=(len(rows), 5)) / 4.0).astype(np.float32)
+    index = PhraseIndex("dense", metadata, vectors=vectors)
+    queries = {ex.question_id: rng.normal(size=5).astype(np.float32) for ex in examples}
+
+    def encode(ex):
+        return queries[ex.question_id]
+
+    got = []
+    evaluate(index, corpus, encode, restrict_to_doc=restrict_to_doc, allow_missing_docs=True,
+             per_example=got)
+    want = evaluate_one_by_one(index, corpus, encode, restrict_to_doc)
+    assert_same_rows(got, want)
+    if restrict_to_doc:
+        assert all(r[1] == "" and r[4] == 0.0 for r, ex in zip(got, examples) if ex.doc_id == 1)

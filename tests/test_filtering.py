@@ -1,8 +1,10 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from phraseindex import filtering
 from phraseindex.candidates import CandidateSpan
 from phraseindex.corpus import Corpus, Document, QAExample
 from phraseindex.errors import FormatError, TrainingError
@@ -87,6 +89,19 @@ def test_training_is_deterministic():
     a = train_filter(index, corpus, seed=3)
     b = train_filter(index, corpus, seed=3)
     assert np.array_equal(a.weights, b.weights) and a.bias == b.bias
+
+
+def test_training_gathers_rows_in_chunks_without_changing_the_result():
+    n = 90
+    index = PhraseIndex("dense", make_meta([n]), vectors=quantized((n, 6), 4) + 0.01)
+    corpus = labeled_corpus(n, [7, 30, 61])
+    fitted = []
+    for rows in (7, n + 1):  # 81 training rows in 12 chunks, then in one
+        with mock.patch.object(filtering, "_GATHER_ROWS", rows):
+            fitted.append(train_filter(index, corpus, epochs=20, seed=2))
+    chunked, whole = fitted
+    assert chunked.weights.tobytes() == whole.weights.tobytes()
+    assert np.float32(chunked.bias).tobytes() == np.float32(whole.bias).tobytes()
 
 
 # ------------------------------------------------------------------ applying

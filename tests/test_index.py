@@ -1,8 +1,12 @@
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from phraseindex import index as index_module
 from phraseindex.candidates import CandidateSpan, span_count
 from phraseindex.corpus import Corpus, Document, tokenize
 from phraseindex.encode.dense import compose_phrase_lstm, compose_phrase_lstm_sa, sa_all
@@ -11,6 +15,7 @@ from phraseindex.errors import BuildError, FormatError
 from phraseindex.index import (
     METADATA_DTYPE,
     PhraseIndex,
+    _top_k,
     bench_scan,
     build_index,
     load_index,
@@ -193,6 +198,100 @@ def test_search_input_validation():
         search_exact(index, np.zeros(5, dtype=np.float32))
     with pytest.raises(ValueError):
         search_exact(index, np.zeros(3, dtype=np.float32), k_top=0)
+
+
+# --------------------------------------------------------- batched exact search
+
+
+@st.composite
+def block_cases(draw):
+    """A dense index over several documents (some empty, so absent) with planted
+    duplicate rows, a query block and a scope. Values are small integers, so every
+    score is exact whatever order a GEMM or a GEMV sums in, and ties are exact."""
+    counts = draw(st.lists(st.integers(0, 12), min_size=1, max_size=4))
+    n, dim = sum(counts), draw(st.integers(1, 6))
+    cells = st.integers(-3, 3)
+    vectors = np.array(draw(st.lists(cells, min_size=n * dim, max_size=n * dim)),
+                       dtype=np.float32).reshape(n, dim)
+    ordinal = st.integers(0, max(0, n - 1))
+    for src, dst in draw(st.lists(st.tuples(ordinal, ordinal), max_size=4 if n else 0)):
+        vectors[dst] = vectors[src]
+    m = draw(st.integers(1, 7))
+    queries = np.array(draw(st.lists(cells, min_size=m * dim, max_size=m * dim)),
+                       dtype=np.float32).reshape(m, dim)
+    doc_id = draw(st.none() | st.integers(0, len(counts)))  # len(counts): never indexed
+    k_top = draw(st.integers(1, n + 2))
+    rows_per_chunk = draw(st.sampled_from([1, 2, 3, None]))  # None: the default budget
+    return counts, vectors, queries, doc_id, k_top, rows_per_chunk
+
+
+@settings(max_examples=200, deadline=None)
+@given(block_cases())
+def test_block_search_equals_row_by_row_search(case):
+    counts, vectors, queries, doc_id, k_top, rows_per_chunk = case
+    index = PhraseIndex("dense", make_meta(counts), vectors=vectors)
+    lo, hi = (0, len(index)) if doc_id is None else index.doc_range(doc_id)
+    budget = index_module._SCORE_BLOCK_BYTES
+    if rows_per_chunk is not None:
+        budget = rows_per_chunk * 4 * max(1, hi - lo)
+    with mock.patch.object(index_module, "_SCORE_BLOCK_BYTES", budget):
+        block = search_exact(index, queries, k_top=k_top, doc_id=doc_id)
+    assert len(block) == len(queries)
+    for q, hits in zip(queries, block):
+        single = search_exact(index, q, k_top=k_top, doc_id=doc_id)
+        assert [h.span for h in hits] == [h.span for h in single]
+        assert [h.score for h in hits] == pytest.approx([h.score for h in single], rel=1e-5)
+
+
+def test_block_search_over_an_empty_range_gives_one_empty_list_per_row():
+    index = PhraseIndex("dense", make_meta([3, 0, 2]), vectors=quantized((5, 4), 1))
+    assert search_exact(index, quantized((3, 4), 2), k_top=2, doc_id=1) == [[], [], []]
+    assert search_exact(index, quantized((3, 4), 2), k_top=2, doc_id=9) == [[], [], []]
+
+
+def test_block_search_rejects_a_wrong_dim_block():
+    index = PhraseIndex("dense", make_meta([3]), vectors=np.eye(3, dtype=np.float32))
+    for bad in (np.zeros((2, 4)), np.zeros((2, 2)), np.zeros((1, 2, 3))):
+        with pytest.raises(ValueError, match="does not match index dim"):
+            search_exact(index, bad)
+        with pytest.raises(ValueError, match="does not match index dim"):
+            search_exact(index, bad, doc_id=7)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(-2, 2), min_size=1, max_size=40),
+    st.sampled_from([np.float32, np.float64]),
+)
+def test_top_one_is_the_first_of_the_general_ranking(values, dtype):
+    scores = np.array(values, dtype=dtype)
+    first = np.lexsort((np.arange(len(scores)), -scores.astype(np.float64)))[0]
+    assert _top_k(scores, 1).tolist() == [first]
+    assert _top_k(scores, 1).tolist() == _top_k(scores, 2)[:1].tolist()
+
+
+@pytest.mark.parametrize(
+    "values, expected",
+    [
+        # the rankings the general path gave before top-1 had its own path
+        ([1.0, np.nan, 3.0, 2.0], []),
+        ([np.nan], [0]),
+        ([np.nan, np.nan], []),
+        ([2.0, np.nan, 2.0], []),
+        ([5.0, 1.0, np.nan, 5.0], []),
+    ],
+)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_top_one_of_a_nan_row_keeps_the_general_result(values, expected, dtype):
+    assert _top_k(np.array(values, dtype=dtype), 1).tolist() == expected
+
+
+def test_block_search_of_a_nan_row_matches_the_single_search():
+    index = PhraseIndex("dense", make_meta([4]), vectors=quantized((4, 3), 5))
+    queries = np.array([[np.nan, 0.0, 0.0], [1.0, 0.0, 0.0]], dtype=np.float32)
+    block = search_exact(index, queries)
+    assert block[0] == search_exact(index, queries[0]) == []
+    assert block[1] == search_exact(index, queries[1])
 
 
 def sparse_fixture(seed=21, n=80, terms=10):

@@ -1,5 +1,8 @@
+import http.client
 import json
+import socket
 import threading
+import urllib.parse
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
@@ -168,3 +171,38 @@ def test_concurrent_identical_queries_agree(base_url):
     assert all(status == 200 for status, _ in results)
     bodies = [json.dumps(body, sort_keys=True) for _, body in results]
     assert len(set(bodies)) == 1
+
+
+def test_queries_share_one_kept_alive_connection(base_url):
+    url = urllib.parse.urlsplit(base_url)
+    conn = http.client.HTTPConnection(url.hostname, url.port, timeout=10)
+    try:
+        sockets = []
+        for question in ("Who won Super Bowl 50?", "how long did totality last"):
+            body = json.dumps({"question": question}).encode()
+            conn.request("POST", "/query", body, {"Content-Type": "application/json"})
+            reply = conn.getresponse()
+            assert reply.status == 200 and not reply.will_close
+            assert json.loads(reply.read())["answers"]
+            sockets.append(conn.sock)
+        assert sockets[0] is not None and sockets[0] is sockets[1]
+    finally:
+        conn.close()
+
+
+@pytest.mark.parametrize("length", ["many", "-1"])
+def test_bad_content_length_is_400_and_closes_the_connection(base_url, length):
+    url = urllib.parse.urlsplit(base_url)
+    with socket.create_connection((url.hostname, url.port), timeout=10) as sock:
+        sock.sendall(
+            b"POST /query HTTP/1.1\r\nHost: test\r\n"
+            + f"Content-Length: {length}\r\n\r\n".encode()
+            + b'{"question": "x"}'
+        )
+        received = b""
+        while chunk := sock.recv(4096):  # the server closing ends the loop
+            received += chunk
+    head, _, body = received.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 400")
+    assert b"Connection: close" in head
+    assert "malformed" in json.loads(body)["error"]
