@@ -9,7 +9,6 @@ drop low-quality candidates before storage to trade accuracy for memory.
 
 from .alsh import AlshIndex, AlshParams, build_alsh, load_alsh, save_alsh, search_approx
 from .candidates import CandidateSpan, candidates_per_word, enumerate_spans, span_count
-from .config import EngineConfig
 from .corpus import Corpus, Document, QAExample, align_answer, load_squad, tokenize
 from .errors import (
     BuildError,
@@ -44,7 +43,7 @@ from .index import (
     search_exact,
     synthetic_dense_index,
 )
-from .service import QueryEngine, make_server, serve
+from .service import QueryEngine, make_server, question_encoder, serve
 
 __version__ = "0.1.0"
 
@@ -57,7 +56,6 @@ __all__ = [
     "ConfigError",
     "Corpus",
     "Document",
-    "EngineConfig",
     "EngineError",
     "EvaluationError",
     "FormatError",
@@ -87,6 +85,7 @@ __all__ = [
     "load_squad",
     "make_server",
     "normalize_answer",
+    "question_encoder",
     "save_alsh",
     "save_filter",
     "save_index",

@@ -283,14 +283,7 @@ def _table_problem(
 
 
 def load_alsh(path: str, backing: PhraseIndex) -> AlshIndex:
-    with open(path, "rb") as f:
-        r = _Reader(f.read(), path)
-    magic = r.take(4, "magic")
-    if magic != MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}", offset=0)
-    version = r.u32("version")
-    if version != VERSION:
-        raise FormatError(f"{path}: unsupported version {version}", offset=4)
+    r = _Reader(path, MAGIC, VERSION)
     m, U, bits, tables, seed = struct.unpack("<IdIIq", r.take(28, "params"))
     params = AlshParams(m=m, U=U, bits_per_table=bits, tables=tables, seed=seed)
     max_norm = struct.unpack("<d", r.take(8, "max_norm"))[0]
@@ -316,6 +309,5 @@ def load_alsh(path: str, backing: PhraseIndex) -> AlshIndex:
         if problem:
             raise FormatError(f"{path}: table {ti} {problem}", offset=at)
         buckets.append(BucketTable(codes, indptr, ordinals))
-    if r.pos != len(r.buf):
-        raise FormatError(f"{path}: {len(r.buf) - r.pos} bytes of trailing data", offset=r.pos)
+    r.finish()
     return AlshIndex(params, max_norm, hyperplanes, buckets, backing)

@@ -15,7 +15,6 @@ import sys
 import numpy as np
 
 from .alsh import AlshParams, build_alsh, load_alsh, save_alsh
-from .config import ENCODERS, EngineConfig
 from .corpus import load_squad
 from .encode.wordvectors import read_word_vectors, toy_word_vector_table, write_word_vectors
 from .errors import ConfigError, EngineError
@@ -28,9 +27,12 @@ from .filtering import (
     train_filter,
 )
 from .index import bench_scan, build_index, load_index, save_index, synthetic_dense_index
-from .service import QueryEngine, infer_mode, serve
+from .service import QueryEngine, question_encoder, serve
 
 log = logging.getLogger("phraseindex.cli")
+
+# --encoder names and the build_index encoder each one selects.
+ENCODERS = {"tfidf": "tfidf", "dense_lstm": "lstm", "dense_lstm_sa": "lstm_sa"}
 
 
 def _alsh_sidecar(index_path: str, override: str | None) -> str:
@@ -41,37 +43,14 @@ def _load_word_vectors(path: str | None):
     return read_word_vectors(path) if path else None
 
 
-def _question_encoder(index, word_vectors):
-    """Per-example encoder for evaluate(), matching the index kind."""
-    if index.kind == "sparse":
-        from .encode.tfidf import tfidf_question_encode
-
-        return lambda ex: tfidf_question_encode(ex.question_tokens, index.idf)
-    if word_vectors is None:
-        raise ConfigError("dense index evaluation needs --word-vectors")
-    from .encode.dense import compose_question
-
-    mode = infer_mode(index.dim, word_vectors.dim)
-    return lambda ex: compose_question(word_vectors.question(ex.question_id), mode)
-
-
 def cmd_index(args) -> int:
-    config = EngineConfig(
-        encoder=args.encoder,
-        max_span_len=args.max_span_len,
-        window=args.window,
-        corpus_path=args.corpus,
-        word_vectors_path=args.word_vectors,
-    )
-    config.validate()
     corpus = load_squad(args.corpus)
-    word_vectors = _load_word_vectors(args.word_vectors)
     index = build_index(
         corpus,
-        encoder=config.build_encoder,
-        max_span_len=config.max_span_len,
-        window=config.window,
-        word_vectors=word_vectors,
+        encoder=ENCODERS[args.encoder],
+        max_span_len=args.max_span_len,
+        window=args.window,
+        word_vectors=_load_word_vectors(args.word_vectors),
         include_phrase=not args.context_only,
     )
     save_index(index, args.out)
@@ -109,13 +88,12 @@ def cmd_query(args) -> int:
 def cmd_eval(args) -> int:
     index = load_index(args.index)
     corpus = load_squad(args.dataset)
-    word_vectors = _load_word_vectors(args.word_vectors)
-    encoder = _question_encoder(index, word_vectors)
+    encode = question_encoder(index, _load_word_vectors(args.word_vectors))
     per_example: list | None = [] if args.per_example else None
     metrics = evaluate(
         index,
         corpus,
-        encoder,
+        lambda ex: encode(ex.question_tokens, ex.question_id),
         restrict_to_doc=not args.global_search,
         per_example=per_example,
     )
@@ -148,10 +126,10 @@ def cmd_sweep(args) -> int:
     index = load_index(args.index)
     filt = load_filter(args.filter)
     corpus = load_squad(args.dataset)
-    word_vectors = _load_word_vectors(args.word_vectors)
-    encoder = _question_encoder(index, word_vectors)
+    encode = question_encoder(index, _load_word_vectors(args.word_vectors))
     curve = sweep_thresholds(
-        index, filt, corpus, encoder, num_points=args.points, csv_path=args.out
+        index, filt, corpus, lambda ex: encode(ex.question_tokens, ex.question_id),
+        num_points=args.points, csv_path=args.out,
     )
     for p in curve.points:
         print(

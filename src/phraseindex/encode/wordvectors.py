@@ -65,7 +65,8 @@ def _is_doc_id(raw: str) -> bool:
 
 
 def read_word_vectors(path: str) -> WordVectorTable:
-    """Parse a word-vector file, validating coverage and dimension agreement."""
+    """Parse a word-vector file, validating coverage, dimension agreement and
+    that every value is finite."""
     table = WordVectorTable(dim=0)
     with open(path, encoding="utf-8") as f:
         lineno = 0
@@ -80,6 +81,7 @@ def read_word_vectors(path: str) -> WordVectorTable:
             if len(parts) != 4:
                 raise SchemaError(f"{path}:{lineno}: bad header {header.strip()!r}")
             channel, ident, count_s, dim_s = parts
+            header_line = lineno
             try:
                 count, dim = int(count_s), int(dim_s)
             except ValueError:
@@ -101,6 +103,12 @@ def read_word_vectors(path: str) -> WordVectorTable:
                     raise SchemaError(f"{path}:{lineno}: bad or repeated position {pos}")
                 seen[pos] = True
                 rows[pos] = [float(x) for x in fields[1:]]
+            if not np.isfinite(rows).all():  # nan, inf, or beyond float32 range
+                pos = int(np.isfinite(rows).all(axis=1).argmin())
+                raise SchemaError(
+                    f"{path}:{header_line}: {channel} {ident} has a non-finite value "
+                    f"at position {pos}"
+                )
             _insert_block(table, channel, ident, rows, f"{path}:{lineno}")
     _validate(table, path)
     return table

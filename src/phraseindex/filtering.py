@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .errors import FormatError, TrainingError
+from .errors import TrainingError
 from .index import PhraseIndex, _Reader
 
 if TYPE_CHECKING:
@@ -266,17 +266,9 @@ def save_filter(filt: PerceptronFilter, path: str) -> None:
 
 
 def load_filter(path: str) -> PerceptronFilter:
-    with open(path, "rb") as f:
-        r = _Reader(f.read(), path)
-    magic = r.take(4, "magic")
-    if magic != MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}", offset=0)
-    version = r.u32("version")
-    if version != VERSION:
-        raise FormatError(f"{path}: unsupported version {version}", offset=4)
+    r = _Reader(path, MAGIC, VERSION)
     dim = r.u32("dim")
     weights = r.array(np.dtype("<f4"), dim, "weights")
     bias = struct.unpack("<f", r.take(4, "bias"))[0]
-    if r.pos != len(r.buf):
-        raise FormatError(f"{path}: {len(r.buf) - r.pos} bytes of trailing data", offset=r.pos)
+    r.finish()
     return PerceptronFilter(weights=weights, bias=bias)

@@ -152,6 +152,10 @@ def build_index(
     """
     if encoder not in ("tfidf", LSTM, LSTM_SA):
         raise ValueError(f"unknown encoder {encoder!r}")
+    if max_span_len < 1:
+        raise BuildError(f"max_span_len must be >= 1, got {max_span_len}")
+    if window < 0:
+        raise BuildError(f"window must be >= 0, got {window}")
     for doc in corpus.documents:
         if len(doc) > MAX_DOC_TOKENS:
             raise BuildError(
@@ -400,19 +404,34 @@ def synthetic_dense_index(
 
 
 class _Reader:
-    """Cursor over an in-memory file image; errors carry the byte offset."""
+    """Cursor over a file image past its magic and version; errors carry the byte offset."""
 
-    def __init__(self, buf: bytes, path: str):
-        self.buf = buf
+    def __init__(self, path: str, magic: bytes, version: int):
+        with open(path, "rb") as f:
+            self.buf = f.read()
         self.pos = 0
         self.path = path
+        if (got := self.take(4, "magic")) != magic:
+            raise FormatError(f"{path}: bad magic {got!r}", offset=0)
+        if (got := self.u32("version")) != version:
+            raise FormatError(f"{path}: unsupported version {got}", offset=4)
 
-    def take(self, n: int, what: str) -> bytes:
+    def finish(self) -> None:
+        """Reject bytes past the last field read."""
+        if self.pos != len(self.buf):
+            extra = len(self.buf) - self.pos
+            raise FormatError(f"{self.path}: {extra} bytes of trailing data", offset=self.pos)
+
+    def skip(self, n: int, what: str) -> int:
+        """Move past the next n bytes and return where they start."""
         if self.pos + n > len(self.buf):
             raise FormatError(f"{self.path}: truncated while reading {what}", offset=self.pos)
-        out = self.buf[self.pos : self.pos + n]
         self.pos += n
-        return out
+        return self.pos - n
+
+    def take(self, n: int, what: str) -> bytes:
+        start = self.skip(n, what)
+        return self.buf[start : self.pos]
 
     def u8(self, what: str) -> int:
         return self.take(1, what)[0]
@@ -424,8 +443,8 @@ class _Reader:
         return struct.unpack("<Q", self.take(8, what))[0]
 
     def array(self, dtype, count: int, what: str) -> np.ndarray:
-        raw = self.take(int(count) * dtype.itemsize, what)
-        return np.frombuffer(raw, dtype=dtype).copy()
+        start = self.skip(int(count) * dtype.itemsize, what)
+        return np.frombuffer(self.buf, dtype=dtype, count=int(count), offset=start).copy()
 
 
 def save_index(index: PhraseIndex, path: str) -> None:
@@ -457,24 +476,48 @@ def save_index(index: PhraseIndex, path: str) -> None:
         f.write(b"".join(parts))
 
 
+def _first_bad(*checks: tuple[np.ndarray, str]) -> tuple[int, str] | None:
+    """Position of the first True in the first mask holding one, with its message."""
+    for bad, problem in checks:
+        if bad.any():
+            return int(bad.argmax()), problem
+    return None
+
+
 def load_index(path: str) -> PhraseIndex:
-    with open(path, "rb") as f:
-        r = _Reader(f.read(), path)
-    magic = r.take(4, "magic")
-    if magic != MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}", offset=0)
-    version = r.u32("version")
-    if version != VERSION:
-        raise FormatError(f"{path}: unsupported version {version}", offset=4)
+    """Read an index file, rejecting what would break a search later.
+
+    Metadata must be strictly increasing on (doc_id, s, e) with s <= e, floats
+    finite, and each term's posting ordinals strictly increasing and in range.
+    """
+    r = _Reader(path, MAGIC, VERSION)
     kind = r.u8("kind")
     if kind not in (KIND_DENSE, KIND_SPARSE):
         raise FormatError(f"{path}: unknown kind byte {kind}", offset=8)
     dim = r.u32("dim")
     count = r.u64("count")
+    meta_at = r.pos
     metadata = r.array(METADATA_DTYPE, count, "metadata")
+    key = metadata["doc_id"].astype(np.uint64) << np.uint64(32)
+    key |= metadata["s"].astype(np.uint64) << np.uint64(16)
+    key |= metadata["e"]
+    found = _first_bad(
+        (metadata["s"] > metadata["e"], "starts after it ends"),
+        (np.r_[False, key[1:] <= key[:-1]], "is not after the one before in (doc_id, s, e)"),
+    )
+    if found:
+        i, problem = found
+        raise FormatError(
+            f"{path}: metadata record {i} {problem}", offset=meta_at + i * METADATA_DTYPE.itemsize
+        )
 
     if kind == KIND_DENSE:
+        at = r.pos
         vectors = r.array(np.dtype("<f4"), count * dim, "vectors").reshape(count, dim)
+        finite = np.isfinite(vectors).all(axis=1)
+        if not finite.all():
+            row = int(finite.argmin())
+            raise FormatError(f"{path}: vector row {row} is not finite", offset=at)
         index = PhraseIndex("dense", metadata, vectors=vectors)
     else:
         num_terms = r.u64("term count")
@@ -491,15 +534,32 @@ def load_index(path: str) -> PhraseIndex:
                 raise FormatError(f"{path}: term {i} is not valid utf-8", offset=at) from exc
             df[term] = term_df
         group_dtype = np.dtype([("o", "<u8"), ("w", "<f4")])
-        postings: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        group_at, groups = [], []
         for term_id in range(num_terms):
+            group_at.append(r.pos)
             n = r.u64(f"posting count of term {term_id}")
-            group = r.array(group_dtype, n, f"postings of term {term_id}")
-            if n:
-                postings[term_id] = (group["o"].copy(), group["w"].copy())
+            groups.append(r.array(group_dtype, n, f"postings of term {term_id}"))
+        sizes = np.array([len(g) for g in groups], dtype=np.int64)
+        ends = np.cumsum(sizes)
+        ords, ws = (
+            np.concatenate([g[f] for g in groups] or [np.empty(0, group_dtype[f])]) for f in "ow"
+        )
+        falling = np.r_[False, ords[1:] <= ords[:-1]]
+        falling[ends[sizes > 0][:-1]] = False  # each term starts its own run
+        found = _first_bad(
+            (ords >= count, "reference an ordinal beyond the index"),
+            (falling, "are not strictly increasing"),
+            (~np.isfinite(ws), "hold a non-finite weight"),
+        )
+        if found:
+            term_id = int(np.searchsorted(ends, found[0], side="right"))
+            raise FormatError(
+                f"{path}: postings of term {term_id} {found[1]}", offset=group_at[term_id]
+            )
+        runs = enumerate(zip(sizes.tolist(), ends.tolist()))
+        postings = {t: (ords[e - n : e], ws[e - n : e]) for t, (n, e) in runs if n}
         index = PhraseIndex(
             "sparse", metadata, postings=postings, idf=IdfTable(df=df, num_documents=num_docs)
         )
-    if r.pos != len(r.buf):
-        raise FormatError(f"{path}: {len(r.buf) - r.pos} bytes of trailing data", offset=r.pos)
+    r.finish()
     return index

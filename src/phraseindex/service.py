@@ -45,14 +45,29 @@ def infer_mode(index_dim: int, word_dim: int) -> str:
     )
 
 
+def question_encoder(index: PhraseIndex, word_vectors: "WordVectorTable | None" = None):
+    """The question side of an index: (question_tokens, question_id) -> query.
+
+    Sparse indexes carry their own term table and encode the tokens; dense
+    indexes compose the precomputed channels stored under the question id.
+    The returned function looks the encoders up in this module on every
+    call, so wrapping them later also wraps encoders made earlier.
+    """
+    if index.kind == "sparse":
+        return lambda tokens, question_id: tfidf_question_encode(tokens, index.idf)
+    if word_vectors is None:
+        raise ConfigError("a dense index encodes questions from --word-vectors; none given")
+    mode = infer_mode(index.dim, word_vectors.dim)
+    return lambda tokens, question_id: compose_question(word_vectors.question(question_id), mode)
+
+
 class QueryEngine:
     """One loaded index plus whatever it needs to answer questions.
 
-    Sparse indexes carry their own term table, so a question string is
-    tokenized and encoded directly. Dense indexes compose precomputed
-    question channels, so the question is looked up by id in the
-    word-vector table. Answer text is rendered only when a corpus is
-    attached; otherwise the text field is null.
+    A question string is tokenized for a sparse index and used as the
+    question id for a dense one (see question_encoder). Answer text is
+    rendered only when a corpus is attached; otherwise the text field is
+    null.
     """
 
     def __init__(
@@ -65,16 +80,10 @@ class QueryEngine:
         self.index = index
         self.corpus = corpus
         self.alsh = alsh
-        self.word_vectors = word_vectors
+        self._encode = question_encoder(index, word_vectors)
 
     def encode_question(self, question: str):
-        if self.index.kind == "sparse":
-            tokens, _ = tokenize(question)
-            return tfidf_question_encode(tokens, self.index.idf)
-        if self.word_vectors is None:
-            raise ConfigError("dense index queries need a word-vector table")
-        mode = infer_mode(self.index.dim, self.word_vectors.dim)
-        return compose_question(self.word_vectors.question(question), mode)
+        return self._encode(tokenize(question)[0], question)
 
     def answer(
         self,

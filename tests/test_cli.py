@@ -1,13 +1,18 @@
 import contextlib
+import csv
 import io
 import json
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 from phraseindex.alsh import load_alsh
 from phraseindex.cli import main
+from phraseindex.corpus import load_squad
+from phraseindex.encode.wordvectors import read_word_vectors
 from phraseindex.index import load_index
+from phraseindex.service import QueryEngine
 
 DATA = Path(__file__).parent / "data" / "mini_squad.json"
 
@@ -164,6 +169,27 @@ def test_eval_dense_without_word_vectors_is_a_config_error(ws):
     assert "word-vectors" in err
 
 
+@pytest.mark.parametrize("global_search", [False, True])
+def test_eval_rows_match_engine_answers(ws, tmp_path, global_search):
+    # eval and QueryEngine encode questions through the same question_encoder.
+    rows_path = tmp_path / "rows.csv"
+    argv = ["eval", "--index", ws["dense"], "--dataset", ws["dataset"],
+            "--word-vectors", ws["wv"], "--per-example", str(rows_path)]
+    rc, _, _ = run(*argv, *(["--global"] if global_search else []))
+    assert rc == 0
+    corpus = load_squad(ws["dataset"])
+    engine = QueryEngine(
+        load_index(ws["dense"]), corpus=corpus, word_vectors=read_word_vectors(ws["wv"])
+    )
+    with open(rows_path, newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert [r["question_id"] for r in rows] == [ex.question_id for ex in corpus.examples]
+    for row, ex in zip(rows, corpus.examples):
+        (top,), _ = engine.answer(ex.question_id, doc_id=None if global_search else ex.doc_id)
+        assert row["prediction"] == top["text"]
+        assert float(row["score"]) == pytest.approx(top["score"], rel=1e-5)
+
+
 def test_bench_synthetic(ws):
     rc, out, _ = run("bench", "--candidates", "2600", "--dim", "16", "--queries", "3")
     assert rc == 0
@@ -278,6 +304,22 @@ def test_query_dense_without_word_vectors_exits_two(ws):
     rc, _, err = run("query", "--index", ws["dense"], "--question", "q1")
     assert rc == 2
     assert "word" in err
+
+
+@pytest.mark.parametrize("flag, value", [("--max-span-len", "0"), ("--window", "-1")])
+def test_index_rejects_bad_span_parameters(ws, tmp_path, flag, value):
+    out = tmp_path / "x.idx"
+    rc, _, err = run("index", "--corpus", ws["dataset"], flag, value, "--out", str(out))
+    assert rc == 2
+    assert err.startswith("error:") and flag[2:].replace("-", "_") in err
+    assert not out.exists()
+
+
+def test_serve_dense_without_word_vectors_exits_two_at_start(ws):
+    with mock.patch("phraseindex.cli.serve", side_effect=AssertionError("server started")):
+        rc, _, err = run("serve", "--index", ws["dense"], "--port", "0")
+    assert rc == 2
+    assert "--word-vectors" in err
 
 
 def test_module_invocation_matches_script():

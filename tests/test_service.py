@@ -65,6 +65,11 @@ def test_infer_mode():
         infer_mode(32, 0)
 
 
+def test_dense_engine_without_word_vectors_fails_when_built(dense_index):
+    with pytest.raises(ConfigError, match="--word-vectors"):
+        QueryEngine(dense_index)
+
+
 def test_engine_matches_direct_search(engine):
     question = "Who won Super Bowl 50?"
     answers, probes = engine.answer(question, top_k=3)

@@ -121,6 +121,21 @@ def test_malformed_files_raise_schema_errors(tmp_path, content, needle):
     assert needle in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "value",
+    ["nan", "inf", "-inf",
+     pytest.param("1e39", marks=pytest.mark.filterwarnings("ignore:overflow"))],
+)
+def test_non_finite_values_raise_schema_errors(tmp_path, value):
+    path = tmp_path / "bad.txt"
+    path.write_text(f"base 0 1 2\n0 1 2\nbase q1 2 2\n1 3 {value}\n0 1 2\n")
+    with pytest.raises(SchemaError) as err:
+        read_word_vectors(str(path))
+    # names the file, the block's header line and the token position
+    assert f"{path}:3: base q1 " in str(err.value)
+    assert "non-finite value at position 1" in str(err.value)
+
+
 def test_lookup_errors():
     table = WordVectorTable(dim=2)
     table.documents[0] = DocChannels(0, base=np.zeros((1, 2), dtype=np.float32))
