@@ -23,17 +23,18 @@ File format (all integers little-endian):
 
 from __future__ import annotations
 
-import struct
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, FormatError
-from .index import PhraseIndex, SearchHit, _Reader, _top_k
+from .index import PhraseIndex, SearchHit, _Reader, _top_k, _write
 
 MAGIC = b"PQAH"
 VERSION = 2
+HEADER_DTYPE = np.dtype([("m", "<u4"), ("U", "<f8"), ("bits", "<u4"), ("tables", "<u4"),
+                         ("seed", "<i8"), ("max_norm", "<f8"), ("aug_dim", "<u4")])
 
 
 @dataclass(frozen=True)
@@ -243,24 +244,17 @@ def search_approx(
 
 
 def save_alsh(alsh: AlshIndex, path: str) -> None:
-    p = alsh.params
-    parts = [
-        MAGIC,
-        struct.pack("<I", VERSION),
-        struct.pack("<IdIIq", p.m, p.U, p.bits_per_table, p.tables, p.seed),
-        struct.pack("<d", alsh.max_norm),
-        struct.pack("<I", alsh.hyperplanes.shape[2]),
-        np.ascontiguousarray(alsh.hyperplanes, dtype="<f8").tobytes(),
-    ]
+    p, aug_dim = alsh.params, alsh.hyperplanes.shape[2]
+    header = (p.m, p.U, p.bits_per_table, p.tables, p.seed, alsh.max_norm, aug_dim)
+    parts = [np.array(header, HEADER_DTYPE), np.ascontiguousarray(alsh.hyperplanes, "<f8")]
     for table in alsh.buckets:
         parts += [
-            struct.pack("<Q", len(table)),
-            table.codes.astype("<u8").tobytes(),
-            np.diff(table.indptr).astype("<u8").tobytes(),
-            table.ordinals.astype("<u8").tobytes(),
+            np.array(len(table), "<u8"),
+            table.codes.astype("<u8"),
+            np.diff(table.indptr).astype("<u8"),
+            table.ordinals.astype("<u8"),
         ]
-    with open(path, "wb") as f:
-        f.write(b"".join(parts))
+    _write(path, MAGIC, VERSION, parts)
 
 
 def _table_problem(
@@ -284,27 +278,28 @@ def _table_problem(
 
 def load_alsh(path: str, backing: PhraseIndex) -> AlshIndex:
     r = _Reader(path, MAGIC, VERSION)
-    m, U, bits, tables, seed = struct.unpack("<IdIIq", r.take(28, "params"))
+    m, U, bits, tables, seed, max_norm, aug_dim = r.record(HEADER_DTYPE, "header")
     params = AlshParams(m=m, U=U, bits_per_table=bits, tables=tables, seed=seed)
-    max_norm = struct.unpack("<d", r.take(8, "max_norm"))[0]
-    aug_dim = r.u32("augmented dim")
+    if not 0 < max_norm < np.inf:  # false for NaN too
+        raise FormatError(f"{path}: max_norm {max_norm} is not finite and positive", offset=36)
     if backing.kind != "dense" or aug_dim != backing.dim + m:
         raise FormatError(
             f"{path}: augmented dim {aug_dim} does not fit backing index "
             f"(dim {backing.dim} + m {m})",
             offset=r.pos - 4,
         )
-    planes = r.array(np.dtype("<f8"), tables * bits * aug_dim, "hyperplanes")
+    planes = r.array("<f8", tables * bits * aug_dim, "hyperplanes")
+    if not np.isfinite(planes).all():
+        raise FormatError(f"{path}: hyperplanes are not finite", offset=r.pos - planes.nbytes)
     hyperplanes = planes.reshape(tables, bits, aug_dim)
-    u64 = np.dtype("<u8")
     buckets = []
     for ti in range(tables):
         at = r.pos
-        count = r.u64(f"bucket count of table {ti}")
-        codes = r.array(u64, count, f"codes of table {ti}")
+        count = r.record("<u8", f"bucket count of table {ti}")
+        codes = r.array("<u8", count, f"codes of table {ti}")
         indptr = np.zeros(count + 1, dtype=np.uint64)
-        np.cumsum(r.array(u64, count, f"bucket sizes of table {ti}"), out=indptr[1:])
-        ordinals = r.array(u64, indptr[-1], f"ordinals of table {ti}")
+        np.cumsum(r.array("<u8", count, f"bucket sizes of table {ti}"), out=indptr[1:])
+        ordinals = r.array("<u8", indptr[-1], f"ordinals of table {ti}")
         problem = _table_problem(codes, indptr, ordinals, bits, len(backing))
         if problem:
             raise FormatError(f"{path}: table {ti} {problem}", offset=at)

@@ -98,11 +98,14 @@ def read_word_vectors(path: str) -> WordVectorTable:
                     raise SchemaError(
                         f"{path}:{lineno}: expected {dim + 1} fields, got {len(fields)}"
                     )
-                pos = int(fields[0])
+                try:
+                    pos, values = int(fields[0]), [float(x) for x in fields[1:]]
+                except ValueError as exc:
+                    raise SchemaError(f"{path}:{lineno}: {exc}") from None
                 if not 0 <= pos < count or seen[pos]:
                     raise SchemaError(f"{path}:{lineno}: bad or repeated position {pos}")
                 seen[pos] = True
-                rows[pos] = [float(x) for x in fields[1:]]
+                rows[pos] = values
             if not np.isfinite(rows).all():  # nan, inf, or beyond float32 range
                 pos = int(np.isfinite(rows).all(axis=1).argmin())
                 raise SchemaError(

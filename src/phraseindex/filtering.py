@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import csv
 import math
-import struct
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .errors import TrainingError
-from .index import PhraseIndex, _Reader
+from .errors import FormatError, TrainingError
+from .index import PhraseIndex, _Reader, _write
 
 if TYPE_CHECKING:
     from .corpus import Corpus
@@ -257,18 +256,17 @@ def storage_estimate(
 
 
 def save_filter(filt: PerceptronFilter, path: str) -> None:
-    weights = np.ascontiguousarray(filt.weights, dtype="<f4")
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<II", VERSION, len(weights)))
-        f.write(weights.tobytes())
-        f.write(struct.pack("<f", filt.bias))
+    values = np.r_[filt.weights, filt.bias].astype("<f4")  # the weights, then the bias
+    _write(path, MAGIC, VERSION, [np.array(len(values) - 1, "<u4"), values])
 
 
 def load_filter(path: str) -> PerceptronFilter:
     r = _Reader(path, MAGIC, VERSION)
-    dim = r.u32("dim")
-    weights = r.array(np.dtype("<f4"), dim, "weights")
-    bias = struct.unpack("<f", r.take(4, "bias"))[0]
+    dim = r.record("<u4", "dim")
+    values = r.array("<f4", dim + 1, "weights and bias")
+    if not np.isfinite(values).all():
+        i = int(np.isfinite(values).argmin())
+        what = "bias" if i == dim else f"weight {i}"
+        raise FormatError(f"{path}: {what} is not finite", offset=12 + 4 * i)
     r.finish()
-    return PerceptronFilter(weights=weights, bias=bias)
+    return PerceptronFilter(weights=values[:dim], bias=float(values[dim]))

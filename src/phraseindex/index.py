@@ -1,25 +1,25 @@
 """Immutable phrase index: build, exact inner-product search, persistence.
 
 A dense index stores one float32 row per candidate span; a sparse index
-stores an inverted map term-id -> (candidate ordinals, weights) plus the
-term dictionary needed to encode questions against it. Metadata is a
-packed record array sorted by (doc_id, s, e); the ordinal of a row in
-that order is the candidate's identity everywhere (postings, hashes,
-filters).
+stores its postings in CSR form, term id t owning the candidate ordinals
+and weights ``ordinals[indptr[t]:indptr[t + 1]]``, plus the term dictionary
+needed to encode questions against it. Metadata is a packed record array
+sorted by (doc_id, s, e); the ordinal of a row in that order is the
+candidate's identity everywhere (postings, hashes, filters).
 
 File format (all integers little-endian):
 
-    magic "PIQA" | version u32=1 | kind u8 (0 dense, 1 sparse) | dim u32
+    magic "PIQA" | version u32=2 | kind u8 (0 dense, 1 sparse) | dim u32
     | count u64 | count x (doc_id u32, s u16, e u16) | payload
 
 Dense payload: count x dim float32, row-major. Sparse payload: u64 term
-count T, u64 document count, T x (df u32, len u16, utf-8 term), then T
-groups of u64 n followed by n x (ordinal u64, weight f32).
+count T, u64 document count, T x (df u32, len u16, utf-8 term) with terms
+strictly increasing, then T x posting count u64, then every term's ordinals
+u64 (strictly increasing within a term), then every weight f32, in term order.
 """
 
 from __future__ import annotations
 
-import struct
 import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -36,12 +36,15 @@ if TYPE_CHECKING:
     from .encode.wordvectors import WordVectorTable
 
 MAGIC = b"PIQA"
-VERSION = 1
+VERSION = 2
 KIND_DENSE = 0
 KIND_SPARSE = 1
 MAX_DOC_TOKENS = 65535  # u16 span endpoints
 
 METADATA_DTYPE = np.dtype([("doc_id", "<u4"), ("s", "<u2"), ("e", "<u2")])
+HEADER_DTYPE = np.dtype([("kind", "u1"), ("dim", "<u4"), ("count", "<u8")])
+SPARSE_DTYPE = np.dtype([("terms", "<u8"), ("documents", "<u8")])
+TERM_DTYPE = np.dtype([("df", "<u4"), ("length", "<u2")])
 
 
 @dataclass(frozen=True)
@@ -51,7 +54,10 @@ class SearchHit:
 
 
 class PhraseIndex:
-    """Read-only candidate store; safe for concurrent searches."""
+    """Read-only candidate store; safe for concurrent searches.
+
+    Sparse postings: a CSR triple (indptr, ordinals, weights), or a dict to flatten.
+    """
 
     def __init__(
         self,
@@ -59,7 +65,7 @@ class PhraseIndex:
         metadata: np.ndarray,
         *,
         vectors: np.ndarray | None = None,
-        postings: dict[int, tuple[np.ndarray, np.ndarray]] | None = None,
+        postings: tuple | dict[int, tuple[np.ndarray, np.ndarray]] | None = None,
         idf: IdfTable | None = None,
     ):
         if kind not in ("dense", "sparse"):
@@ -67,7 +73,6 @@ class PhraseIndex:
         self.kind = kind
         self.metadata = np.ascontiguousarray(metadata, dtype=METADATA_DTYPE)
         self.vectors = vectors
-        self.postings = postings
         self.idf = idf
         if kind == "dense":
             if vectors is None or len(vectors) != len(self.metadata):
@@ -76,6 +81,19 @@ class PhraseIndex:
         else:
             if postings is None or idf is None:
                 raise ValueError("sparse index needs postings and a term table")
+            if isinstance(postings, dict):
+                empty = (np.empty(0, np.uint64), np.empty(0, np.float32))
+                runs = [postings.get(t, empty) for t in range(len(idf.vocab))]
+                indptr = np.cumsum([0] + [len(o) for o, _ in runs])
+                postings = (indptr, *map(np.concatenate, zip(*runs, empty)))
+            self.indptr = np.asarray(postings[0], dtype=np.int64)
+            self.ordinals = np.asarray(postings[1], dtype=np.uint64)
+            self.weights = np.asarray(postings[2], dtype=np.float32)
+            b = self.indptr.tolist()
+            self.postings = {
+                t: (self.ordinals[b[t] : b[t + 1]], self.weights[b[t] : b[t + 1]])
+                for t in np.flatnonzero(np.diff(self.indptr)).tolist()
+            }
             self.dim = 0
 
     def __len__(self) -> int:
@@ -90,13 +108,8 @@ class PhraseIndex:
             return np.array_equal(self.vectors, other.vectors)
         if self.idf.df != other.idf.df or self.idf.num_documents != other.idf.num_documents:
             return False
-        if self.postings.keys() != other.postings.keys():
-            return False
-        return all(
-            np.array_equal(self.postings[t][0], other.postings[t][0])
-            and np.array_equal(self.postings[t][1], other.postings[t][1])
-            for t in self.postings
-        )
+        csr = ("indptr", "ordinals", "weights")
+        return all(np.array_equal(getattr(self, a), getattr(other, a)) for a in csr)
 
     def span(self, ordinal: int) -> CandidateSpan:
         rec = self.metadata[ordinal]
@@ -165,24 +178,22 @@ def build_index(
     meta_rows: list[tuple[int, int, int]] = []
     if encoder == "tfidf":
         idf = IdfTable.from_corpus(corpus)
-        by_term: dict[int, tuple[list[int], list[float]]] = {}
-        ordinal = 0
+        vecs: list[SparseVector] = [SparseVector.empty()]  # keeps the concatenations non-empty
         for doc in corpus.documents:
             for s, e in enumerate_spans(len(doc), max_span_len):
                 meta_rows.append((doc.doc_id, s, e))
-                vec = tfidf_phrase_encode(
-                    doc, CandidateSpan(doc.doc_id, s, e), window, idf,
-                    include_phrase=include_phrase,
+                span = CandidateSpan(doc.doc_id, s, e)
+                vecs.append(
+                    tfidf_phrase_encode(doc, span, window, idf, include_phrase=include_phrase)
                 )
-                for term_id, weight in zip(vec.term_ids, vec.weights):
-                    ords, ws = by_term.setdefault(int(term_id), ([], []))
-                    ords.append(ordinal)
-                    ws.append(np.float32(weight))
-                ordinal += 1
-        postings = {
-            t: (np.asarray(o, dtype=np.uint64), np.asarray(w, dtype=np.float32))
-            for t, (o, w) in by_term.items()
-        }
+        # One stable sort by term keeps each term's ordinals ascending.
+        terms = np.concatenate([v.term_ids for v in vecs])
+        order = np.argsort(terms, kind="stable")
+        sizes = [len(v.term_ids) for v in vecs[1:]]
+        ordinals = np.repeat(np.arange(len(sizes), dtype=np.uint64), sizes)[order]
+        weights = np.concatenate([v.weights for v in vecs]).astype(np.float32)[order]
+        indptr = np.r_[0, np.cumsum(np.bincount(terms, minlength=len(idf.vocab)))]
+        postings = (indptr, ordinals, weights)
         return PhraseIndex("sparse", _pack_metadata(meta_rows), postings=postings, idf=idf)
 
     if word_vectors is None:
@@ -274,16 +285,15 @@ def search_exact(
             return []
         if not isinstance(query, SparseVector):
             raise ValueError("sparse index expects a SparseVector query")
-        scores = np.zeros(hi - lo, dtype=np.float64)
-        for term_id, weight in zip(query.term_ids, query.weights):
-            group = index.postings.get(int(term_id))
-            if group is None:
-                continue
-            ords, ws = group
-            a = int(np.searchsorted(ords, lo, side="left"))
-            b = int(np.searchsorted(ords, hi, side="left"))
-            sel = ords[a:b].astype(np.int64) - lo
-            scores[sel] += float(weight) * ws[a:b].astype(np.float64)
+        # The query terms' CSR runs in query order: bincount adds each score in that order.
+        known = (query.term_ids >= 0) & (query.term_ids < len(index.indptr) - 1)
+        ids = query.term_ids[known]
+        starts, sizes = index.indptr[ids], index.indptr[ids + 1] - index.indptr[ids]
+        at = np.repeat(starts - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())
+        ords = index.ordinals[at].astype(np.int64)
+        inside = (ords >= lo) & (ords < hi)
+        products = np.repeat(query.weights[known].astype(np.float64), sizes) * index.weights[at]
+        scores = np.bincount(ords[inside] - lo, weights=products[inside], minlength=hi - lo)
 
     return _hits(index, scores, k_top, lo)
 
@@ -411,9 +421,9 @@ class _Reader:
             self.buf = f.read()
         self.pos = 0
         self.path = path
-        if (got := self.take(4, "magic")) != magic:
+        if (got := self.record("S4", "magic")) != magic:
             raise FormatError(f"{path}: bad magic {got!r}", offset=0)
-        if (got := self.u32("version")) != version:
+        if (got := self.record("<u4", "version")) != version:
             raise FormatError(f"{path}: unsupported version {got}", offset=4)
 
     def finish(self) -> None:
@@ -429,51 +439,39 @@ class _Reader:
         self.pos += n
         return self.pos - n
 
-    def take(self, n: int, what: str) -> bytes:
-        start = self.skip(n, what)
-        return self.buf[start : self.pos]
-
-    def u8(self, what: str) -> int:
-        return self.take(1, what)[0]
-
-    def u32(self, what: str) -> int:
-        return struct.unpack("<I", self.take(4, what))[0]
-
-    def u64(self, what: str) -> int:
-        return struct.unpack("<Q", self.take(8, what))[0]
-
     def array(self, dtype, count: int, what: str) -> np.ndarray:
-        start = self.skip(int(count) * dtype.itemsize, what)
+        start = self.skip(int(count) * np.dtype(dtype).itemsize, what)
         return np.frombuffer(self.buf, dtype=dtype, count=int(count), offset=start).copy()
+
+    def record(self, dtype, what: str):
+        """One value of dtype as Python values: a tuple of fields for a record dtype."""
+        return self.array(dtype, 1, what)[0].item()
+
+
+def _write(path: str, magic: bytes, version: int, parts: list) -> None:
+    """Write magic, version u32 and the parts: bytes, or numpy values in file byte order."""
+    data = [magic, np.array(version, "<u4"), *parts]
+    with open(path, "wb") as f:
+        f.write(b"".join(p if isinstance(p, bytes) else p.tobytes() for p in data))
 
 
 def save_index(index: PhraseIndex, path: str) -> None:
-    parts = [
-        MAGIC,
-        struct.pack("<I", VERSION),
-        struct.pack("<B", KIND_DENSE if index.kind == "dense" else KIND_SPARSE),
-        struct.pack("<I", index.dim),
-        struct.pack("<Q", len(index)),
-        index.metadata.tobytes(),
-    ]
+    kind = KIND_DENSE if index.kind == "dense" else KIND_SPARSE
+    parts = [np.array((kind, index.dim, len(index)), HEADER_DTYPE), index.metadata]
     if index.kind == "dense":
-        parts.append(np.ascontiguousarray(index.vectors, dtype="<f4").tobytes())
+        parts.append(np.ascontiguousarray(index.vectors, dtype="<f4"))
     else:
-        terms = index.idf.vocab
-        parts.append(struct.pack("<QQ", len(terms), index.idf.num_documents))
-        for term in terms:
-            raw = term.encode("utf-8")
-            parts.append(struct.pack("<IH", index.idf.df[term], len(raw)))
-            parts.append(raw)
-        empty = (np.empty(0, dtype="<u8"), np.empty(0, dtype="<f4"))
-        for term_id in range(len(terms)):
-            ords, ws = index.postings.get(term_id, empty)
-            parts.append(struct.pack("<Q", len(ords)))
-            group = np.zeros(len(ords), dtype=[("o", "<u8"), ("w", "<f4")])
-            group["o"], group["w"] = ords, ws
-            parts.append(group.tobytes())
-    with open(path, "wb") as f:
-        f.write(b"".join(parts))
+        idf = index.idf
+        raws = [term.encode("utf-8") for term in idf.vocab]
+        heads = np.array([(idf.df[t], len(b)) for t, b in zip(idf.vocab, raws)], TERM_DTYPE)
+        parts += [
+            np.array((len(raws), idf.num_documents), SPARSE_DTYPE),
+            b"".join(head.tobytes() + raw for head, raw in zip(heads, raws)),
+            np.diff(index.indptr).astype("<u8"),
+            index.ordinals.astype("<u8"),
+            index.weights.astype("<f4"),
+        ]
+    _write(path, MAGIC, VERSION, parts)
 
 
 def _first_bad(*checks: tuple[np.ndarray, str]) -> tuple[int, str] | None:
@@ -488,14 +486,13 @@ def load_index(path: str) -> PhraseIndex:
     """Read an index file, rejecting what would break a search later.
 
     Metadata must be strictly increasing on (doc_id, s, e) with s <= e, floats
-    finite, and each term's posting ordinals strictly increasing and in range.
+    finite, terms strictly increasing with df at most the document count, and
+    each term's posting ordinals strictly increasing and in range.
     """
     r = _Reader(path, MAGIC, VERSION)
-    kind = r.u8("kind")
+    kind, dim, count = r.record(HEADER_DTYPE, "header")
     if kind not in (KIND_DENSE, KIND_SPARSE):
         raise FormatError(f"{path}: unknown kind byte {kind}", offset=8)
-    dim = r.u32("dim")
-    count = r.u64("count")
     meta_at = r.pos
     metadata = r.array(METADATA_DTYPE, count, "metadata")
     key = metadata["doc_id"].astype(np.uint64) << np.uint64(32)
@@ -513,53 +510,55 @@ def load_index(path: str) -> PhraseIndex:
 
     if kind == KIND_DENSE:
         at = r.pos
-        vectors = r.array(np.dtype("<f4"), count * dim, "vectors").reshape(count, dim)
+        vectors = r.array("<f4", count * dim, "vectors").reshape(count, dim)
         finite = np.isfinite(vectors).all(axis=1)
         if not finite.all():
             row = int(finite.argmin())
             raise FormatError(f"{path}: vector row {row} is not finite", offset=at)
-        index = PhraseIndex("dense", metadata, vectors=vectors)
-    else:
-        num_terms = r.u64("term count")
-        num_docs = r.u64("document count")
-        df: dict[str, int] = {}
-        for i in range(num_terms):
-            at = r.pos
-            term_df = r.u32(f"df of term {i}")
-            length = struct.unpack("<H", r.take(2, f"length of term {i}"))[0]
-            raw = r.take(length, f"term {i}")
-            try:
-                term = raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise FormatError(f"{path}: term {i} is not valid utf-8", offset=at) from exc
-            df[term] = term_df
-        group_dtype = np.dtype([("o", "<u8"), ("w", "<f4")])
-        group_at, groups = [], []
-        for term_id in range(num_terms):
-            group_at.append(r.pos)
-            n = r.u64(f"posting count of term {term_id}")
-            groups.append(r.array(group_dtype, n, f"postings of term {term_id}"))
-        sizes = np.array([len(g) for g in groups], dtype=np.int64)
-        ends = np.cumsum(sizes)
-        ords, ws = (
-            np.concatenate([g[f] for g in groups] or [np.empty(0, group_dtype[f])]) for f in "ow"
-        )
-        falling = np.r_[False, ords[1:] <= ords[:-1]]
-        falling[ends[sizes > 0][:-1]] = False  # each term starts its own run
-        found = _first_bad(
-            (ords >= count, "reference an ordinal beyond the index"),
-            (falling, "are not strictly increasing"),
-            (~np.isfinite(ws), "hold a non-finite weight"),
-        )
-        if found:
-            term_id = int(np.searchsorted(ends, found[0], side="right"))
+        r.finish()
+        return PhraseIndex("dense", metadata, vectors=vectors)
+
+    num_terms, num_docs = r.record(SPARSE_DTYPE, "term and document counts")
+    df: dict[str, int] = {}
+    for i in range(num_terms):
+        at = r.pos
+        term_df, length = r.record(TERM_DTYPE, f"term {i}")
+        raw = r.buf[r.skip(length, f"term {i}") : r.pos]
+        try:
+            term = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: term {i} is not valid utf-8", offset=at) from exc
+        if i and term <= prev:  # IdfTable numbers the terms in sorted order
+            raise FormatError(f"{path}: term {i} is not after the one before", offset=at)
+        if term_df > num_docs:
             raise FormatError(
-                f"{path}: postings of term {term_id} {found[1]}", offset=group_at[term_id]
+                f"{path}: term {i} has df {term_df} above the document count {num_docs}",
+                offset=at,
             )
-        runs = enumerate(zip(sizes.tolist(), ends.tolist()))
-        postings = {t: (ords[e - n : e], ws[e - n : e]) for t, (n, e) in runs if n}
-        index = PhraseIndex(
-            "sparse", metadata, postings=postings, idf=IdfTable(df=df, num_documents=num_docs)
+        df[term] = term_df
+        prev = term
+    indptr = np.zeros(num_terms + 1, dtype=np.uint64)
+    np.cumsum(r.array("<u8", num_terms, "posting counts"), out=indptr[1:])
+    if np.any(indptr[1:] < indptr[:-1]):
+        at = r.pos - 8 * num_terms
+        raise FormatError(f"{path}: posting counts add up past 2**64", offset=at)
+    ords_at = r.pos
+    ords = r.array("<u8", indptr[-1], "ordinals")
+    ws = r.array("<f4", indptr[-1], "weights")
+    indptr = indptr.astype(np.int64)
+    falling = np.r_[False, ords[1:] <= ords[:-1]]
+    falling[indptr[:-1][np.diff(indptr) > 0]] = False  # each term starts its own run
+    found = _first_bad(
+        (ords >= count, "reference an ordinal beyond the index"),
+        (falling, "are not strictly increasing"),
+        (~np.isfinite(ws), "hold a non-finite weight"),
+    )
+    if found:
+        term_id = int(np.searchsorted(indptr, found[0], side="right")) - 1
+        raise FormatError(
+            f"{path}: postings of term {term_id} {found[1]}",
+            offset=ords_at + 8 * int(indptr[term_id]),
         )
     r.finish()
-    return index
+    idf = IdfTable(df=df, num_documents=num_docs)
+    return PhraseIndex("sparse", metadata, postings=(indptr, ords, ws), idf=idf)

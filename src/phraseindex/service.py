@@ -32,6 +32,7 @@ if TYPE_CHECKING:
     from .encode.wordvectors import WordVectorTable
 
 log = logging.getLogger("phraseindex.service")
+MAX_BODY_BYTES = 1 << 20  # a POST body with a larger Content-Length is refused with 413
 
 
 def infer_mode(index_dim: int, word_dim: int) -> str:
@@ -155,6 +156,9 @@ class _Handler(BaseHTTPRequestHandler):
             length = int(self.headers.get("Content-Length", "0"))
             if length < 0:  # read(-1) would wait for the client to close
                 raise ValueError("negative Content-Length")
+            if length > MAX_BODY_BYTES:
+                self._reply(413, {"error": f"body over {MAX_BODY_BYTES} bytes"})
+                return
             request = json.loads(self.rfile.read(length).decode("utf-8"))
             if not isinstance(request, dict):
                 raise ValueError("body must be a JSON object")

@@ -371,6 +371,29 @@ def test_load_rejects_version_one(tmp_path):
     assert err.value.offset == 4
 
 
+@pytest.mark.parametrize(
+    "field, value, needle",
+    [
+        ("max_norm", np.nan, "max_norm nan"),
+        ("max_norm", np.inf, "max_norm inf"),
+        ("max_norm", 0.0, "max_norm 0.0"),
+        ("max_norm", -2.0, "max_norm -2.0"),
+        ("hyperplane", np.nan, "hyperplanes are not finite"),
+        ("hyperplane", -np.inf, "hyperplanes are not finite"),
+    ],
+)
+def test_load_rejects_unusable_floats(tmp_path, field, value, needle):
+    dense = dense_fixture(n=16, dim=4)
+    path, raw = _saved(tmp_path, build_alsh(dense, AlshParams(tables=2, bits_per_table=2)))
+    at = 36 if field == "max_norm" else 48  # the field, or the first hyperplane
+    where = at if field == "max_norm" else at + 8 * 5  # a value inside the block
+    struct.pack_into("<d", raw, where, value)
+    path.write_bytes(raw)
+    with pytest.raises(FormatError, match=needle) as err:
+        load_alsh(str(path), dense)
+    assert err.value.offset == at
+
+
 # ------------------------------------------- flat tables vs dict-of-arrays oracle
 
 

@@ -306,6 +306,19 @@ def test_query_dense_without_word_vectors_exits_two(ws):
     assert "word" in err
 
 
+def test_non_numeric_word_vectors_exit_two(ws, tmp_path):
+    wv = tmp_path / "wv.txt"
+    wv.write_text("base 0 1 2\n0 1 abc\n")
+    out = tmp_path / "x.idx"
+    rc, _, err = run(
+        "index", "--corpus", ws["dataset"], "--encoder", "dense_lstm",
+        "--word-vectors", str(wv), "--out", str(out),
+    )
+    assert rc == 2
+    assert err.startswith("error:") and f"{wv}:2: " in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag, value", [("--max-span-len", "0"), ("--window", "-1")])
 def test_index_rejects_bad_span_parameters(ws, tmp_path, flag, value):
     out = tmp_path / "x.idx"

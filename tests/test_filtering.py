@@ -1,4 +1,5 @@
 import math
+import struct
 from unittest import mock
 
 import numpy as np
@@ -297,6 +298,22 @@ def test_filter_load_rejects_corruption(tmp_path):
     path.write_bytes(raw + b"\x00")
     with pytest.raises(FormatError, match="trailing"):
         load_filter(str(path))
+
+
+@pytest.mark.parametrize(
+    "slot, value, needle",
+    [(1, np.nan, "weight 1 is"), (0, -np.inf, "weight 0 is"), (4, np.nan, "bias is")],
+)
+def test_filter_load_rejects_non_finite_values(tmp_path, slot, value, needle):
+    filt = PerceptronFilter(weights=quantized(4, 8), bias=0.5)  # slot 4 is the bias
+    path = tmp_path / "f.flt"
+    save_filter(filt, str(path))
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<f", raw, 12 + 4 * slot, value)
+    path.write_bytes(raw)
+    with pytest.raises(FormatError, match=needle) as err:
+        load_filter(str(path))
+    assert err.value.offset == 12 + 4 * slot
 
 
 def test_storage_estimate_fields():

@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phraseindex import index as index_module
-from phraseindex.candidates import CandidateSpan, span_count
+from phraseindex.candidates import CandidateSpan, enumerate_spans, span_count
 from phraseindex.corpus import Corpus, Document, tokenize
 from phraseindex.encode.dense import compose_phrase_lstm, compose_phrase_lstm_sa, sa_all
-from phraseindex.encode.tfidf import IdfTable, SparseVector
+from phraseindex.encode.tfidf import IdfTable, SparseVector, tfidf_phrase_encode
 from phraseindex.errors import BuildError, FormatError
 from phraseindex.index import (
     METADATA_DTYPE,
@@ -351,6 +351,108 @@ def test_sparse_query_type_checked():
         search_exact(index, np.zeros(10, dtype=np.float32))
 
 
+# ------------------------------------------- flat CSR postings vs per-term oracle
+
+
+def _reference_sparse_scores(postings, query, lo, hi):
+    """The per-term searchsorted loop the CSR gather replaced."""
+    scores = np.zeros(hi - lo, dtype=np.float64)
+    for term_id, weight in zip(query.term_ids, query.weights):
+        group = postings.get(int(term_id))
+        if group is None:
+            continue
+        ords, ws = group
+        a = int(np.searchsorted(ords, lo, side="left"))
+        b = int(np.searchsorted(ords, hi, side="left"))
+        sel = ords[a:b].astype(np.int64) - lo
+        scores[sel] += float(weight) * ws[a:b].astype(np.float64)
+    return scores
+
+
+weights32 = st.floats(-2, 2, allow_nan=False, width=32).filter(lambda w: w != 0)
+
+
+@st.composite
+def csr_cases(draw):
+    """A sparse index (some terms empty), a query reaching past the vocabulary, a scope."""
+    counts = draw(st.lists(st.integers(1, 12), min_size=1, max_size=4))
+    n, num_terms = sum(counts), draw(st.integers(1, 10))
+    postings = {}
+    for t in range(num_terms):
+        ords = sorted(draw(st.sets(st.integers(0, n - 1), max_size=n)))
+        if ords:
+            ws = draw(st.lists(weights32, min_size=len(ords), max_size=len(ords)))
+            postings[t] = (np.array(ords, np.uint64), np.array(ws, np.float32))
+    idf = IdfTable(df={f"t{i:02d}": 1 for i in range(num_terms)}, num_documents=1)
+    index = PhraseIndex("sparse", make_meta(counts), postings=postings, idf=idf)
+    ids = sorted(draw(st.sets(st.integers(0, num_terms + 3), max_size=num_terms + 4)))
+    qw = draw(st.lists(st.floats(-2, 2, allow_nan=False), min_size=len(ids), max_size=len(ids)))
+    query = SparseVector(np.array(ids, dtype=np.int64), np.array(qw, dtype=np.float64))
+    doc_id = draw(st.one_of(st.none(), st.integers(0, len(counts) - 1)))
+    return index, postings, query, doc_id, draw(st.integers(1, n + 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(csr_cases())
+def test_sparse_search_matches_the_per_term_loop(case):
+    index, postings, query, doc_id, k = case
+    lo, hi = (0, len(index)) if doc_id is None else index.doc_range(doc_id)
+    scores = _reference_sparse_scores(postings, query, lo, hi)
+    expected = index_module._hits(index, scores, k, lo)
+    got = search_exact(index, query, k, doc_id=doc_id)
+    assert got == expected  # spans and float scores, bit for bit
+    assert len(got) == min(k, hi - lo)
+
+
+def _reference_tfidf_postings(corpus, max_span_len, window, include_phrase):
+    """Per-(span, term) appends, the build the stable sort by term replaced."""
+    idf = IdfTable.from_corpus(corpus)
+    by_term, ordinal = {}, 0
+    for doc in corpus.documents:
+        for s, e in enumerate_spans(len(doc), max_span_len):
+            span = CandidateSpan(doc.doc_id, s, e)
+            vec = tfidf_phrase_encode(doc, span, window, idf, include_phrase=include_phrase)
+            for term_id, weight in zip(vec.term_ids, vec.weights):
+                ords, ws = by_term.setdefault(int(term_id), ([], []))
+                ords.append(ordinal)
+                ws.append(np.float32(weight))
+            ordinal += 1
+    return {t: (np.array(o, np.uint64), np.array(w, np.float32)) for t, (o, w) in by_term.items()}
+
+
+def _assert_same_postings(got, expected):
+    assert got.keys() == expected.keys()
+    for t, (ords, ws) in expected.items():
+        assert got[t][0].dtype == np.uint64 and got[t][1].dtype == np.float32
+        assert np.array_equal(got[t][0], ords) and np.array_equal(got[t][1], ws)
+
+
+@pytest.mark.parametrize("include_phrase", [True, False])
+def test_tfidf_build_matches_the_per_span_reference(mini_corpus, include_phrase):
+    index = build_index(mini_corpus, encoder="tfidf", include_phrase=include_phrase)
+    expected = _reference_tfidf_postings(mini_corpus, 7, 7, include_phrase)
+    _assert_same_postings(index.postings, expected)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.sampled_from("ab cd ef gh ij".split()), min_size=1, max_size=12),
+        min_size=1, max_size=3,
+    ),
+    st.integers(1, 4),
+    st.integers(0, 3),
+    st.booleans(),
+)
+def test_tfidf_build_matches_the_per_span_reference_on_small_corpora(
+    texts, max_span_len, window, include_phrase
+):
+    corpus = make_corpus([" ".join(words) for words in texts])
+    index = build_index(corpus, "tfidf", max_span_len, window, include_phrase=include_phrase)
+    expected = _reference_tfidf_postings(corpus, max_span_len, window, include_phrase)
+    _assert_same_postings(index.postings, expected)
+
+
 # ---------------------------------------------------------------- bookkeeping
 
 
@@ -427,6 +529,16 @@ def test_load_rejects_unknown_version(tmp_path, sparse_index):
     assert err.value.offset == 4
 
 
+@pytest.mark.parametrize("kind", ["dense", "sparse"])
+def test_load_rejects_version_one(tmp_path, request, kind):
+    path, raw = _saved_bytes(tmp_path, request.getfixturevalue(f"{kind}_index"))
+    raw[4:8] = struct.pack("<I", 1)
+    path.write_bytes(raw)
+    with pytest.raises(FormatError, match="unsupported version 1") as err:
+        load_index(str(path))
+    assert err.value.offset == 4
+
+
 def test_load_rejects_unknown_kind(tmp_path, dense_index):
     path, raw = _saved_bytes(tmp_path, dense_index)
     raw[8] = 7
@@ -488,8 +600,53 @@ def test_load_rejects_unusable_postings(tmp_path, sparse_index, case, needle):
     with pytest.raises(FormatError, match=needle) as err:
         load_index(str(path))
     assert f"term {term_id} " in str(err.value)
-    # The offset is the term's group: its posting count, then its first ordinal.
-    assert struct.unpack_from("<QQ", raw, err.value.offset) == (len(ords), int(ords[0]))
+    # The offset is the term's first ordinal.
+    assert struct.unpack_from("<Q", raw, err.value.offset)[0] == int(ords[0])
+
+
+def _term_records(raw, count):
+    """(offset, df, utf-8 term) of each term-table record of a saved sparse index."""
+    at = 21 + count * METADATA_DTYPE.itemsize
+    num_terms, _ = struct.unpack_from("<QQ", raw, at)
+    at += 16
+    for _ in range(num_terms):
+        df, length = struct.unpack_from("<IH", raw, at)
+        yield at, df, bytes(raw[at + 6 : at + 6 + length])
+        at += 6 + length
+
+
+def test_load_rejects_terms_out_of_order(tmp_path, sparse_index):
+    path, raw = _saved_bytes(tmp_path, sparse_index)
+    records = list(_term_records(raw, len(sparse_index)))
+    # one term written twice: the term table keeps its byte length
+    i = next(i for i in range(1, len(records)) if len(records[i][2]) == len(records[i - 1][2]))
+    at, _, term = records[i]
+    raw[at + 6 : at + 6 + len(term)] = records[i - 1][2]
+    path.write_bytes(raw)
+    with pytest.raises(FormatError, match=f"term {i} is not after the one before") as err:
+        load_index(str(path))
+    assert err.value.offset == at
+
+
+def test_load_rejects_df_above_the_document_count(tmp_path, sparse_index):
+    path, raw = _saved_bytes(tmp_path, sparse_index)
+    at, _, _ = list(_term_records(raw, len(sparse_index)))[3]
+    struct.pack_into("<I", raw, at, sparse_index.idf.num_documents + 1)
+    path.write_bytes(raw)
+    with pytest.raises(FormatError, match="term 3 has df") as err:
+        load_index(str(path))
+    assert err.value.offset == at
+
+
+def test_load_rejects_posting_counts_that_wrap(tmp_path, sparse_index):
+    path, raw = _saved_bytes(tmp_path, sparse_index)
+    at, _, term = list(_term_records(raw, len(sparse_index)))[-1]
+    counts_at = at + 6 + len(term)
+    struct.pack_into("<Q", raw, counts_at, 2**64 - 1)  # with the next count, wraps past zero
+    path.write_bytes(raw)
+    with pytest.raises(FormatError, match="past 2\\*\\*64") as err:
+        load_index(str(path))
+    assert err.value.offset == counts_at
 
 
 @pytest.mark.parametrize(

@@ -12,7 +12,7 @@ import pytest
 from phraseindex.alsh import AlshParams, build_alsh
 from phraseindex.errors import ConfigError
 from phraseindex.index import build_index, search_exact
-from phraseindex.service import QueryEngine, infer_mode, make_server
+from phraseindex.service import MAX_BODY_BYTES, QueryEngine, infer_mode, make_server
 
 
 @pytest.fixture(scope="module")
@@ -211,3 +211,28 @@ def test_bad_content_length_is_400_and_closes_the_connection(base_url, length):
     assert head.startswith(b"HTTP/1.1 400")
     assert b"Connection: close" in head
     assert "malformed" in json.loads(body)["error"]
+
+
+def test_oversized_content_length_is_413_and_closes_the_connection(base_url):
+    url = urllib.parse.urlsplit(base_url)
+    with socket.create_connection((url.hostname, url.port), timeout=10) as sock:
+        sock.sendall(
+            b"POST /query HTTP/1.1\r\nHost: test\r\n"
+            b"Content-Length: 1000000000000\r\n\r\n"
+            b'{"question": "x"}'
+        )
+        received = b""
+        while chunk := sock.recv(4096):  # the server closing ends the loop
+            received += chunk
+    head, _, body = received.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 413")
+    assert b"Connection: close" in head
+    assert str(MAX_BODY_BYTES) in json.loads(body)["error"]
+    assert get(base_url + "/health")[0] == 200  # the server still answers
+
+
+def test_body_at_the_size_limit_is_read(base_url):
+    body = json.dumps({"question": "Who won Super Bowl 50?"}).encode()
+    body += b" " * (MAX_BODY_BYTES - len(body))  # JSON allows trailing whitespace
+    status, reply = post(base_url + "/query", None, raw=body)
+    assert status == 200 and reply["answers"]

@@ -12,6 +12,7 @@ import pytest
 
 from phraseindex import index as index_module
 from phraseindex import service
+from phraseindex.encode.tfidf import tfidf_question_encode
 from phraseindex.service import QueryEngine
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -45,3 +46,24 @@ def test_tracer_wraps_its_targets_and_an_engine_built_before(
     assert names.count("encode.question") == 1
     assert names.count(f"index.search_{kind}") == 1
     assert service.search_exact is index_module.search_exact  # originals restored
+
+
+def test_tracer_counts_the_postings_a_sparse_search_scores(mini_corpus, sparse_index):
+    # The benchmark's index.postings_scored_per_q reads index.postings.get.
+    example = mini_corpus.examples[0]
+    query = tfidf_question_encode(example.question_tokens, sparse_index.idf)
+    rec = _recorder()
+    rec.install()
+    try:
+        index_module.search_exact(sparse_index, query, 3, doc_id=example.doc_id)
+        index_module.search_exact(sparse_index, query, 3)
+    finally:
+        rec.uninstall()
+    scored = [span[5]["scored"] for span in rec.dump() if span[0] == "index.search_sparse"]
+    expected = []
+    for lo, hi in (sparse_index.doc_range(example.doc_id), (0, len(sparse_index))):
+        groups = (sparse_index.postings.get(int(t)) for t in query.term_ids)
+        ords = [o for g in groups if g is not None for o in g[0].tolist()]
+        expected.append(sum(lo <= o < hi for o in ords))
+    assert scored == expected
+    assert 0 < expected[0] < expected[1]

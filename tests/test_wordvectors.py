@@ -136,6 +136,19 @@ def test_non_finite_values_raise_schema_errors(tmp_path, value):
     assert "non-finite value at position 1" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "line, needle",
+    [("0 1 abc", "could not convert string to float: 'abc'"), ("x 1 2", "invalid literal")],
+)
+def test_non_numeric_fields_raise_schema_errors(tmp_path, line, needle):
+    path = tmp_path / "bad.txt"
+    path.write_text(f"base 0 1 2\n0 1 2\nbase 1 1 2\n{line}\n")
+    with pytest.raises(SchemaError) as err:
+        read_word_vectors(str(path))
+    assert str(err.value).startswith(f"{path}:4: ")  # the file and the line
+    assert needle in str(err.value)
+
+
 def test_lookup_errors():
     table = WordVectorTable(dim=2)
     table.documents[0] = DocChannels(0, base=np.zeros((1, 2), dtype=np.float32))
