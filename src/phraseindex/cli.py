@@ -10,6 +10,7 @@ import argparse
 import json
 import logging
 import os
+import signal
 import sys
 
 import numpy as np
@@ -239,6 +240,8 @@ def cmd_serve(args) -> int:
         alsh=alsh,
         word_vectors=_load_word_vectors(args.word_vectors),
     )
+    # SIGTERM stops the server as Ctrl-C does: close the socket, exit 0.
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
     serve(engine, host=args.host, port=args.port)
     return 0
 

@@ -121,9 +121,10 @@ class PhraseIndex:
     def doc_range(self, doc_id: int) -> tuple[int, int]:
         """Half-open ordinal range of one document's candidates."""
         ids = self.metadata["doc_id"]
-        lo = int(np.searchsorted(ids, doc_id, side="left"))
-        hi = int(np.searchsorted(ids, doc_id, side="right"))
-        return lo, hi
+        if not 0 <= doc_id < 2**32:
+            return (0, 0) if doc_id < 0 else (len(ids), len(ids))
+        key = np.uint32(doc_id)  # a Python int key would cast the whole column
+        return int(ids.searchsorted(key, "left")), int(ids.searchsorted(key, "right"))
 
     def total_words(self) -> int:
         """Document words covered by the metadata (max end+1 per doc).
@@ -243,8 +244,10 @@ def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
     if k >= n:
         picked = np.arange(n)
     else:
-        part = np.argpartition(scores, n - k)[n - k:]
-        threshold = scores[part].min()
+        # Partitioning the negated row for its first k is linear even when most
+        # scores tie, unlike asking for the last k. A NaN anywhere picks nothing.
+        part = np.argpartition(-scores, k - 1)[:k]
+        threshold = np.nan if np.isnan(scores).any() else scores[part].min()
         above = np.flatnonzero(scores > threshold)
         at = np.flatnonzero(scores == threshold)
         picked = np.concatenate([above, at[: k - len(above)]])

@@ -33,6 +33,7 @@ if TYPE_CHECKING:
 
 log = logging.getLogger("phraseindex.service")
 MAX_BODY_BYTES = 1 << 20  # a POST body with a larger Content-Length is refused with 413
+MAX_TOP_K = 1000  # a larger top_k is refused with 400
 
 
 def infer_mode(index_dim: int, word_dim: int) -> str:
@@ -125,6 +126,18 @@ class _Handler(BaseHTTPRequestHandler):
     # headers waiting for the client's delayed ACK.
     protocol_version = "HTTP/1.1"
     disable_nagle_algorithm = True
+    # Buffered replies: the flush after each request sends the status line,
+    # headers and body in one send.
+    wbufsize = 1 << 16
+    # A connection idle (or stalled mid-request) this many seconds is closed,
+    # freeing its thread.
+    timeout = 60.0
+
+    def handle_expect_100(self):
+        # The interim reply must not wait in the write buffer for the final one.
+        ok = super().handle_expect_100()
+        self.wfile.flush()
+        return ok
 
     def log_message(self, fmt, *args):
         log.info("%s %s", self.address_string(), fmt % args)
@@ -172,6 +185,8 @@ class _Handler(BaseHTTPRequestHandler):
             top_k = request.get("top_k", 1)
             if isinstance(top_k, bool) or not isinstance(top_k, int) or top_k < 1:
                 raise ValueError("'top_k' must be an integer >= 1")
+            if top_k > MAX_TOP_K:
+                raise ValueError(f"'top_k' must be at most {MAX_TOP_K}")
             approx = request.get("approx", False)
             if not isinstance(approx, bool):
                 raise ValueError("'approx' must be a boolean")
@@ -205,11 +220,12 @@ def make_server(engine: QueryEngine, host: str = "127.0.0.1", port: int = 8080) 
 
 
 def serve(engine: QueryEngine, host: str = "127.0.0.1", port: int = 8080) -> None:
-    """Run the service until interrupted."""
+    """Run the service until interrupted (KeyboardInterrupt; the CLI maps SIGTERM to it)."""
     server = make_server(engine, host, port)
-    log.info("serving %d candidates on %s:%d", len(engine.index), *server.server_address)
-    print(f"listening on http://{server.server_address[0]}:{server.server_address[1]}")
-    try:
+    host, port = server.server_address
+    try:  # a SIGTERM sent on seeing the line below still closes the socket
+        log.info("serving %d candidates on %s:%d", len(engine.index), host, port)
+        print(f"listening on http://{host}:{port}", flush=True)
         server.serve_forever()
     except KeyboardInterrupt:
         pass

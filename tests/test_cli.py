@@ -346,3 +346,24 @@ def test_module_invocation_matches_script():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["bytes_per_word"] == 5324.8
+
+
+def test_serve_stops_on_sigterm_with_exit_zero(ws):
+    import signal
+    import subprocess
+    import sys
+
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "phraseindex", "serve", "--index", ws["sparse"],
+         "--corpus", ws["dataset"], "--port", "0"],
+        stdout=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        assert proc.stdout.readline().startswith("listening on")
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=10) == 0
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()

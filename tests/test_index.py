@@ -287,6 +287,67 @@ def test_top_one_of_a_nan_row_keeps_the_general_result(values, expected, dtype):
     assert _top_k(np.array(values, dtype=dtype), 1).tolist() == expected
 
 
+def _reference_top_k(scores, k):
+    """The partition of the last n - k scores, which _top_k's first-k partition replaced."""
+    if k == 1:
+        best = int(scores.argmax())
+        if not np.isnan(scores[best]):
+            return np.array([best])
+    n = len(scores)
+    if k >= n:
+        picked = np.arange(n)
+    else:
+        part = np.argpartition(scores, n - k)[n - k:]
+        threshold = scores[part].min()
+        above = np.flatnonzero(scores > threshold)
+        at = np.flatnonzero(scores == threshold)
+        picked = np.concatenate([above, at[: k - len(above)]])
+    order = np.lexsort((picked, -scores[picked].astype(np.float64)))
+    return picked[order]
+
+
+# Mostly zeros, as in a sparse score row, with ties, NaN and infinities mixed in.
+tie_heavy_value = st.sampled_from([0.0] * 6 + [1.0, -1.0, 2.0, 0.5, np.nan, np.inf, -np.inf])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(tie_heavy_value, min_size=1, max_size=30),
+    st.sampled_from([np.float32, np.float64]),
+)
+def test_top_k_matches_the_last_k_partition_on_tie_heavy_rows(values, dtype):
+    scores = np.array(values, dtype=dtype)
+    for k in range(1, len(scores) + 3):
+        assert _top_k(scores, k).tolist() == _reference_top_k(scores, k).tolist()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_top_k_pins(dtype):
+    assert _top_k(np.array([1.0, np.nan, 3.0, 2.0], dtype=dtype), 2).tolist() == []
+    rng = np.random.Generator(np.random.Philox(key=3))
+    scores = np.zeros(36_000, dtype=dtype)
+    scores[rng.integers(0, len(scores), 500)] = rng.integers(1, 4, 500)
+    expected = _reference_top_k(scores, 5).tolist()
+    assert _top_k(scores, 5).tolist() == expected
+    assert scores[expected].tolist() == [3.0] * 5
+
+
+def _reference_doc_range(index, doc_id):
+    """Two searchsorted calls with the key as given, which the uint32 key replaced."""
+    ids = index.metadata["doc_id"]
+    lo = int(np.searchsorted(ids, doc_id, side="left"))
+    return lo, int(np.searchsorted(ids, doc_id, side="right"))
+
+
+@pytest.mark.parametrize("as_numpy", [False, True])
+def test_doc_range_matches_two_searchsorted_calls(as_numpy):
+    index = PhraseIndex("dense", make_meta([3, 0, 2, 4]), vectors=np.zeros((9, 2), np.float32))
+    for doc_id in (-1, 0, 1, 2, 3, 4, 2**32 - 1, 2**32, 2**40):
+        key = np.int64(doc_id) if as_numpy else doc_id
+        assert index.doc_range(key) == _reference_doc_range(index, doc_id)
+    assert index.doc_range(2) == (3, 5)
+
+
 def test_block_search_of_a_nan_row_matches_the_single_search():
     index = PhraseIndex("dense", make_meta([4]), vectors=quantized((4, 3), 5))
     queries = np.array([[np.nan, 0.0, 0.0], [1.0, 0.0, 0.0]], dtype=np.float32)

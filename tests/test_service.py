@@ -2,17 +2,26 @@ import http.client
 import json
 import socket
 import threading
+import time
 import urllib.parse
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import pytest
 
 from phraseindex.alsh import AlshParams, build_alsh
 from phraseindex.errors import ConfigError
 from phraseindex.index import build_index, search_exact
-from phraseindex.service import MAX_BODY_BYTES, QueryEngine, infer_mode, make_server
+from phraseindex.service import (
+    MAX_BODY_BYTES,
+    MAX_TOP_K,
+    QueryEngine,
+    _Handler,
+    infer_mode,
+    make_server,
+)
 
 
 @pytest.fixture(scope="module")
@@ -236,3 +245,37 @@ def test_body_at_the_size_limit_is_read(base_url):
     body += b" " * (MAX_BODY_BYTES - len(body))  # JSON allows trailing whitespace
     status, reply = post(base_url + "/query", None, raw=body)
     assert status == 200 and reply["answers"]
+
+
+def test_top_k_at_the_cap_is_answered_and_above_it_is_400(base_url, engine):
+    status, reply = post(base_url + "/query", {"question": "Super Bowl", "top_k": MAX_TOP_K})
+    assert status == 200
+    assert len(reply["answers"]) == min(MAX_TOP_K, len(engine.index))
+    status, reply = post(base_url + "/query", {"question": "Super Bowl", "top_k": MAX_TOP_K + 1})
+    assert status == 400
+    assert "top_k" in reply["error"] and str(MAX_TOP_K) in reply["error"]
+
+
+def test_idle_connection_is_closed_and_the_server_still_answers(base_url):
+    assert _Handler.timeout is not None and _Handler.timeout > 0
+    url = urllib.parse.urlsplit(base_url)
+    with mock.patch.object(_Handler, "timeout", 0.2):
+        with socket.create_connection((url.hostname, url.port), timeout=10) as sock:
+            started = time.monotonic()
+            assert sock.recv(4096) == b""  # closed by the server, not by our timeout
+            assert time.monotonic() - started < 5
+    assert get(base_url + "/health")[0] == 200
+
+
+def test_expect_100_continue_is_sent_before_the_body(base_url):
+    url = urllib.parse.urlsplit(base_url)
+    body = json.dumps({"question": "Who won Super Bowl 50?"}).encode()
+    with socket.create_connection((url.hostname, url.port), timeout=10) as sock:
+        sock.sendall(
+            b"POST /query HTTP/1.1\r\nHost: test\r\nExpect: 100-continue\r\n"
+            + f"Content-Length: {len(body)}\r\n\r\n".encode()
+        )
+        assert sock.recv(4096).startswith(b"HTTP/1.1 100")
+        sock.sendall(body)
+        reply = sock.recv(65536)
+    assert reply.startswith(b"HTTP/1.1 200")
