@@ -202,6 +202,16 @@ def build_alsh(index: PhraseIndex, params: AlshParams = AlshParams()) -> AlshInd
     return AlshIndex(params, max_norm, hyperplanes, buckets, index)
 
 
+def _distinct(parts: list[np.ndarray]) -> np.ndarray:
+    """Sorted distinct ordinals of the buckets as int64: np.unique of their concatenation."""
+    ordinals = np.concatenate(parts, dtype=np.int64)
+    ordinals.sort()
+    first = np.empty(len(ordinals), dtype=bool)
+    first[:1] = True
+    np.not_equal(ordinals[1:], ordinals[:-1], out=first[1:])
+    return ordinals[first]
+
+
 def search_approx(
     alsh: AlshIndex,
     query: np.ndarray,
@@ -227,7 +237,7 @@ def search_approx(
     parts = [hit for hit in found if hit is not None]
     if not parts:
         return [], 0
-    gathered = np.unique(np.concatenate(parts)).astype(np.int64)
+    gathered = _distinct(parts)
     if doc_id is not None:
         lo, hi = index.doc_range(doc_id)
         gathered = gathered[(gathered >= lo) & (gathered < hi)]

@@ -96,7 +96,11 @@ def compose_phrase_lstm_sa(
 
 
 def compose_question(channels: "QuestionChannels", mode: str) -> np.ndarray:
-    """Concatenate one softmax pool of the question words per score channel."""
+    """Concatenate one softmax pool of the question words per score channel.
+
+    Equal, bit for bit, to concatenating softmax_pool(base, scores[k]) over the
+    channels: one float64 cast of base and one stacked softmax serve every pool.
+    """
     if mode not in QUESTION_POOLS:
         raise ConfigError(f"unknown composition mode {mode!r}")
     pools = QUESTION_POOLS[mode]
@@ -106,9 +110,17 @@ def compose_question(channels: "QuestionChannels", mode: str) -> np.ndarray:
             f"question {channels.question_id!r} is missing score channels {missing} "
             f"required by mode {mode!r}"
         )
-    return np.concatenate(
-        [softmax_pool(channels.base, channels.scores[k]) for k in range(pools)]
-    )
+    base = np.asarray(channels.base, dtype=np.float64)
+    # Channels of unequal lengths make np.array raise ValueError itself.
+    scores = np.array([channels.scores[k] for k in range(pools)], dtype=np.float64)
+    if base.ndim != 2 or len(base) == 0 or scores.shape != (pools, len(base)):
+        raise ValueError(
+            f"need one score per question vector in every channel, got {len(base)} "
+            f"vectors and {pools} x {scores.shape[1:]} scores"
+        )
+    z = np.exp(scores - scores.max(axis=1, keepdims=True))
+    weights = z / z.sum(axis=1, keepdims=True)
+    return np.concatenate([w @ base for w in weights])
 
 
 def candidate_nll(

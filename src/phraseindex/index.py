@@ -301,23 +301,91 @@ def search_exact(
     return _hits(index, scores, k_top, lo)
 
 
-# Budget of one float32 score block in a batched dense search.
+# Budget of one float32 score block in a batched dense search: a pass over
+# m query rows scores blocks of _SCORE_BLOCK_BYTES // (4 m) index rows, so
+# m x rows x 4 bytes stays within it.
 _SCORE_BLOCK_BYTES = 16 << 20
+# Query rows per pass, so that a block keeps at least 4,096 index rows. Over a
+# 36,183 x 256 block on a 2-core x86 VM, 16,384 questions took 0.13-0.14 ms
+# each at 1,024-4,096 rows per pass, and 0.16-0.17 ms at 256 rows per pass or
+# in one pass of 256-row blocks.
+_QUERY_ROWS = 1024
 
 
 def _search_dense_block(
     index: PhraseIndex, queries: np.ndarray, k_top: int, lo: int, hi: int
 ) -> list[list[SearchHit]]:
-    """One GEMM per chunk of query rows, then each row's top-k."""
-    if hi == lo:
+    """Each pass of up to _QUERY_ROWS query rows walks [lo, hi) block by block."""
+    n = hi - lo
+    if n == 0:
         return [[] for _ in queries]
-    rows = index.vectors[lo:hi]
-    step = max(1, _SCORE_BLOCK_BYTES // (4 * (hi - lo)))
+    k = min(k_top, n)
     out: list[list[SearchHit]] = []
-    for start in range(0, len(queries), step):
-        block = queries[start : start + step] @ rows.T
-        out.extend(_hits(index, scores, k_top, lo) for scores in block)
+    for start in range(0, len(queries), _QUERY_ROWS):
+        batch = queries[start : start + _QUERY_ROWS]
+        ords, scores, nan = _block_top_k(index.vectors, batch, k, lo, hi)
+        nan &= k < n  # as _top_k: a NaN picks nothing unless every row is asked for
+        spans = index.metadata[ords].tolist()  # (doc_id, s, e) per hit
+        out.extend(
+            [] if drop else [SearchHit(CandidateSpan(*sp), s) for sp, s in zip(row, row_scores)]
+            for drop, row, row_scores in zip(nan.tolist(), spans, scores.tolist())
+        )
     return out
+
+
+def _block_top_k(
+    vectors: np.ndarray, queries: np.ndarray, k: int, lo: int, hi: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each query row's top k of vectors[lo:hi]: (m, k) ordinals and scores, plus NaN flags.
+
+    One product per block of index rows scores every query; each block's winners
+    merge into a running (m, k) set by score descending, then ordinal ascending,
+    so an equal score in a later block never displaces an earlier, lower ordinal.
+    Ranking runs on negated scores, which negate back bit for bit. nan flags
+    the query rows whose scores hold a NaN anywhere in [lo, hi).
+    """
+    m = len(queries)
+    step = max(1, _SCORE_BLOCK_BYTES // (4 * m))
+    nan = np.zeros(m, dtype=bool)
+    for start in range(lo, hi, step):
+        block = queries @ vectors[start : min(start + step, hi)].T
+        if k == 1:
+            cols = block.argmax(axis=1)[:, None]  # the first maximum, or the first NaN
+            top = -np.take_along_axis(block, cols, axis=1)
+        else:
+            np.negative(block, out=block)
+            if block.shape[1] > k:
+                cols = _first_k_columns(block, k, nan)
+            else:
+                cols = np.broadcast_to(np.arange(block.shape[1]), block.shape)
+            top = np.take_along_axis(block, cols, axis=1)
+        nan |= np.isnan(top).any(axis=1)
+        cand = cols + start
+        if start > lo:
+            cand = np.concatenate([ords, cand], axis=1)
+            top = np.concatenate([neg, top], axis=1)
+        order = np.lexsort((cand, top), axis=1)[:, :k]
+        ords = np.take_along_axis(cand, order, axis=1)
+        neg = np.take_along_axis(top, order, axis=1)
+    return ords, -neg, nan
+
+
+def _first_k_columns(neg: np.ndarray, k: int, nan: np.ndarray) -> np.ndarray:
+    """Columns of each row's k smallest negated scores, ties at the k-th by lowest column.
+
+    Also sets nan for the rows holding a NaN, which the partition moves past its first k.
+    """
+    nan |= np.isnan(neg.max(axis=1))
+    threshold = np.partition(neg, k - 1, axis=1)[:, k - 1 : k]
+    rows, cols = np.divmod(np.flatnonzero(neg <= threshold), neg.shape[1])
+    exact = np.bincount(rows, minlength=len(neg)) == k
+    picked = np.zeros((len(neg), k), dtype=np.int64)
+    picked[exact] = cols[exact[rows]].reshape(-1, k)
+    # More than k columns reach the threshold only where scores tie at it
+    # (fewer only in a NaN row): rank those rows as _top_k does.
+    for r in np.flatnonzero(~exact & ~nan):
+        picked[r] = _top_k(-neg[r], k)
+    return picked
 
 
 def _hits(index: PhraseIndex, scores: np.ndarray, k_top: int, lo: int) -> list[SearchHit]:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from phraseindex.alsh import (
     AlshParams,
+    _distinct,
     _norm_terms,
     _pack_codes,
     build_alsh,
@@ -506,3 +507,20 @@ def test_build_over_several_chunks_matches_dict_reference():
     for table, ref in zip(alsh.buckets, reference):
         assert list(table) == sorted(ref)
         assert all(np.array_equal(table[code], ords) for code, ords in ref.items())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 60), min_size=1, max_size=12, unique=True),
+                min_size=1, max_size=8))
+def test_distinct_matches_np_unique_of_the_buckets(buckets):
+    """Buckets as the tables hold them: ascending, non-empty, read-only u64 runs
+    that share ordinals with each other."""
+    parts = []
+    for bucket in buckets:
+        part = np.array(sorted(bucket), dtype=np.uint64)
+        part.flags.writeable = False
+        parts.append(part)
+    got = _distinct(parts)
+    expected = np.unique(np.concatenate(parts)).astype(np.int64)
+    assert got.dtype == np.int64
+    assert got.tolist() == expected.tolist()

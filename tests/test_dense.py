@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phraseindex.encode.dense import (
     LSTM,
@@ -306,3 +308,50 @@ def test_nll_validates_inputs():
         candidate_nll(np.zeros(2), np.zeros((0, 2)), 0)
     with pytest.raises(ValueError):
         candidate_nll(np.zeros(2), np.zeros((3, 2)), 3)
+
+
+# ------------------------------------------------- question composer vs its oracle
+
+
+@st.composite
+def question_cases(draw):
+    """Float32 question channels of 1-40 tokens and dims 1-64, with scores spread
+    up to +-80 so that the softmax saturates on some draws."""
+    n, dim = draw(st.integers(1, 40)), draw(st.integers(1, 64))
+    seed = draw(st.integers(0, 2**32 - 1))
+    spread = draw(st.sampled_from([0.0, 1.0, 10.0, 80.0]))
+    rng = np.random.default_rng(seed)
+    base = rng.normal(size=(n, dim))
+    scores = {k: rng.uniform(-spread, spread, size=n) for k in range(4)}
+    return question_channels(base, scores)
+
+
+@settings(max_examples=200, deadline=None)
+@given(question_cases(), st.sampled_from([LSTM, LSTM_SA]))
+def test_question_equals_the_concatenated_softmax_pool_oracle_exactly(q, mode):
+    pools = 2 if mode == LSTM else 4
+    expected = np.concatenate([softmax_pool(q.base, q.scores[k]) for k in range(pools)])
+    got = compose_question(q, mode)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize(
+    "base, scores, error",
+    [
+        ([[1.0], [2.0]], {0: [0.0, 1.0], 1: [0.0, 1.0, 2.0]}, ValueError),  # score length
+        ([[1.0], [2.0]], {0: [0.0], 1: [0.0]}, ValueError),  # both shorter than base
+        (np.zeros((0, 3)), {0: [], 1: []}, ValueError),  # empty base
+        ([[1.0], [2.0]], {1: [0.0, 1.0]}, ConfigError),  # score0 missing
+    ],
+)
+def test_question_rejects_bad_channels(base, scores, error):
+    with pytest.raises(error):
+        compose_question(question_channels(base, scores), LSTM)
+
+
+def test_question_lstm_sa_needs_four_score_channels():
+    q = question_channels([[1.0]], {0: [0.0], 1: [0.0]})
+    assert compose_question(q, LSTM).shape == (2,)
+    with pytest.raises(ConfigError, match=r"\[2, 3\]"):
+        compose_question(q, LSTM_SA)

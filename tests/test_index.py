@@ -1,3 +1,4 @@
+import math
 import struct
 import time
 from unittest import mock
@@ -806,3 +807,101 @@ def test_synthetic_index_layout_matches_requested_ratio():
     assert index == again
     other = synthetic_dense_index(2600, 8, seed=1, vectors_per_word=1.3)
     assert not np.array_equal(index.vectors, other.vectors)
+
+
+# ------------------------------------------- block search by blocks of index rows
+
+
+def _exact_key(hits):
+    """Spans and score bits; every NaN score is alike (its sign bit is the product's choice)."""
+    return [(h.span, None if math.isnan(h.score) else np.float64(h.score).tobytes()) for h in hits]
+
+
+def _search_in_blocks(index, queries, k_top, doc_id=None, rows_per_block=1, query_rows=None):
+    """Block search whose score budget holds rows_per_block index rows per block."""
+    query_rows = query_rows or index_module._QUERY_ROWS
+    budget = rows_per_block * 4 * min(len(queries), query_rows)
+    with mock.patch.object(index_module, "_SCORE_BLOCK_BYTES", budget), \
+            mock.patch.object(index_module, "_QUERY_ROWS", query_rows):
+        return search_exact(index, queries, k_top=k_top, doc_id=doc_id)
+
+
+@settings(max_examples=200, deadline=None)
+@given(block_cases(), st.sampled_from([1, 2]), st.sampled_from([1, 2, 3, None]))
+def test_block_search_with_one_or_two_index_rows_per_block(case, rows_per_block, query_rows):
+    counts, vectors, queries, doc_id, k_top, _ = case
+    index = PhraseIndex("dense", make_meta(counts), vectors=vectors)
+    block = _search_in_blocks(index, queries, k_top, doc_id, rows_per_block, query_rows)
+    assert len(block) == len(queries)
+    for q, hits in zip(queries, block):
+        assert hits == search_exact(index, q, k_top=k_top, doc_id=doc_id)
+
+
+# Small integers with infinities and NaN: every score is exact or non-finite
+# whatever order a product sums in, so ties and NaN rows are exact too.
+block_cell = st.sampled_from([0.0] * 4 + [1.0, -1.0, 2.0, -2.0, np.inf, -np.inf, np.nan])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(0, 6), min_size=1, max_size=3),
+    st.integers(1, 3),
+    st.integers(1, 4),
+    st.sampled_from([1, 2, 3]),
+    st.data(),
+)
+def test_block_hits_equal_top_k_of_the_full_score_row(counts, dim, m, rows_per_block, data):
+    n = sum(counts)
+    cells = st.lists(block_cell, min_size=(n + m) * dim, max_size=(n + m) * dim)
+    values = np.array(data.draw(cells), dtype=np.float32).reshape(n + m, dim)
+    index = PhraseIndex("dense", make_meta(counts), vectors=values[:n])
+    queries = values[n:]
+    doc_id = data.draw(st.none() | st.integers(0, len(counts) - 1))
+    lo, hi = (0, n) if doc_id is None else index.doc_range(doc_id)
+    with np.errstate(invalid="ignore"):  # inf * 0 and inf - inf
+        full = queries @ index.vectors[lo:hi].T
+        for k in range(1, hi - lo + 3):
+            block = _search_in_blocks(index, queries, k, doc_id, rows_per_block)
+            for row, hits in zip(full, block):
+                expected = [] if hi == lo else index_module._hits(index, row, k, lo)
+                assert _exact_key(hits) == _exact_key(expected)
+
+
+def test_block_search_equal_best_rows_in_two_blocks_keep_the_lower_ordinal():
+    index = PhraseIndex("dense", make_meta([4]), vectors=np.array([[0], [5], [5], [5]], np.float32))
+    queries = np.ones((2, 1), np.float32)
+    assert [h.span.s for h in _search_in_blocks(index, queries, 1)[0]] == [1]
+    assert [h.span.s for h in _search_in_blocks(index, queries, 1, rows_per_block=2)[1]] == [1]
+    assert [h.span.s for h in _search_in_blocks(index, queries, 2, rows_per_block=2)[0]] == [1, 2]
+    assert [h.span.s for h in _search_in_blocks(index, queries, 3, rows_per_block=2)[0]] == [1, 2, 3]
+
+
+@pytest.mark.parametrize("rows_per_block", [1, 2, 3])
+def test_block_search_with_a_nan_only_in_the_last_block(rows_per_block):
+    vectors = np.array([[1], [2], [3], [np.nan]], np.float32)
+    index = PhraseIndex("dense", make_meta([4]), vectors=vectors)
+    queries = np.ones((3, 1), np.float32)
+    for k in (1, 2, 3):
+        assert _search_in_blocks(index, queries, k, rows_per_block=rows_per_block) == [[]] * 3
+    for k in (4, 9):  # k >= n: every row, the NaN one last
+        for hits in _search_in_blocks(index, queries, k, rows_per_block=rows_per_block):
+            assert [h.span.s for h in hits] == [2, 1, 0, 3]
+            assert [h.score for h in hits[:3]] == [3.0, 2.0, 1.0] and math.isnan(hits[3].score)
+
+
+def test_block_search_with_a_nan_row_and_k_at_least_n_returns_every_row_nan_last():
+    vectors = np.array([[1], [np.nan], [3], [np.nan], [1]], np.float32)
+    index = PhraseIndex("dense", make_meta([5]), vectors=vectors)
+    for rows_per_block in (1, 2, 5):
+        (hits,) = _search_in_blocks(index, np.ones((1, 1), np.float32), 5, rows_per_block=rows_per_block)
+        assert [h.span.s for h in hits] == [2, 0, 4, 1, 3]
+        assert _exact_key(hits) == _exact_key(search_exact(index, np.ones(1, np.float32), 5))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_block_search_of_an_all_minus_inf_row_returns_its_lowest_ordinals(k):
+    vectors = np.full((5, 1), -np.inf, np.float32)
+    index = PhraseIndex("dense", make_meta([2, 3]), vectors=vectors)
+    (hits,) = _search_in_blocks(index, np.ones((1, 1), np.float32), k, doc_id=1)
+    assert [(h.span.doc_id, h.span.s) for h in hits] == [(1, s) for s in range(k)]
+    assert [h.score for h in hits] == [-np.inf] * k
