@@ -26,9 +26,10 @@ QUESTION_POOLS = {LSTM: 2, LSTM_SA: 4}
 
 
 def softmax(scores: np.ndarray) -> np.ndarray:
+    """Softmax along the last axis, so each row of a 2-D array is one softmax."""
     scores = np.asarray(scores, dtype=np.float64)
-    z = np.exp(scores - scores.max())
-    return z / z.sum()
+    z = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    return z / z.sum(axis=-1, keepdims=True)
 
 
 def softmax_pool(vectors, scores) -> np.ndarray:
@@ -62,9 +63,7 @@ def sa_all(channels: "DocChannels") -> np.ndarray:
             f"document {channels.doc_id} is missing sa_key/sa_query channels"
         )
     scores = channels.sa_query.astype(np.float64) @ channels.sa_key.astype(np.float64).T
-    z = np.exp(scores - scores.max(axis=1, keepdims=True))
-    weights = z / z.sum(axis=1, keepdims=True)
-    return weights @ channels.base.astype(np.float64)
+    return softmax(scores) @ channels.base.astype(np.float64)
 
 
 def compose_phrase_lstm(channels: "DocChannels", span) -> np.ndarray:
@@ -118,9 +117,7 @@ def compose_question(channels: "QuestionChannels", mode: str) -> np.ndarray:
             f"need one score per question vector in every channel, got {len(base)} "
             f"vectors and {pools} x {scores.shape[1:]} scores"
         )
-    z = np.exp(scores - scores.max(axis=1, keepdims=True))
-    weights = z / z.sum(axis=1, keepdims=True)
-    return np.concatenate([w @ base for w in weights])
+    return np.concatenate([w @ base for w in softmax(scores)])
 
 
 def candidate_nll(

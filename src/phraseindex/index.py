@@ -301,9 +301,10 @@ def search_exact(
     return _hits(index, scores, k_top, lo)
 
 
-# Budget of one float32 score block in a batched dense search: a pass over
-# m query rows scores blocks of _SCORE_BLOCK_BYTES // (4 m) index rows, so
-# m x rows x 4 bytes stays within it.
+# Budget of the float32 score block in a batched dense search: a pass over m
+# query rows scores blocks of _SCORE_BLOCK_BYTES // (4 m) index rows, so that
+# block, m x rows x 4 bytes, stays within it. Ranking adds an (m, 2k) merge
+# and, for k > 1, the temporaries of one _top_k call on one row of the block.
 _SCORE_BLOCK_BYTES = 16 << 20
 # Query rows per pass, so that a block keeps at least 4,096 index rows. Over a
 # 36,183 x 256 block on a 2-core x86 VM, 16,384 questions took 0.13-0.14 ms
@@ -338,11 +339,11 @@ def _block_top_k(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each query row's top k of vectors[lo:hi]: (m, k) ordinals and scores, plus NaN flags.
 
-    One product per block of index rows scores every query; each block's winners
+    One product per block of index rows scores every query. k == 1 ranks the
+    block with one argmax; k > 1 ranks each of its rows with _top_k. The winners
     merge into a running (m, k) set by score descending, then ordinal ascending,
     so an equal score in a later block never displaces an earlier, lower ordinal.
-    Ranking runs on negated scores, which negate back bit for bit. nan flags
-    the query rows whose scores hold a NaN anywhere in [lo, hi).
+    nan flags the query rows whose scores hold a NaN anywhere in [lo, hi).
     """
     m = len(queries)
     step = max(1, _SCORE_BLOCK_BYTES // (4 * m))
@@ -351,14 +352,21 @@ def _block_top_k(
         block = queries @ vectors[start : min(start + step, hi)].T
         if k == 1:
             cols = block.argmax(axis=1)[:, None]  # the first maximum, or the first NaN
-            top = -np.take_along_axis(block, cols, axis=1)
         else:
-            np.negative(block, out=block)
-            if block.shape[1] > k:
-                cols = _first_k_columns(block, k, nan)
-            else:
-                cols = np.broadcast_to(np.arange(block.shape[1]), block.shape)
-            top = np.take_along_axis(block, cols, axis=1)
+            cols = np.zeros((m, min(k, block.shape[1])), dtype=np.int64)
+            rows = range(m)  # NaN rows too: when k >= n they still return all of theirs
+            if start > lo and neg.shape[1] == k:
+                # Skip rows whose block maximum is at or below their running k-th
+                # score: their column-0 picks lose the merge on score or, tied, on
+                # ordinal. A NaN maximum compares False, so its row is ranked.
+                rows = np.flatnonzero(~(block.max(axis=1) <= -neg[:, -1]))
+            for r in rows:
+                picked = _top_k(block[r], k)
+                if len(picked) < cols.shape[1]:
+                    nan[r] = True  # _top_k picks nothing from a row holding a NaN
+                else:
+                    cols[r] = picked
+        top = -np.take_along_axis(block, cols, axis=1)  # negated: lexsort ascends
         nan |= np.isnan(top).any(axis=1)
         cand = cols + start
         if start > lo:
@@ -368,24 +376,6 @@ def _block_top_k(
         ords = np.take_along_axis(cand, order, axis=1)
         neg = np.take_along_axis(top, order, axis=1)
     return ords, -neg, nan
-
-
-def _first_k_columns(neg: np.ndarray, k: int, nan: np.ndarray) -> np.ndarray:
-    """Columns of each row's k smallest negated scores, ties at the k-th by lowest column.
-
-    Also sets nan for the rows holding a NaN, which the partition moves past its first k.
-    """
-    nan |= np.isnan(neg.max(axis=1))
-    threshold = np.partition(neg, k - 1, axis=1)[:, k - 1 : k]
-    rows, cols = np.divmod(np.flatnonzero(neg <= threshold), neg.shape[1])
-    exact = np.bincount(rows, minlength=len(neg)) == k
-    picked = np.zeros((len(neg), k), dtype=np.int64)
-    picked[exact] = cols[exact[rows]].reshape(-1, k)
-    # More than k columns reach the threshold only where scores tie at it
-    # (fewer only in a NaN row): rank those rows as _top_k does.
-    for r in np.flatnonzero(~exact & ~nan):
-        picked[r] = _top_k(-neg[r], k)
-    return picked
 
 
 def _hits(index: PhraseIndex, scores: np.ndarray, k_top: int, lo: int) -> list[SearchHit]:
