@@ -144,8 +144,17 @@ def _pack_codes(projections: np.ndarray, bits: int) -> np.ndarray:
     if bits == 0:
         return np.zeros(projections.shape[:-1], dtype=np.uint64)
     on = (projections > 0).astype(np.uint64)
-    shifts = np.arange(bits, dtype=np.uint64)
-    return (on << shifts).sum(axis=-1, dtype=np.uint64)
+    on <<= np.arange(bits, dtype=np.uint64)
+    return on.sum(axis=-1, dtype=np.uint64)
+
+
+# Budget of each temporary of build_alsh's hashing: the rows of a chunk are
+# cast to float64, scaled, augmented and projected on all t x b hyperplanes,
+# and _pack_codes takes a uint64 copy of the projection, so a chunk holds
+# _HASH_CHUNK_BYTES // (8 max(dim + m, t b)) rows and at most four such
+# temporaries are live at once. Freed temporaries below malloc's mmap
+# threshold stay resident, so small chunks keep the heap's high-water mark small.
+_HASH_CHUNK_BYTES = 2 << 20
 
 
 def build_alsh(index: PhraseIndex, params: AlshParams = AlshParams()) -> AlshIndex:
@@ -157,10 +166,9 @@ def build_alsh(index: PhraseIndex, params: AlshParams = AlshParams()) -> AlshInd
     t, b, m = params.tables, params.bits_per_table, params.m
     aug_dim = index.dim + m
 
-    step = max(1, (1 << 21) // max(1, aug_dim))
+    step = max(1, _HASH_CHUNK_BYTES // (8 * max(aug_dim, t * b)))
     chunks = [(start, min(n, start + step)) for start in range(0, n, step)]
-    # Chunked like the hashing below: a float64 copy of the whole block would
-    # double the build's peak memory. Row norms do not depend on the chunking.
+    # Row norms do not depend on the chunking.
     chunk_norms = (
         np.linalg.norm(index.vectors[lo:hi].astype(np.float64), axis=1) for lo, hi in chunks
     )
@@ -172,18 +180,19 @@ def build_alsh(index: PhraseIndex, params: AlshParams = AlshParams()) -> AlshInd
     if b:
         hyperplanes /= np.linalg.norm(hyperplanes, axis=2, keepdims=True)
 
-    codes = np.zeros((t, n), dtype=np.uint64)
+    # The narrowest unsigned type that holds b bits: uint16 at the default 12.
+    codes = np.zeros((t, n), dtype=np.min_scalar_type((1 << b) - 1))
     if b and n:
         flat = hyperplanes.reshape(t * b, aug_dim)
         scale = params.U / max_norm
         for start, stop in chunks:
-            scaled = index.vectors[start:stop].astype(np.float64) * scale
+            scaled = index.vectors[start:stop].astype(np.float64)
+            scaled *= scale
             aug = np.concatenate(
                 [scaled, _norm_terms((scaled * scaled).sum(axis=1), m)], axis=1
             )
             proj = aug @ flat.T
-            for ti in range(t):
-                codes[ti, start:stop] = _pack_codes(proj[:, ti * b : (ti + 1) * b], b)
+            codes[:, start:stop] = _pack_codes(proj.reshape(stop - start, t, b), b).T
 
     buckets = []
     for row in codes:
@@ -194,7 +203,7 @@ def build_alsh(index: PhraseIndex, params: AlshParams = AlshParams()) -> AlshInd
         starts = np.flatnonzero(first)
         buckets.append(
             BucketTable(
-                sorted_codes[starts],
+                sorted_codes[starts].astype(np.uint64),
                 np.append(starts, n).astype(np.uint64),
                 order.astype(np.uint64),
             )
@@ -260,9 +269,9 @@ def save_alsh(alsh: AlshIndex, path: str) -> None:
     for table in alsh.buckets:
         parts += [
             np.array(len(table), "<u8"),
-            table.codes.astype("<u8"),
+            np.asarray(table.codes, "<u8"),
             np.diff(table.indptr).astype("<u8"),
-            table.ordinals.astype("<u8"),
+            np.asarray(table.ordinals, "<u8"),
         ]
     _write(path, MAGIC, VERSION, parts)
 

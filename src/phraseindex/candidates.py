@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+import numpy as np
+
 
 class CandidateSpan(NamedTuple):
     """An answer candidate: token range [s, e] (inclusive) of one document."""
@@ -29,6 +31,14 @@ def enumerate_spans(doc_len: int, max_span_len: int) -> list[tuple[int, int]]:
         for s in range(doc_len)
         for e in range(s, min(s + max_span_len, doc_len))
     ]
+
+
+def span_bounds(doc_len: int, max_span_len: int) -> tuple[np.ndarray, np.ndarray]:
+    """enumerate_spans as two int64 arrays, the starts and the ends, in its order."""
+    widths = np.minimum(max_span_len, np.arange(doc_len, 0, -1))
+    starts = np.repeat(np.arange(doc_len), widths)
+    firsts = np.repeat(np.cumsum(widths) - widths, widths)
+    return starts, starts + np.arange(len(starts)) - firsts
 
 
 def span_count(doc_len: int, max_span_len: int) -> int:

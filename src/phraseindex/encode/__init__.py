@@ -5,11 +5,8 @@ from .dense import (
     LSTM_SA,
     QUESTION_POOLS,
     candidate_nll,
-    compose_phrase_lstm,
-    compose_phrase_lstm_sa,
     compose_question,
     sa_all,
-    sa_word_vector,
     softmax,
     softmax_pool,
 )
@@ -38,12 +35,9 @@ __all__ = [
     "QuestionChannels",
     "WordVectorTable",
     "candidate_nll",
-    "compose_phrase_lstm",
-    "compose_phrase_lstm_sa",
     "compose_question",
     "read_word_vectors",
     "sa_all",
-    "sa_word_vector",
     "softmax",
     "softmax_pool",
     "tfidf_phrase_encode",

@@ -1,10 +1,11 @@
 """Dense phrase/question composition from precomputed per-word vectors.
 
 The engine never trains encoders: per-word vectors and attention scores
-arrive through a word-vector table (see wordvectors.py), and these functions
-assemble them into phrase vectors (endpoint concatenation, optionally
-augmented with self-attention pooling) and question vectors (attention-pooled
-blocks). All softmaxes subtract the max score before exponentiation.
+arrive through a word-vector table (see wordvectors.py). build_index
+assembles phrase vectors from them (endpoint concatenation, optionally
+augmented with the self-attended words of sa_all), and compose_question
+pools question vectors (attention-pooled blocks). All softmaxes subtract the
+max score before exponentiation.
 """
 
 from __future__ import annotations
@@ -46,52 +47,14 @@ def softmax_pool(vectors, scores) -> np.ndarray:
     return softmax(scores) @ vectors
 
 
-def sa_word_vector(channels: "DocChannels", position: int) -> np.ndarray:
-    """Self-attended word vector: base words pooled by query[j]-key[i] scores."""
-    if channels.sa_key is None or channels.sa_query is None:
-        raise ConfigError(
-            f"document {channels.doc_id} is missing sa_key/sa_query channels"
-        )
-    scores = channels.sa_key.astype(np.float64) @ channels.sa_query[position].astype(np.float64)
-    return softmax_pool(channels.base, scores)
-
-
 def sa_all(channels: "DocChannels") -> np.ndarray:
-    """Self-attended vectors for every position at once (row j = sa_word_vector(j))."""
+    """Self-attended word vectors: row j pools the base words by softmax(sa_key @ sa_query[j])."""
     if channels.sa_key is None or channels.sa_query is None:
         raise ConfigError(
             f"document {channels.doc_id} is missing sa_key/sa_query channels"
         )
     scores = channels.sa_query.astype(np.float64) @ channels.sa_key.astype(np.float64).T
     return softmax(scores) @ channels.base.astype(np.float64)
-
-
-def compose_phrase_lstm(channels: "DocChannels", span) -> np.ndarray:
-    """Endpoint concatenation [word[s], word[e]]; dim = 2 x word dim."""
-    m = len(channels.base)
-    if not (0 <= span.s <= span.e < m):
-        raise ValueError(f"span {span} out of range for {m} positions")
-    base = channels.base.astype(np.float64)
-    return np.concatenate([base[span.s], base[span.e]])
-
-
-def compose_phrase_lstm_sa(
-    channels: "DocChannels", span, sa_matrix: np.ndarray | None = None
-) -> np.ndarray:
-    """[word[s], sa[s], word[e], sa[e]]; dim = 4 x word dim.
-
-    sa_matrix, when given, must be sa_all(channels); passing it avoids
-    recomputing attention for every span of the same document.
-    """
-    m = len(channels.base)
-    if not (0 <= span.s <= span.e < m):
-        raise ValueError(f"span {span} out of range for {m} positions")
-    if sa_matrix is None:
-        sa_matrix = sa_all(channels)
-    base = channels.base.astype(np.float64)
-    return np.concatenate(
-        [base[span.s], sa_matrix[span.s], base[span.e], sa_matrix[span.e]]
-    )
 
 
 def compose_question(channels: "QuestionChannels", mode: str) -> np.ndarray:

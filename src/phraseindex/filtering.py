@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from .errors import FormatError, TrainingError
-from .index import PhraseIndex, _Reader, _write
+from .index import PhraseIndex, _Reader, _span_keys, _write
 
 if TYPE_CHECKING:
     from .corpus import Corpus
@@ -58,15 +58,19 @@ class TradeoffCurve:
 
 
 def _gold_label_mask(index: PhraseIndex, corpus: "Corpus") -> np.ndarray:
-    gold = {
-        (span.doc_id, span.s, span.e)
-        for ex in corpus.examples
-        for span in ex.gold_spans
-    }
-    labels = np.zeros(len(index), dtype=np.float64)
-    for ordinal in range(len(index)):
-        if tuple(index.span(ordinal)) in gold:
-            labels[ordinal] = 1.0
+    """1.0 at each ordinal whose span is some question's gold span, else 0.0."""
+    gold = np.array(
+        [span for ex in corpus.examples for span in ex.gold_spans], dtype=np.int64
+    ).reshape(-1, 3)
+    # A span past the metadata's u32 / u16 fields is in no index; its key would wrap.
+    fits = (gold >= 0).all(axis=1) & (gold < [2**32, 2**16, 2**16]).all(axis=1)
+    wanted = _span_keys(*gold[fits].T)
+    meta = index.metadata
+    keys = _span_keys(meta["doc_id"], meta["s"], meta["e"])  # ascending, as the ordinals
+    labels = np.zeros(len(keys), dtype=np.float64)
+    if len(keys):
+        at = np.minimum(keys.searchsorted(wanted), len(keys) - 1)
+        labels[at[keys[at] == wanted]] = 1.0
     return labels
 
 
@@ -77,8 +81,8 @@ def _weighted_logistic_loss(z: np.ndarray, y: np.ndarray, w: np.ndarray) -> floa
     return float((w * per).sum() / w.sum())
 
 
-# Rows gathered per step by _rows_float64.
-_GATHER_ROWS = 8192
+# Rows gathered per step by _rows_float64: 2 MiB of float32 at 256 dims.
+_GATHER_ROWS = 2048
 
 
 def _rows_float64(vectors: np.ndarray, rows: np.ndarray) -> np.ndarray:

@@ -26,8 +26,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .candidates import CandidateSpan, enumerate_spans
-from .encode.dense import LSTM, LSTM_SA, compose_phrase_lstm, compose_phrase_lstm_sa, sa_all
+from .candidates import CandidateSpan, span_bounds, span_count
+from .encode.dense import LSTM, LSTM_SA, sa_all
 from .encode.tfidf import IdfTable, SparseVector, tfidf_phrase_encode
 from .errors import BuildError, FormatError
 
@@ -140,6 +140,14 @@ class PhraseIndex:
         return int((per_doc + 1).sum())
 
 
+def _span_keys(doc_id, s, e) -> np.ndarray:
+    """Each (doc_id, s, e) as one u64, doc_id << 32 | s << 16 | e: keys sort as the triples."""
+    key = np.asarray(doc_id, np.uint64) << np.uint64(32)
+    key |= np.asarray(s, np.uint64) << np.uint64(16)
+    key |= np.asarray(e, np.uint64)
+    return key
+
+
 def _pack_metadata(rows: list[tuple[int, int, int]]) -> np.ndarray:
     arr = np.zeros(len(rows), dtype=METADATA_DTYPE)
     if rows:
@@ -176,31 +184,47 @@ def build_index(
                 f"document {doc.doc_id} has {len(doc)} tokens; limit is {MAX_DOC_TOKENS}"
             )
 
-    meta_rows: list[tuple[int, int, int]] = []
+    # Every span's (doc_id, s, e) in canonical order; document i owns the
+    # rows [runs[i], runs[i + 1]), filled one document at a time.
+    sizes = [span_count(len(doc), max_span_len) for doc in corpus.documents]
+    runs = np.cumsum([0, *sizes]).tolist()
+    metadata = np.empty(runs[-1], dtype=METADATA_DTYPE)
+    for doc, lo, hi in zip(corpus.documents, runs, runs[1:]):
+        rows = metadata[lo:hi]
+        rows["doc_id"], rows["s"], rows["e"] = doc.doc_id, *span_bounds(len(doc), max_span_len)
+
     if encoder == "tfidf":
         idf = IdfTable.from_corpus(corpus)
-        vecs: list[SparseVector] = [SparseVector.empty()]  # keeps the concatenations non-empty
-        for doc in corpus.documents:
-            for s, e in enumerate_spans(len(doc), max_span_len):
-                meta_rows.append((doc.doc_id, s, e))
-                span = CandidateSpan(doc.doc_id, s, e)
-                vecs.append(
-                    tfidf_phrase_encode(doc, span, window, idf, include_phrase=include_phrase)
+        # Each document's bags are flattened before the next document's are
+        # encoded, so only one document's per-span vectors are alive at a time.
+        empty = SparseVector.empty()  # keeps every concatenation non-empty
+        terms, weights, bag_sizes = [empty.term_ids], [empty.weights], []
+        for doc, lo, hi in zip(corpus.documents, runs, runs[1:]):
+            vecs = [empty] + [
+                tfidf_phrase_encode(
+                    doc, CandidateSpan(*row), window, idf, include_phrase=include_phrase
                 )
+                for row in metadata[lo:hi].tolist()
+            ]
+            terms.append(np.concatenate([v.term_ids for v in vecs]))
+            weights.append(np.concatenate([v.weights for v in vecs]))
+            bag_sizes += [len(v.term_ids) for v in vecs[1:]]
         # One stable sort by term keeps each term's ordinals ascending.
-        terms = np.concatenate([v.term_ids for v in vecs])
+        terms = np.concatenate(terms)
         order = np.argsort(terms, kind="stable")
-        sizes = [len(v.term_ids) for v in vecs[1:]]
-        ordinals = np.repeat(np.arange(len(sizes), dtype=np.uint64), sizes)[order]
-        weights = np.concatenate([v.weights for v in vecs]).astype(np.float32)[order]
+        ordinals = np.repeat(np.arange(len(bag_sizes), dtype=np.uint64), bag_sizes)[order]
+        weights = np.concatenate(weights).astype(np.float32)[order]
         indptr = np.r_[0, np.cumsum(np.bincount(terms, minlength=len(idf.vocab)))]
         postings = (indptr, ordinals, weights)
-        return PhraseIndex("sparse", _pack_metadata(meta_rows), postings=postings, idf=idf)
+        return PhraseIndex("sparse", metadata, postings=postings, idf=idf)
 
     if word_vectors is None:
         raise BuildError(f"encoder {encoder!r} needs a word-vector table")
-    blocks: list[np.ndarray] = []
-    for doc in corpus.documents:
+    # Rows go straight into one block: [base, sa] of each span's start, then of
+    # its end, for lstm_sa ([base] of each for lstm), cast once to float32.
+    width = (2 if encoder == LSTM_SA else 1) * word_vectors.dim
+    vectors = np.empty((len(metadata), 2 * width), dtype=np.float32)
+    for doc, lo, hi in zip(corpus.documents, runs, runs[1:]):
         if doc.doc_id not in word_vectors.documents:
             raise BuildError(f"no word vectors for document {doc.doc_id} (channel base)")
         chan = word_vectors.documents[doc.doc_id]
@@ -208,28 +232,17 @@ def build_index(
             raise BuildError(
                 f"document {doc.doc_id}: {len(chan.base)} base vectors for {len(doc)} tokens"
             )
-        spans = [
-            CandidateSpan(doc.doc_id, s, e) for s, e in enumerate_spans(len(doc), max_span_len)
-        ]
-        meta_rows.extend((sp.doc_id, sp.s, sp.e) for sp in spans)
+        if encoder == LSTM_SA and (chan.sa_key is None or chan.sa_query is None):
+            missing = "sa_key" if chan.sa_key is None else "sa_query"
+            raise BuildError(f"no word vectors for document {doc.doc_id} (channel {missing})")
+        if len(doc) == 0:
+            continue
+        words = chan.base
         if encoder == LSTM_SA:
-            if chan.sa_key is None or chan.sa_query is None:
-                missing = "sa_key" if chan.sa_key is None else "sa_query"
-                raise BuildError(
-                    f"no word vectors for document {doc.doc_id} (channel {missing})"
-                )
-            sa = sa_all(chan)
-            rows = [compose_phrase_lstm_sa(chan, sp, sa_matrix=sa) for sp in spans]
-        else:
-            rows = [compose_phrase_lstm(chan, sp) for sp in spans]
-        if rows:
-            blocks.append(np.asarray(rows, dtype=np.float32))
-    if blocks:
-        vectors = np.ascontiguousarray(np.concatenate(blocks, axis=0), dtype=np.float32)
-    else:
-        dim = 4 * word_vectors.dim if encoder == LSTM_SA else 2 * word_vectors.dim
-        vectors = np.zeros((0, dim), dtype=np.float32)
-    return PhraseIndex("dense", _pack_metadata(meta_rows), vectors=vectors)
+            words = np.concatenate([chan.base, sa_all(chan)], axis=1, dtype=np.float32)
+        vectors[lo:hi, :width] = words[metadata["s"][lo:hi]]
+        vectors[lo:hi, width:] = words[metadata["e"][lo:hi]]
+    return PhraseIndex("dense", metadata, vectors=vectors)
 
 
 def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
@@ -510,10 +523,13 @@ class _Reader:
 
 
 def _write(path: str, magic: bytes, version: int, parts: list) -> None:
-    """Write magic, version u32 and the parts: bytes, or numpy values in file byte order."""
-    data = [magic, np.array(version, "<u4"), *parts]
+    """Write magic, version u32 and the parts: bytes, or numpy values in file byte order.
+
+    Each part goes to the file from its own buffer: a contiguous array is not copied.
+    """
     with open(path, "wb") as f:
-        f.write(b"".join(p if isinstance(p, bytes) else p.tobytes() for p in data))
+        for part in [magic, np.array(version, "<u4"), *parts]:
+            f.write(part if isinstance(part, bytes) else np.ascontiguousarray(part))
 
 
 def save_index(index: PhraseIndex, path: str) -> None:
@@ -529,8 +545,8 @@ def save_index(index: PhraseIndex, path: str) -> None:
             np.array((len(raws), idf.num_documents), SPARSE_DTYPE),
             b"".join(head.tobytes() + raw for head, raw in zip(heads, raws)),
             np.diff(index.indptr).astype("<u8"),
-            index.ordinals.astype("<u8"),
-            index.weights.astype("<f4"),
+            np.asarray(index.ordinals, "<u8"),
+            np.asarray(index.weights, "<f4"),
         ]
     _write(path, MAGIC, VERSION, parts)
 
@@ -556,9 +572,7 @@ def load_index(path: str) -> PhraseIndex:
         raise FormatError(f"{path}: unknown kind byte {kind}", offset=8)
     meta_at = r.pos
     metadata = r.array(METADATA_DTYPE, count, "metadata")
-    key = metadata["doc_id"].astype(np.uint64) << np.uint64(32)
-    key |= metadata["s"].astype(np.uint64) << np.uint64(16)
-    key |= metadata["e"]
+    key = _span_keys(metadata["doc_id"], metadata["s"], metadata["e"])
     found = _first_bad(
         (metadata["s"] > metadata["e"], "starts after it ends"),
         (np.r_[False, key[1:] <= key[:-1]], "is not after the one before in (doc_id, s, e)"),

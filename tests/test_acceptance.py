@@ -21,7 +21,7 @@ import pytest
 from phraseindex.alsh import AlshParams, build_alsh, load_alsh, save_alsh, search_approx
 from phraseindex.candidates import CandidateSpan, enumerate_spans, span_count
 from phraseindex.corpus import Corpus, Document, load_squad, tokenize
-from phraseindex.encode.dense import candidate_nll, compose_phrase_lstm, softmax
+from phraseindex.encode.dense import candidate_nll, softmax
 from phraseindex.encode.tfidf import IdfTable, SparseVector, tfidf_question_encode
 from phraseindex.encode.wordvectors import toy_word_vector_table
 from phraseindex.errors import FormatError
@@ -44,6 +44,7 @@ from phraseindex.index import (
     synthetic_dense_index,
 )
 
+from .oracles import compose_phrase_lstm
 from .toyset import one_hot_setup
 
 DATA = pathlib.Path(__file__).parent / "data"

@@ -1,10 +1,12 @@
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from phraseindex import alsh as alsh_module
 from phraseindex.alsh import (
     AlshParams,
     _distinct,
@@ -466,7 +468,7 @@ def _reference_search(params, hyperplanes, buckets, index, q, k_top, doc_id):
     dim=st.integers(1, 6),
     m=st.integers(0, 3),
     U=st.floats(0.05, 1.0),
-    bits=st.integers(0, 10),
+    bits=st.integers(0, 10) | st.sampled_from([16, 17, 32, 33, 64]),  # every code width
     tables=st.integers(1, 5),
     seed=st.integers(0, 2**16),
 )
@@ -495,13 +497,18 @@ def test_flat_tables_match_dict_reference(docs, dim, m, U, bits, tables, seed):
 
 
 def test_build_over_several_chunks_matches_dict_reference():
-    """Wide rows make the build hash in chunks of 15 rows; the largest is last."""
-    dim = 1 << 17
+    """A patched budget makes the build hash in chunks of 15 rows; the largest is last.
+
+    The reference hashes all 40 rows in one chunk, so the codes cannot depend
+    on the chunking."""
+    dim = 8
     vectors = quantized((40, dim), 12)
     vectors[-1] *= 2
     index = PhraseIndex("dense", make_meta([40]), vectors=vectors)
     params = AlshParams(bits_per_table=3, tables=2, seed=6)
-    alsh = build_alsh(index, params)
+    budget = 15 * 8 * (dim + params.m)  # 15 rows of the augmented float64 block
+    with mock.patch.object(alsh_module, "_HASH_CHUNK_BYTES", budget):
+        alsh = build_alsh(index, params)
     max_norm, _, reference = _reference_build(index, params)
     assert alsh.max_norm == max_norm
     for table, ref in zip(alsh.buckets, reference):

@@ -3,6 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from phraseindex import CandidateSpan, candidates_per_word, enumerate_spans, span_count
+from phraseindex.candidates import span_bounds
 
 
 def brute_force_spans(m: int, L: int) -> list[tuple[int, int]]:
@@ -64,3 +65,9 @@ def test_candidate_span_is_a_plain_triple():
     span = CandidateSpan(3, 1, 4)
     assert tuple(span) == (3, 1, 4)
     assert span.doc_id == 3 and span.s == 1 and span.e == 4
+
+
+@given(st.integers(0, 60), st.integers(1, 10))
+def test_span_bounds_are_enumerate_spans_as_arrays(m, L):
+    starts, ends = span_bounds(m, L)
+    assert list(zip(starts.tolist(), ends.tolist())) == enumerate_spans(m, L)

@@ -9,17 +9,16 @@ from phraseindex.encode.dense import (
     LSTM,
     LSTM_SA,
     candidate_nll,
-    compose_phrase_lstm,
-    compose_phrase_lstm_sa,
     compose_question,
     sa_all,
-    sa_word_vector,
     softmax,
     softmax_pool,
 )
 from phraseindex.encode.wordvectors import DocChannels, QuestionChannels
 from phraseindex.candidates import CandidateSpan
 from phraseindex.errors import ConfigError
+
+from .oracles import compose_phrase_lstm, compose_phrase_lstm_sa, sa_word_vector
 
 
 def doc_channels(base, sa_key=None, sa_query=None, doc_id=0):

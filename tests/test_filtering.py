@@ -4,9 +4,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phraseindex import filtering
-from phraseindex.candidates import CandidateSpan
+from phraseindex.candidates import CandidateSpan, span_bounds
 from phraseindex.corpus import Corpus, Document, QAExample
 from phraseindex.errors import FormatError, TrainingError
 from phraseindex.evaluation import evaluate
@@ -21,8 +23,9 @@ from phraseindex.filtering import (
     sweep_thresholds,
     train_filter,
 )
-from phraseindex.index import PhraseIndex, search_exact
+from phraseindex.index import METADATA_DTYPE, PhraseIndex, search_exact
 
+from .oracles import gold_label_mask
 from .test_index import make_meta, quantized, sparse_fixture
 from .toyset import one_hot_setup
 
@@ -36,6 +39,43 @@ def labeled_corpus(num_tokens, gold_positions):
 
 
 # ------------------------------------------------------------------ training
+
+
+# Gold spans: some in the index, some filtered out or past a document's end,
+# and some whose doc_id or e would wrap onto a stored span in a u32 / u16 field.
+GOLD_SPAN = st.builds(
+    lambda d, s, width: CandidateSpan(d, s, s + width),
+    st.integers(0, 4) | st.integers(-1, 4).map(lambda d: d + 2**32),
+    st.integers(-1, 12),
+    st.integers(0, 8) | st.just(2**16),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    lengths=st.lists(st.integers(0, 12), min_size=1, max_size=4),
+    max_span_len=st.integers(1, 7),
+    keep_seed=st.integers(0, 2**16),
+    questions=st.lists(st.lists(GOLD_SPAN, max_size=4), min_size=1, max_size=6),
+)
+def test_gold_labels_match_the_per_ordinal_loop(lengths, max_span_len, keep_seed, questions):
+    """The join labels what the loop labels; the first question's spans are
+    asked again by one more question."""
+    bounds = [span_bounds(n, max_span_len) for n in lengths]
+    metadata = np.zeros(sum(len(b[0]) for b in bounds), dtype=METADATA_DTYPE)
+    metadata["doc_id"] = np.repeat(np.arange(len(lengths)), [len(b[0]) for b in bounds])
+    metadata["s"] = np.concatenate([b[0] for b in bounds])
+    metadata["e"] = np.concatenate([b[1] for b in bounds])
+    keep = np.random.Generator(np.random.Philox(key=keep_seed)).random(len(metadata)) < 0.7
+    index = PhraseIndex("dense", metadata[keep], vectors=np.zeros((keep.sum(), 1), np.float32))
+    examples = [
+        QAExample(f"q{i}", ["w"], spans[0].doc_id if spans else 0, ["w"], spans)
+        for i, spans in enumerate(questions + questions[:1])
+    ]
+    corpus = Corpus(documents=[], examples=examples, vocab_df={}, num_documents=0)
+    labels = filtering._gold_label_mask(index, corpus)
+    assert labels.dtype == np.float64
+    np.testing.assert_array_equal(labels, gold_label_mask(index, corpus))
 
 
 def test_training_separates_separable_labels():

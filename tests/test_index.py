@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 from phraseindex import index as index_module
 from phraseindex.candidates import CandidateSpan, enumerate_spans, span_count
 from phraseindex.corpus import Corpus, Document, tokenize
-from phraseindex.encode.dense import compose_phrase_lstm, compose_phrase_lstm_sa, sa_all
+from phraseindex.encode.dense import sa_all
 from phraseindex.encode.tfidf import IdfTable, SparseVector, tfidf_phrase_encode
+from phraseindex.encode.wordvectors import toy_word_vector_table
 from phraseindex.errors import BuildError, FormatError
 from phraseindex.index import (
     METADATA_DTYPE,
@@ -25,6 +26,8 @@ from phraseindex.index import (
     search_exact,
     synthetic_dense_index,
 )
+
+from .oracles import compose_phrase_lstm, compose_phrase_lstm_sa, per_span_dense_build
 
 
 def make_corpus(texts):
@@ -124,6 +127,26 @@ def test_dense_lstm_build_dim_and_rows(mini_corpus, toy_vectors):
     chan = toy_vectors.documents[span.doc_id]
     expected = compose_phrase_lstm(chan, span).astype(np.float32)
     np.testing.assert_array_equal(index.vectors[5], expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    lengths=st.lists(st.integers(0, 12), min_size=1, max_size=5),
+    max_span_len=st.integers(1, 8),
+    dim=st.integers(1, 5),
+    seed=st.integers(0, 2**16),
+)
+def test_dense_build_equals_per_span_composition(lengths, max_span_len, dim, seed):
+    """Bit for bit, on documents shorter and longer than max_span_len, and empty."""
+    docs = [Document(i, "", ["w"] * n, [(0, 0)] * n) for i, n in enumerate(lengths)]
+    corpus = Corpus(documents=docs, examples=[], vocab_df={}, num_documents=len(docs))
+    vectors = toy_word_vector_table(corpus, dim=dim, seed=seed)
+    for encoder in ("lstm", "lstm_sa"):
+        built = build_index(corpus, encoder, max_span_len=max_span_len, word_vectors=vectors)
+        metadata, rows = per_span_dense_build(corpus, encoder, vectors, max_span_len)
+        assert built.metadata.tobytes() == metadata.tobytes()
+        assert built.vectors.dtype == np.float32 and built.vectors.shape == rows.shape
+        assert built.vectors.tobytes() == rows.tobytes()
 
 
 def test_build_is_deterministic(tmp_path, mini_corpus, toy_vectors):
