@@ -296,32 +296,32 @@ def _table_problem(
 
 
 def load_alsh(path: str, backing: PhraseIndex) -> AlshIndex:
-    r = _Reader(path, MAGIC, VERSION)
-    m, U, bits, tables, seed, max_norm, aug_dim = r.record(HEADER_DTYPE, "header")
-    params = AlshParams(m=m, U=U, bits_per_table=bits, tables=tables, seed=seed)
-    if not 0 < max_norm < np.inf:  # false for NaN too
-        raise FormatError(f"{path}: max_norm {max_norm} is not finite and positive", offset=36)
-    if backing.kind != "dense" or aug_dim != backing.dim + m:
-        raise FormatError(
-            f"{path}: augmented dim {aug_dim} does not fit backing index "
-            f"(dim {backing.dim} + m {m})",
-            offset=r.pos - 4,
-        )
-    planes = r.array("<f8", tables * bits * aug_dim, "hyperplanes")
-    if not np.isfinite(planes).all():
-        raise FormatError(f"{path}: hyperplanes are not finite", offset=r.pos - planes.nbytes)
-    hyperplanes = planes.reshape(tables, bits, aug_dim)
-    buckets = []
-    for ti in range(tables):
-        at = r.pos
-        count = r.record("<u8", f"bucket count of table {ti}")
-        codes = r.array("<u8", count, f"codes of table {ti}")
-        indptr = np.zeros(count + 1, dtype=np.uint64)
-        np.cumsum(r.array("<u8", count, f"bucket sizes of table {ti}"), out=indptr[1:])
-        ordinals = r.array("<u8", indptr[-1], f"ordinals of table {ti}")
-        problem = _table_problem(codes, indptr, ordinals, bits, len(backing))
-        if problem:
-            raise FormatError(f"{path}: table {ti} {problem}", offset=at)
-        buckets.append(BucketTable(codes, indptr, ordinals))
-    r.finish()
-    return AlshIndex(params, max_norm, hyperplanes, buckets, backing)
+    with _Reader(path, MAGIC, VERSION) as r:
+        m, U, bits, tables, seed, max_norm, aug_dim = r.record(HEADER_DTYPE, "header")
+        params = AlshParams(m=m, U=U, bits_per_table=bits, tables=tables, seed=seed)
+        if not 0 < max_norm < np.inf:  # false for NaN too
+            raise FormatError(f"{path}: max_norm {max_norm} is not finite and positive", offset=36)
+        if backing.kind != "dense" or aug_dim != backing.dim + m:
+            raise FormatError(
+                f"{path}: augmented dim {aug_dim} does not fit backing index "
+                f"(dim {backing.dim} + m {m})",
+                offset=r.pos - 4,
+            )
+        planes = r.array("<f8", tables * bits * aug_dim, "hyperplanes")
+        if not np.isfinite(planes).all():
+            raise FormatError(f"{path}: hyperplanes are not finite", offset=r.pos - planes.nbytes)
+        hyperplanes = planes.reshape(tables, bits, aug_dim)
+        buckets = []
+        for ti in range(tables):
+            at = r.pos
+            count = r.record("<u8", f"bucket count of table {ti}")
+            codes = r.array("<u8", count, f"codes of table {ti}")
+            indptr = np.zeros(count + 1, dtype=np.uint64)
+            np.cumsum(r.array("<u8", count, f"bucket sizes of table {ti}"), out=indptr[1:])
+            ordinals = r.array("<u8", indptr[-1], f"ordinals of table {ti}")
+            problem = _table_problem(codes, indptr, ordinals, bits, len(backing))
+            if problem:
+                raise FormatError(f"{path}: table {ti} {problem}", offset=at)
+            buckets.append(BucketTable(codes, indptr, ordinals))
+        r.finish()
+        return AlshIndex(params, max_norm, hyperplanes, buckets, backing)

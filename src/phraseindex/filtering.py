@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from .errors import FormatError, TrainingError
-from .index import PhraseIndex, _Reader, _span_keys, _write
+from .index import _SCORE_BLOCK_BYTES, PhraseIndex, _Reader, _span_keys, _write
 
 if TYPE_CHECKING:
     from .corpus import Corpus
@@ -33,8 +33,21 @@ class PerceptronFilter:
     bias: float
 
     def score(self, vectors: np.ndarray) -> np.ndarray:
-        """Linear scores, float64, one per row (or a scalar for one vector)."""
-        return vectors.astype(np.float64) @ self.weights.astype(np.float64) + self.bias
+        """Linear scores, float64, one per row (or a scalar for one vector).
+
+        Rows are cast a block at a time. A block holds a multiple of 64 rows, so
+        BLAS groups them, and sums each, as in one product over all rows.
+        """
+        weights = self.weights.astype(np.float64)
+        if vectors.ndim == 1:
+            return vectors.astype(np.float64) @ weights + self.bias
+        step = max(1, _SCORE_BLOCK_BYTES // (8 * vectors.shape[1] * 64)) * 64
+        scores = np.empty(len(vectors))
+        for start in range(0, len(vectors), step):
+            block = vectors[start : start + step]
+            np.matmul(block.astype(np.float64), weights, out=scores[start : start + step])
+        scores += self.bias
+        return scores
 
 
 @dataclass(frozen=True)
@@ -81,19 +94,6 @@ def _weighted_logistic_loss(z: np.ndarray, y: np.ndarray, w: np.ndarray) -> floa
     return float((w * per).sum() / w.sum())
 
 
-# Rows gathered per step by _rows_float64: 2 MiB of float32 at 256 dims.
-_GATHER_ROWS = 2048
-
-
-def _rows_float64(vectors: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """vectors[rows] as float64, gathered chunk by chunk: the float32
-    fancy-index copy of all rows at once would add half again to the peak."""
-    out = np.empty((len(rows), vectors.shape[1]), dtype=np.float64)
-    for start in range(0, len(rows), _GATHER_ROWS):
-        out[start : start + _GATHER_ROWS] = vectors[rows[start : start + _GATHER_ROWS]]
-    return out
-
-
 def train_filter(
     index: PhraseIndex,
     corpus: "Corpus",
@@ -106,6 +106,9 @@ def train_filter(
     Labels: 1 iff the candidate equals a gold answer span of any question on
     its document. Positives are upweighted by the negative/positive ratio of
     the training split. A seeded 10% held-out split picks the best epoch.
+
+    Training reads index.vectors in place: each epoch is one float32 product
+    for the scores and one for the gradient, with held-out rows weighted 0.
     """
     if index.kind != "dense":
         raise ValueError("train_filter needs a dense index")
@@ -122,30 +125,28 @@ def train_filter(
         # tiny or unlucky split: train on everything, validate on everything
         held = train = np.arange(n)
 
-    x = _rows_float64(index.vectors, train)
-    y = labels[train]
-    pos = y.sum()
-    neg = len(y) - pos
+    pos = labels[train].sum()
+    neg = len(train) - pos
     pos_weight = neg / pos if pos and neg else 1.0
-    w_train = np.where(y == 1.0, pos_weight, 1.0)
-    x_held = _rows_float64(index.vectors, held)
-    y_held = labels[held]
-    w_held = np.where(y_held == 1.0, pos_weight, 1.0)
+    class_weight = np.where(labels == 1.0, pos_weight, 1.0)
+    row_weight = np.zeros(n)
+    row_weight[train] = class_weight[train]  # held-out rows weigh 0 in the gradient
+    denom = row_weight.sum()
+    if len(held) == 0:
+        held = train  # fewer than 10 rows: the loss is the training loss
+    y_held, w_held = labels[held], class_weight[held]
 
     weights = np.zeros(dim)
     bias = 0.0
+    z = np.zeros(n)  # every row's score under the zero filter
     best = (math.inf, weights.copy(), bias)
     for _ in range(epochs):
-        z = x @ weights + bias
-        p = 1.0 / (1.0 + np.exp(-z))
-        residual = w_train * (p - y)
-        denom = w_train.sum()
-        weights -= learning_rate * (x.T @ residual) / denom
+        residual = row_weight * (1.0 / (1.0 + np.exp(-z)) - labels)
+        weights -= learning_rate * (residual.astype(np.float32) @ index.vectors) / denom
         bias -= learning_rate * residual.sum() / denom
-        if len(held):
-            loss = _weighted_logistic_loss(x_held @ weights + bias, y_held, w_held)
-        else:
-            loss = _weighted_logistic_loss(x @ weights + bias, y, w_train)
+        # These scores give this epoch's held-out loss and the next epoch's gradient.
+        z = np.add(index.vectors @ weights.astype(np.float32), bias, dtype=np.float64)
+        loss = _weighted_logistic_loss(z[held], y_held, w_held)
         if loss < best[0]:
             best = (loss, weights.copy(), bias)
     _, weights, bias = best
@@ -265,12 +266,12 @@ def save_filter(filt: PerceptronFilter, path: str) -> None:
 
 
 def load_filter(path: str) -> PerceptronFilter:
-    r = _Reader(path, MAGIC, VERSION)
-    dim = r.record("<u4", "dim")
-    values = r.array("<f4", dim + 1, "weights and bias")
-    if not np.isfinite(values).all():
-        i = int(np.isfinite(values).argmin())
-        what = "bias" if i == dim else f"weight {i}"
-        raise FormatError(f"{path}: {what} is not finite", offset=12 + 4 * i)
-    r.finish()
-    return PerceptronFilter(weights=values[:dim], bias=float(values[dim]))
+    with _Reader(path, MAGIC, VERSION) as r:
+        dim = r.record("<u4", "dim")
+        values = r.array("<f4", dim + 1, "weights and bias")
+        if not np.isfinite(values).all():
+            i = int(np.isfinite(values).argmin())
+            what = "bias" if i == dim else f"weight {i}"
+            raise FormatError(f"{path}: {what} is not finite", offset=12 + 4 * i)
+        r.finish()
+        return PerceptronFilter(weights=values[:dim], bias=float(values[dim]))

@@ -20,6 +20,7 @@ u64 (strictly increasing within a term), then every weight f32, in term order.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -318,6 +319,7 @@ def search_exact(
 # query rows scores blocks of _SCORE_BLOCK_BYTES // (4 m) index rows, so that
 # block, m x rows x 4 bytes, stays within it. Ranking adds an (m, 2k) merge
 # and, for k > 1, the temporaries of one _top_k call on one row of the block.
+# PerceptronFilter.score casts its rows to float64 within the same budget.
 _SCORE_BLOCK_BYTES = 16 << 20
 # Query rows per pass, so that a block keeps at least 4,096 index rows. Over a
 # 36,183 x 256 block on a 2-core x86 VM, 16,384 questions took 0.13-0.14 ms
@@ -380,6 +382,7 @@ def _block_top_k(
                 else:
                     cols[r] = picked
         top = -np.take_along_axis(block, cols, axis=1)  # negated: lexsort ascends
+        del block  # before the next product, so one score block is alive at a time
         nan |= np.isnan(top).any(axis=1)
         cand = cols + start
         if start > lo:
@@ -488,34 +491,46 @@ def synthetic_dense_index(
 
 
 class _Reader:
-    """Cursor over a file image past its magic and version; errors carry the byte offset."""
+    """Cursor over a file past its magic and version; errors carry the byte offset.
+
+    Each array is read into a buffer of its own, so it is aligned (the dense
+    vectors start at the odd offset 21 + 8 count). A with block closes the file.
+    """
 
     def __init__(self, path: str, magic: bytes, version: int):
-        with open(path, "rb") as f:
-            self.buf = f.read()
+        self.file = open(path, "rb")
+        self.size = os.fstat(self.file.fileno()).st_size
         self.pos = 0
         self.path = path
-        if (got := self.record("S4", "magic")) != magic:
-            raise FormatError(f"{path}: bad magic {got!r}", offset=0)
-        if (got := self.record("<u4", "version")) != version:
-            raise FormatError(f"{path}: unsupported version {got}", offset=4)
+        try:
+            if (got := self.record("S4", "magic")) != magic:
+                raise FormatError(f"{path}: bad magic {got!r}", offset=0)
+            if (got := self.record("<u4", "version")) != version:
+                raise FormatError(f"{path}: unsupported version {got}", offset=4)
+        except BaseException:
+            self.file.close()
+            raise
+
+    def __enter__(self) -> "_Reader":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.file.close()
 
     def finish(self) -> None:
         """Reject bytes past the last field read."""
-        if self.pos != len(self.buf):
-            extra = len(self.buf) - self.pos
+        if self.pos != self.size:
+            extra = self.size - self.pos
             raise FormatError(f"{self.path}: {extra} bytes of trailing data", offset=self.pos)
 
-    def skip(self, n: int, what: str) -> int:
-        """Move past the next n bytes and return where they start."""
-        if self.pos + n > len(self.buf):
-            raise FormatError(f"{self.path}: truncated while reading {what}", offset=self.pos)
-        self.pos += n
-        return self.pos - n
-
     def array(self, dtype, count: int, what: str) -> np.ndarray:
-        start = self.skip(int(count) * np.dtype(dtype).itemsize, what)
-        return np.frombuffer(self.buf, dtype=dtype, count=int(count), offset=start).copy()
+        nbytes = int(count) * np.dtype(dtype).itemsize
+        # Allocate only what the file can fill: a corrupt count may be huge.
+        out = np.empty(int(count), dtype) if self.pos + nbytes <= self.size else None
+        if out is None or self.file.readinto(out.view(np.uint8)) != nbytes:
+            raise FormatError(f"{self.path}: truncated while reading {what}", offset=self.pos)
+        self.pos += nbytes
+        return out
 
     def record(self, dtype, what: str):
         """One value of dtype as Python values: a tuple of fields for a record dtype."""
@@ -566,74 +581,75 @@ def load_index(path: str) -> PhraseIndex:
     finite, terms strictly increasing with df at most the document count, and
     each term's posting ordinals strictly increasing and in range.
     """
-    r = _Reader(path, MAGIC, VERSION)
-    kind, dim, count = r.record(HEADER_DTYPE, "header")
-    if kind not in (KIND_DENSE, KIND_SPARSE):
-        raise FormatError(f"{path}: unknown kind byte {kind}", offset=8)
-    meta_at = r.pos
-    metadata = r.array(METADATA_DTYPE, count, "metadata")
-    key = _span_keys(metadata["doc_id"], metadata["s"], metadata["e"])
-    found = _first_bad(
-        (metadata["s"] > metadata["e"], "starts after it ends"),
-        (np.r_[False, key[1:] <= key[:-1]], "is not after the one before in (doc_id, s, e)"),
-    )
-    if found:
-        i, problem = found
-        raise FormatError(
-            f"{path}: metadata record {i} {problem}", offset=meta_at + i * METADATA_DTYPE.itemsize
+    with _Reader(path, MAGIC, VERSION) as r:
+        kind, dim, count = r.record(HEADER_DTYPE, "header")
+        if kind not in (KIND_DENSE, KIND_SPARSE):
+            raise FormatError(f"{path}: unknown kind byte {kind}", offset=8)
+        meta_at = r.pos
+        metadata = r.array(METADATA_DTYPE, count, "metadata")
+        key = _span_keys(metadata["doc_id"], metadata["s"], metadata["e"])
+        found = _first_bad(
+            (metadata["s"] > metadata["e"], "starts after it ends"),
+            (np.r_[False, key[1:] <= key[:-1]], "is not after the one before in (doc_id, s, e)"),
         )
+        if found:
+            i, problem = found
+            at = meta_at + i * METADATA_DTYPE.itemsize
+            raise FormatError(f"{path}: metadata record {i} {problem}", offset=at)
 
-    if kind == KIND_DENSE:
-        at = r.pos
-        vectors = r.array("<f4", count * dim, "vectors").reshape(count, dim)
-        finite = np.isfinite(vectors).all(axis=1)
-        if not finite.all():
-            row = int(finite.argmin())
-            raise FormatError(f"{path}: vector row {row} is not finite", offset=at)
-        r.finish()
-        return PhraseIndex("dense", metadata, vectors=vectors)
+        if kind == KIND_DENSE:
+            at = r.pos
+            vectors = r.array("<f4", count * dim, "vectors").reshape(count, dim)
+            # A row is finite when its extremes are (a NaN is both): no (count, dim) mask.
+            finite = np.isfinite(vectors.max(axis=1, initial=0))
+            finite &= np.isfinite(vectors.min(axis=1, initial=0))
+            if not finite.all():
+                row = int(finite.argmin())
+                raise FormatError(f"{path}: vector row {row} is not finite", offset=at)
+            r.finish()
+            return PhraseIndex("dense", metadata, vectors=vectors)
 
-    num_terms, num_docs = r.record(SPARSE_DTYPE, "term and document counts")
-    df: dict[str, int] = {}
-    for i in range(num_terms):
-        at = r.pos
-        term_df, length = r.record(TERM_DTYPE, f"term {i}")
-        raw = r.buf[r.skip(length, f"term {i}") : r.pos]
-        try:
-            term = raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"{path}: term {i} is not valid utf-8", offset=at) from exc
-        if i and term <= prev:  # IdfTable numbers the terms in sorted order
-            raise FormatError(f"{path}: term {i} is not after the one before", offset=at)
-        if term_df > num_docs:
+        num_terms, num_docs = r.record(SPARSE_DTYPE, "term and document counts")
+        df: dict[str, int] = {}
+        for i in range(num_terms):
+            at = r.pos
+            term_df, length = r.record(TERM_DTYPE, f"term {i}")
+            raw = r.array("u1", length, f"term {i}").tobytes()
+            try:
+                term = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"{path}: term {i} is not valid utf-8", offset=at) from exc
+            if i and term <= prev:  # IdfTable numbers the terms in sorted order
+                raise FormatError(f"{path}: term {i} is not after the one before", offset=at)
+            if term_df > num_docs:
+                raise FormatError(
+                    f"{path}: term {i} has df {term_df} above the document count {num_docs}",
+                    offset=at,
+                )
+            df[term] = term_df
+            prev = term
+        indptr = np.zeros(num_terms + 1, dtype=np.uint64)
+        np.cumsum(r.array("<u8", num_terms, "posting counts"), out=indptr[1:])
+        if np.any(indptr[1:] < indptr[:-1]):
+            at = r.pos - 8 * num_terms
+            raise FormatError(f"{path}: posting counts add up past 2**64", offset=at)
+        ords_at = r.pos
+        ords = r.array("<u8", indptr[-1], "ordinals")
+        ws = r.array("<f4", indptr[-1], "weights")
+        indptr = indptr.astype(np.int64)
+        falling = np.r_[False, ords[1:] <= ords[:-1]]
+        falling[indptr[:-1][np.diff(indptr) > 0]] = False  # each term starts its own run
+        found = _first_bad(
+            (ords >= count, "reference an ordinal beyond the index"),
+            (falling, "are not strictly increasing"),
+            (~np.isfinite(ws), "hold a non-finite weight"),
+        )
+        if found:
+            term_id = int(np.searchsorted(indptr, found[0], side="right")) - 1
             raise FormatError(
-                f"{path}: term {i} has df {term_df} above the document count {num_docs}",
-                offset=at,
+                f"{path}: postings of term {term_id} {found[1]}",
+                offset=ords_at + 8 * int(indptr[term_id]),
             )
-        df[term] = term_df
-        prev = term
-    indptr = np.zeros(num_terms + 1, dtype=np.uint64)
-    np.cumsum(r.array("<u8", num_terms, "posting counts"), out=indptr[1:])
-    if np.any(indptr[1:] < indptr[:-1]):
-        at = r.pos - 8 * num_terms
-        raise FormatError(f"{path}: posting counts add up past 2**64", offset=at)
-    ords_at = r.pos
-    ords = r.array("<u8", indptr[-1], "ordinals")
-    ws = r.array("<f4", indptr[-1], "weights")
-    indptr = indptr.astype(np.int64)
-    falling = np.r_[False, ords[1:] <= ords[:-1]]
-    falling[indptr[:-1][np.diff(indptr) > 0]] = False  # each term starts its own run
-    found = _first_bad(
-        (ords >= count, "reference an ordinal beyond the index"),
-        (falling, "are not strictly increasing"),
-        (~np.isfinite(ws), "hold a non-finite weight"),
-    )
-    if found:
-        term_id = int(np.searchsorted(indptr, found[0], side="right")) - 1
-        raise FormatError(
-            f"{path}: postings of term {term_id} {found[1]}",
-            offset=ords_at + 8 * int(indptr[term_id]),
-        )
-    r.finish()
-    idf = IdfTable(df=df, num_documents=num_docs)
-    return PhraseIndex("sparse", metadata, postings=(indptr, ords, ws), idf=idf)
+        r.finish()
+        idf = IdfTable(df=df, num_documents=num_docs)
+        return PhraseIndex("sparse", metadata, postings=(indptr, ords, ws), idf=idf)

@@ -4,11 +4,15 @@ Each function computes, one span or one ordinal at a time, what the package
 now computes in a few array operations: tests compare the two bit for bit.
 """
 
+import math
+
 import numpy as np
 
+from phraseindex import filtering
 from phraseindex.candidates import CandidateSpan, enumerate_spans
 from phraseindex.encode.dense import LSTM_SA, sa_all, softmax_pool
 from phraseindex.errors import ConfigError
+from phraseindex.filtering import PerceptronFilter
 from phraseindex.index import METADATA_DTYPE
 
 
@@ -74,3 +78,51 @@ def gold_label_mask(index, corpus) -> np.ndarray:
         if tuple(index.span(ordinal)) in gold:
             labels[ordinal] = 1.0
     return labels
+
+
+def train_filter_float64(index, corpus, epochs=100, learning_rate=0.5, seed=0):
+    """train_filter on float64 copies of the training and held-out rows.
+
+    Returns the filter and every epoch's (held-out loss, weights, bias), so a
+    test can tell which epochs tie the best loss within rounding.
+    """
+    labels = filtering._gold_label_mask(index, corpus)
+    n, dim = index.vectors.shape
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    order = rng.permutation(n)
+    held = order[: n // 10]
+    train = order[n // 10 :] if n >= 2 else order
+    if len(train) == 0 or labels[train].sum() == 0:
+        held = train = np.arange(n)
+
+    x = index.vectors[train].astype(np.float64)
+    y = labels[train]
+    pos = y.sum()
+    neg = len(y) - pos
+    pos_weight = neg / pos if pos and neg else 1.0
+    w_train = np.where(y == 1.0, pos_weight, 1.0)
+    x_held = index.vectors[held].astype(np.float64)
+    y_held = labels[held]
+    w_held = np.where(y_held == 1.0, pos_weight, 1.0)
+
+    weights = np.zeros(dim)
+    bias = 0.0
+    best = (math.inf, weights.copy(), bias)
+    trajectory = []
+    for _ in range(epochs):
+        z = x @ weights + bias
+        p = 1.0 / (1.0 + np.exp(-z))
+        residual = w_train * (p - y)
+        denom = w_train.sum()
+        weights -= learning_rate * (x.T @ residual) / denom
+        bias -= learning_rate * residual.sum() / denom
+        if len(held):
+            loss = filtering._weighted_logistic_loss(x_held @ weights + bias, y_held, w_held)
+        else:
+            loss = filtering._weighted_logistic_loss(x @ weights + bias, y, w_train)
+        trajectory.append((loss, weights.copy(), bias))
+        if loss < best[0]:
+            best = (loss, weights.copy(), bias)
+    _, weights, bias = best
+    filt = PerceptronFilter(weights=weights.astype(np.float32), bias=float(np.float32(bias)))
+    return filt, trajectory

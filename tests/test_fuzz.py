@@ -1,5 +1,6 @@
 """Random byte flips and truncations of every file format: a load either
-succeeds or raises FormatError, never any other exception."""
+succeeds or raises FormatError, never any other exception, and leaves no file
+open (an unclosed file's ResourceWarning fails the test)."""
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,10 @@ from phraseindex.alsh import AlshParams, build_alsh, load_alsh, save_alsh
 from phraseindex.errors import FormatError
 from phraseindex.filtering import load_filter, save_filter, train_filter
 from phraseindex.index import load_index, save_index
+
+pytestmark = pytest.mark.filterwarnings(
+    "error::ResourceWarning", "error::pytest.PytestUnraisableExceptionWarning"
+)
 
 
 @pytest.fixture(scope="module")

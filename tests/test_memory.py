@@ -1,4 +1,4 @@
-"""Transient memory of the build stage, measured with tracemalloc.
+"""Transient memory of every stage, measured with tracemalloc.
 
 numpy reports its array buffers to tracemalloc, so these peaks count every
 array a call allocates; they do not depend on the host or on its allocator.
@@ -6,24 +6,43 @@ array a call allocates; they do not depend on the host or on its allocator.
 
 import tracemalloc
 
+import numpy as np
+
 from phraseindex import alsh as alsh_module
-from phraseindex.corpus import Corpus, Document
+from phraseindex.candidates import CandidateSpan
+from phraseindex.corpus import Corpus, Document, QAExample
 from phraseindex.encode.wordvectors import toy_word_vector_table
-from phraseindex.index import build_index, save_index, synthetic_dense_index
+from phraseindex.filtering import train_filter
+from phraseindex.index import (
+    _SCORE_BLOCK_BYTES,
+    build_index,
+    load_index,
+    save_index,
+    search_exact,
+    synthetic_dense_index,
+)
 
 MiB = 1 << 20
 
 
-def traced_peak(call):
-    """(result, bytes allocated at the peak of call beyond what was live before it)."""
+def traced(call):
+    """(result, bytes allocated at the peak of call, bytes still held after it),
+    both beyond what was live before it."""
     tracemalloc.start()
     tracemalloc.reset_peak()
     try:
         before = tracemalloc.get_traced_memory()[0]
         result = call()
-        return result, tracemalloc.get_traced_memory()[1] - before
+        held, peak = tracemalloc.get_traced_memory()
+        return result, peak - before, held - before
     finally:
         tracemalloc.stop()
+
+
+def traced_peak(call):
+    """(result, bytes allocated at the peak of call beyond what was live before it)."""
+    result, peak, _ = traced(call)
+    return result, peak
 
 
 def words_corpus(num_docs, doc_len):
@@ -59,3 +78,62 @@ def test_alsh_build_holds_codes_tables_and_the_hashing_budget():
     tables = sum(t.codes.nbytes + t.indptr.nbytes + t.ordinals.nbytes for t in built.buckets)
     hashing = 4 * alsh_module._HASH_CHUNK_BYTES  # see _HASH_CHUNK_BYTES
     assert peak <= codes + tables + built.hyperplanes.nbytes + hashing
+
+
+def test_filter_training_holds_no_copy_of_the_block():
+    """Training keeps a few float64 values per row, never a (rows, dim) array."""
+    index = synthetic_dense_index(16_384, 256)
+    spans = [CandidateSpan(0, 5, 5), CandidateSpan(3, 17, 17), CandidateSpan(12, 999, 999)]
+    examples = [QAExample(f"q{i}", ["w"], span.doc_id, ["w"], [span]) for i, span in enumerate(spans)]
+    corpus = Corpus(documents=[], examples=examples, vocab_df={}, num_documents=0)
+    _, peak = traced_peak(lambda: train_filter(index, corpus, epochs=3))
+    assert index.vectors.nbytes == 16 * MiB
+    assert peak <= 16 * 8 * len(index) + MiB
+
+
+def random_words_corpus(num_docs, doc_len, vocab, seed):
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    docs = []
+    for i in range(num_docs):
+        tokens = [f"w{t}" for t in rng.integers(0, vocab, size=doc_len)]
+        docs.append(Document(i, "", tokens, [(0, 0)] * doc_len))
+    df = {}
+    for doc in docs:
+        for term in set(doc.tokens):
+            df[term] = df.get(term, 0) + 1
+    return Corpus(documents=docs, examples=[], vocab_df=df, num_documents=num_docs)
+
+
+def test_loads_hold_no_file_image(tmp_path):
+    """Each section is read into the array that keeps it, so beyond what a load
+    returns it holds only its checks' temporaries: O(count) keys of the
+    metadata, plus, for a sparse index, bool masks over the postings (about 4
+    bytes a posting, a quarter of its file)."""
+    dense = synthetic_dense_index(33_000, 64)
+    sparse = build_index(random_words_corpus(40, 200, 300, seed=3), "tfidf")
+    alsh = alsh_module.build_alsh(dense, alsh_module.AlshParams())
+    save_index(dense, str(tmp_path / "dense.idx"))
+    save_index(sparse, str(tmp_path / "sparse.idx"))
+    alsh_module.save_alsh(alsh, str(tmp_path / "dense.alsh"))
+    loads = {
+        "dense.idx": (load_index, lambda size: MiB),
+        "sparse.idx": (load_index, lambda size: size // 3),
+        "dense.alsh": (lambda path: alsh_module.load_alsh(path, dense), lambda size: MiB),
+    }
+    for name, (load, extra) in loads.items():
+        path = tmp_path / name
+        size = path.stat().st_size
+        assert size >= 8 * MiB, name
+        _, peak, held = traced(lambda: load(str(path)))
+        assert held >= 0.9 * size, name  # the returned arrays
+        assert peak <= held + extra(size), name
+
+
+def test_dense_block_search_holds_one_score_block():
+    index = synthetic_dense_index(50_000, 64)
+    queries = np.random.Generator(np.random.Philox(key=1)).normal(size=(256, 64))
+    rows_per_block = _SCORE_BLOCK_BYTES // (4 * len(queries))
+    assert len(index) > 3 * rows_per_block  # four blocks
+    for k in (1, 3):
+        _, peak = traced_peak(lambda: search_exact(index, queries.astype(np.float32), k_top=k))
+        assert peak <= _SCORE_BLOCK_BYTES + MiB, k
