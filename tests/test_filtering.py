@@ -193,11 +193,12 @@ def ladder_filter(dim=4):
 def test_scores_in_row_blocks_match_one_product():
     """Scoring 2,048-row blocks gives the bits of one float64 product over all
     rows. The row count is a multiple of 64, so each BLAS thread's share of a
-    block and of the whole starts on a group boundary."""
+    block and of the whole starts on a group boundary. The weights are float64:
+    with float32 ones every product is exact and any blocking would match."""
     n, dim = 64 * 95, 256
     rng = np.random.Generator(np.random.Philox(key=5))
     vectors = rng.normal(size=(n, dim)).astype(np.float32)
-    filt = PerceptronFilter(weights=rng.normal(size=dim).astype(np.float32), bias=0.375)
+    filt = PerceptronFilter(weights=rng.normal(size=dim), bias=0.375)
     expected = vectors.astype(np.float64) @ filt.weights.astype(np.float64) + filt.bias
     with mock.patch.object(filtering, "_SCORE_BLOCK_BYTES", 2048 * 8 * dim):
         scores = filt.score(vectors)  # blocks of 2,048, 2,048 and 1,984 rows

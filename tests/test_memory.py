@@ -5,6 +5,7 @@ array a call allocates; they do not depend on the host or on its allocator.
 """
 
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 
@@ -84,7 +85,7 @@ def test_filter_training_holds_no_copy_of_the_block():
     """Training keeps a few float64 values per row, never a (rows, dim) array."""
     index = synthetic_dense_index(16_384, 256)
     spans = [CandidateSpan(0, 5, 5), CandidateSpan(3, 17, 17), CandidateSpan(12, 999, 999)]
-    examples = [QAExample(f"q{i}", ["w"], span.doc_id, ["w"], [span]) for i, span in enumerate(spans)]
+    examples = [QAExample(f"q{i}", ["w"], s.doc_id, ["w"], [s]) for i, s in enumerate(spans)]
     corpus = Corpus(documents=[], examples=examples, vocab_df={}, num_documents=0)
     _, peak = traced_peak(lambda: train_filter(index, corpus, epochs=3))
     assert index.vectors.nbytes == 16 * MiB
@@ -97,11 +98,8 @@ def random_words_corpus(num_docs, doc_len, vocab, seed):
     for i in range(num_docs):
         tokens = [f"w{t}" for t in rng.integers(0, vocab, size=doc_len)]
         docs.append(Document(i, "", tokens, [(0, 0)] * doc_len))
-    df = {}
-    for doc in docs:
-        for term in set(doc.tokens):
-            df[term] = df.get(term, 0) + 1
-    return Corpus(documents=docs, examples=[], vocab_df=df, num_documents=num_docs)
+    df = Counter(term for doc in docs for term in set(doc.tokens))
+    return Corpus(documents=docs, examples=[], vocab_df=dict(df), num_documents=num_docs)
 
 
 def test_loads_hold_no_file_image(tmp_path):
