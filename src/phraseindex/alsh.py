@@ -118,25 +118,16 @@ def _norm_terms(sq_norms: np.ndarray, m: int) -> np.ndarray:
     return cols
 
 
-def preprocess_data(x: np.ndarray, max_norm: float, U: float = 0.75, m: int = 2) -> np.ndarray:
-    """Shrink a data vector into the unit ball and append norm corrections."""
-    if max_norm <= 0:
-        raise ValueError(f"max_norm must be positive, got {max_norm}")
-    x = np.asarray(x, dtype=np.float64)
-    norm = float(np.linalg.norm(x))
-    if norm > max_norm * (1 + 1e-9):
-        raise ValueError(f"vector norm {norm} exceeds max_norm {max_norm}")
-    scaled = x * (U / max_norm)
-    return np.concatenate([scaled, _norm_terms(np.dot(scaled, scaled), m)])
-
-
 def preprocess_query(q: np.ndarray, m: int = 2) -> np.ndarray:
-    """Normalize a query vector and pad with m zeros."""
+    """Normalize a query vector and pad with m zeros.
+
+    A zero vector stays zero, so it hashes to code 0 in every table.
+    """
     q = np.asarray(q, dtype=np.float64)
     norm = float(np.linalg.norm(q))
-    if norm == 0.0:
-        raise ValueError("query vector is zero")
-    return np.concatenate([q / norm, np.zeros(m)])
+    if norm:
+        q = q / norm
+    return np.concatenate([q, np.zeros(m)])
 
 
 def _pack_codes(projections: np.ndarray, bits: int) -> np.ndarray:

@@ -20,21 +20,8 @@ class CandidateSpan(NamedTuple):
     e: int
 
 
-def enumerate_spans(doc_len: int, max_span_len: int) -> list[tuple[int, int]]:
-    """All (s, e) with 1 <= e-s+1 <= max_span_len, lexicographic by (s, e)."""
-    if doc_len < 0:
-        raise ValueError(f"doc_len must be >= 0, got {doc_len}")
-    if max_span_len < 1:
-        raise ValueError(f"max_span_len must be >= 1, got {max_span_len}")
-    return [
-        (s, e)
-        for s in range(doc_len)
-        for e in range(s, min(s + max_span_len, doc_len))
-    ]
-
-
 def span_bounds(doc_len: int, max_span_len: int) -> tuple[np.ndarray, np.ndarray]:
-    """enumerate_spans as two int64 arrays, the starts and the ends, in its order."""
+    """Every span (s, e) of 1 to max_span_len tokens, lexicographic, as int64 starts and ends."""
     widths = np.minimum(max_span_len, np.arange(doc_len, 0, -1))
     starts = np.repeat(np.arange(doc_len), widths)
     firsts = np.repeat(np.cumsum(widths) - widths, widths)
@@ -42,7 +29,7 @@ def span_bounds(doc_len: int, max_span_len: int) -> tuple[np.ndarray, np.ndarray
 
 
 def span_count(doc_len: int, max_span_len: int) -> int:
-    """Closed-form count of enumerate_spans: m*L - L(L-1)/2 for m >= L, else m(m+1)/2."""
+    """Closed-form count of span_bounds: m*L - L(L-1)/2 for m >= L, else m(m+1)/2."""
     m, L = doc_len, max_span_len
     if m < 0:
         raise ValueError(f"doc_len must be >= 0, got {m}")
@@ -51,10 +38,3 @@ def span_count(doc_len: int, max_span_len: int) -> int:
     if m >= L:
         return m * L - L * (L - 1) // 2
     return m * (m + 1) // 2
-
-
-def candidates_per_word(doc_len: int, max_span_len: int) -> float:
-    """Unfiltered candidate-to-word ratio; approaches max_span_len for long docs."""
-    if doc_len < 1:
-        raise ValueError(f"doc_len must be >= 1, got {doc_len}")
-    return span_count(doc_len, max_span_len) / doc_len

@@ -7,6 +7,7 @@ level comes from the PIQA_LOG environment variable (default WARNING).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -119,7 +120,7 @@ def cmd_bench(args) -> int:
     else:
         index = synthetic_dense_index(args.candidates, args.dim, seed=args.seed)
     result = bench_scan(index, num_queries=args.queries, seed=args.seed)
-    print(json.dumps(result.to_json(), indent=2))
+    print(json.dumps(dataclasses.asdict(result), indent=2))
     return 0
 
 

@@ -33,20 +33,6 @@ def softmax(scores: np.ndarray) -> np.ndarray:
     return z / z.sum(axis=-1, keepdims=True)
 
 
-def softmax_pool(vectors, scores) -> np.ndarray:
-    """Weighted sum of vectors under softmax(scores)."""
-    vectors = np.asarray(vectors, dtype=np.float64)
-    scores = np.asarray(scores, dtype=np.float64)
-    if vectors.ndim != 2 or scores.ndim != 1 or len(vectors) != len(scores):
-        raise ValueError(
-            f"need matching non-empty lists, got {len(vectors)} vectors "
-            f"and {scores.size} scores"
-        )
-    if len(vectors) == 0:
-        raise ValueError("softmax_pool needs at least one vector")
-    return softmax(scores) @ vectors
-
-
 def sa_all(channels: "DocChannels") -> np.ndarray:
     """Self-attended word vectors: row j pools the base words by softmax(sa_key @ sa_query[j])."""
     if channels.sa_key is None or channels.sa_query is None:
@@ -60,8 +46,8 @@ def sa_all(channels: "DocChannels") -> np.ndarray:
 def compose_question(channels: "QuestionChannels", mode: str) -> np.ndarray:
     """Concatenate one softmax pool of the question words per score channel.
 
-    Equal, bit for bit, to concatenating softmax_pool(base, scores[k]) over the
-    channels: one float64 cast of base and one stacked softmax serve every pool.
+    Equal, bit for bit, to pooling each channel alone, softmax(scores[k]) @ base:
+    one float64 cast of base and one stacked softmax serve every pool.
     """
     if mode not in QUESTION_POOLS:
         raise ConfigError(f"unknown composition mode {mode!r}")

@@ -32,38 +32,15 @@ class SparseVector:
         return cls(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.float64))
 
     @classmethod
-    def from_weights(cls, by_term: dict[int, float], normalize: bool = True) -> "SparseVector":
+    def from_weights(cls, by_term: dict[int, float]) -> "SparseVector":
         if not by_term:
             return cls.empty()
         ids = np.array(sorted(by_term), dtype=np.int64)
         w = np.array([by_term[int(t)] for t in ids], dtype=np.float64)
-        if normalize:
-            norm = math.sqrt(float(w @ w))
-            if norm > 0:
-                w = w / norm
+        norm = math.sqrt(float(w @ w))
+        if norm > 0:
+            w = w / norm
         return cls(ids, w)
-
-    @property
-    def is_empty(self) -> bool:
-        return self.term_ids.size == 0
-
-    def norm(self) -> float:
-        return math.sqrt(float(self.weights @ self.weights))
-
-    def dot(self, other: "SparseVector") -> float:
-        i = j = 0
-        total = 0.0
-        a_ids, b_ids = self.term_ids, other.term_ids
-        while i < len(a_ids) and j < len(b_ids):
-            if a_ids[i] == b_ids[j]:
-                total += float(self.weights[i]) * float(other.weights[j])
-                i += 1
-                j += 1
-            elif a_ids[i] < b_ids[j]:
-                i += 1
-            else:
-                j += 1
-        return total
 
 
 @dataclass

@@ -49,11 +49,6 @@ class WordVectorTable:
     documents: dict[int, DocChannels] = field(default_factory=dict)
     questions: dict[str, QuestionChannels] = field(default_factory=dict)
 
-    def doc(self, doc_id: int) -> DocChannels:
-        if doc_id not in self.documents:
-            raise SchemaError(f"word-vector table has no document {doc_id}")
-        return self.documents[doc_id]
-
     def question(self, question_id: str) -> QuestionChannels:
         if question_id not in self.questions:
             raise SchemaError(f"word-vector table has no question {question_id!r}")
@@ -211,7 +206,6 @@ def toy_word_vector_table(
     dim: int = 16,
     seed: int = 0,
     with_sa: bool = True,
-    score_channels: int = 4,
 ) -> WordVectorTable:
     """Deterministic hash-seeded word vectors for tests and smoke runs.
 
@@ -237,9 +231,7 @@ def toy_word_vector_table(
             ex.question_id,
             base=_toy_rng(seed, "q_base", ex.question_id).normal(size=(n, dim)).astype(np.float32),
         )
-        for k in range(score_channels):
-            q.scores[k] = (
-                _toy_rng(seed, f"score{k}", ex.question_id).normal(size=n).astype(np.float32)
-            )
+        for k, channel in enumerate(SCORE_CHANNELS):
+            q.scores[k] = _toy_rng(seed, channel, ex.question_id).normal(size=n).astype(np.float32)
         table.questions[ex.question_id] = q
     return table

@@ -33,14 +33,12 @@ class PerceptronFilter:
     bias: float
 
     def score(self, vectors: np.ndarray) -> np.ndarray:
-        """Linear scores, float64, one per row (or a scalar for one vector).
+        """Linear scores of a (rows, dim) block, float64, one per row.
 
         Rows are cast a block at a time. A block holds a multiple of 64 rows, so
         BLAS groups them, and sums each, as in one product over all rows.
         """
         weights = self.weights.astype(np.float64)
-        if vectors.ndim == 1:
-            return vectors.astype(np.float64) @ weights + self.bias
         step = max(1, _SCORE_BLOCK_BYTES // (8 * vectors.shape[1] * 64)) * 64
         scores = np.empty(len(vectors))
         for start in range(0, len(vectors), step):

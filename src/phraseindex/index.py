@@ -57,7 +57,7 @@ class SearchHit:
 class PhraseIndex:
     """Read-only candidate store; safe for concurrent searches.
 
-    Sparse postings: a CSR triple (indptr, ordinals, weights), or a dict to flatten.
+    Sparse postings: a CSR triple (indptr, ordinals, weights).
     """
 
     def __init__(
@@ -66,7 +66,7 @@ class PhraseIndex:
         metadata: np.ndarray,
         *,
         vectors: np.ndarray | None = None,
-        postings: tuple | dict[int, tuple[np.ndarray, np.ndarray]] | None = None,
+        postings: tuple | None = None,
         idf: IdfTable | None = None,
     ):
         if kind not in ("dense", "sparse"):
@@ -82,11 +82,6 @@ class PhraseIndex:
         else:
             if postings is None or idf is None:
                 raise ValueError("sparse index needs postings and a term table")
-            if isinstance(postings, dict):
-                empty = (np.empty(0, np.uint64), np.empty(0, np.float32))
-                runs = [postings.get(t, empty) for t in range(len(idf.vocab))]
-                indptr = np.cumsum([0] + [len(o) for o, _ in runs])
-                postings = (indptr, *map(np.concatenate, zip(*runs, empty)))
             self.indptr = np.asarray(postings[0], dtype=np.int64)
             self.ordinals = np.asarray(postings[1], dtype=np.uint64)
             self.weights = np.asarray(postings[2], dtype=np.float32)
@@ -127,18 +122,19 @@ class PhraseIndex:
         key = np.uint32(doc_id)  # a Python int key would cast the whole column
         return int(ids.searchsorted(key, "left")), int(ids.searchsorted(key, "right"))
 
+    def doc_ends(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each indexed document's id, ascending, and the largest end of its spans."""
+        ids = self.metadata["doc_id"]
+        starts = np.flatnonzero(np.r_[len(ids) > 0, ids[1:] != ids[:-1]])
+        return ids[starts], np.maximum.reduceat(self.metadata["e"].astype(np.int64), starts)
+
     def total_words(self) -> int:
         """Document words covered by the metadata (max end+1 per doc).
 
         Exact for unfiltered indexes; for filtered ones it is a lower
         bound, so storage reports should pass the true count explicitly.
         """
-        if len(self.metadata) == 0:
-            return 0
-        ids = self.metadata["doc_id"]
-        starts = np.flatnonzero(np.r_[True, ids[1:] != ids[:-1]])
-        per_doc = np.maximum.reduceat(self.metadata["e"].astype(np.int64), starts)
-        return int((per_doc + 1).sum())
+        return int((self.doc_ends()[1] + 1).sum())
 
 
 def _span_keys(doc_id, s, e) -> np.ndarray:
@@ -147,14 +143,6 @@ def _span_keys(doc_id, s, e) -> np.ndarray:
     key |= np.asarray(s, np.uint64) << np.uint64(16)
     key |= np.asarray(e, np.uint64)
     return key
-
-
-def _pack_metadata(rows: list[tuple[int, int, int]]) -> np.ndarray:
-    arr = np.zeros(len(rows), dtype=METADATA_DTYPE)
-    if rows:
-        ids, ss, es = zip(*rows)
-        arr["doc_id"], arr["s"], arr["e"] = ids, ss, es
-    return arr
 
 
 def build_index(
@@ -408,19 +396,9 @@ class BenchResult:
     total_words: int
     dim: int
 
-    def to_json(self) -> dict:
-        return {
-            "words_per_second": self.words_per_second,
-            "candidates_per_second": self.candidates_per_second,
-            "mean_query_seconds": self.mean_query_seconds,
-            "num_candidates": self.num_candidates,
-            "total_words": self.total_words,
-            "dim": self.dim,
-        }
-
 
 def bench_scan(index: PhraseIndex, num_queries: int = 16, seed: int = 0) -> BenchResult:
-    """Time exact scans over synthetic queries on a dense index.
+    """Time search_exact over synthetic queries on a dense index, one query at a time.
 
     Throughput is reported in document words per second: candidates
     scanned per second divided by the index's candidates-per-word ratio.
@@ -432,12 +410,11 @@ def bench_scan(index: PhraseIndex, num_queries: int = 16, seed: int = 0) -> Benc
     rng = np.random.Generator(np.random.Philox(key=seed))
     queries = rng.normal(size=(num_queries, index.dim)).astype(np.float32)
     for q in queries[:2]:  # warm caches and BLAS threads
-        (index.vectors @ q).argmax()
+        search_exact(index, q)
     elapsed = []
     for q in queries:
         t0 = time.perf_counter()
-        scores = index.vectors @ q
-        scores.argmax()
+        search_exact(index, q)
         elapsed.append(time.perf_counter() - t0)
     mean_s = sum(elapsed) / len(elapsed)
     n = len(index)
@@ -452,42 +429,27 @@ def bench_scan(index: PhraseIndex, num_queries: int = 16, seed: int = 0) -> Benc
     )
 
 
-def synthetic_dense_index(
-    num_candidates: int,
-    dim: int,
-    seed: int = 0,
-    vectors_per_word: float = 1.3,
-) -> PhraseIndex:
+def synthetic_dense_index(num_candidates: int, dim: int, seed: int = 0) -> PhraseIndex:
     """Random dense index shaped like a filtered real one, for benchmarks.
 
-    Fabricates documents of 1000 words keeping vectors_per_word spans per
-    word (length-1 spans everywhere plus length-2 spans at the front), so
-    total_words() reflects the requested ratio.
+    Fabricates documents of 1000 words keeping 1.3 spans per word (length-1
+    spans everywhere plus length-2 spans on the first 300 words), so
+    total_words() reflects that ratio.
     """
     if num_candidates < 1 or dim < 1:
         raise ValueError("num_candidates and dim must be positive")
-    doc_len = 1000
-    extra = int(round(doc_len * (vectors_per_word - 1.0)))
-    if not 0 <= extra < doc_len:
-        raise ValueError("vectors_per_word must be in [1, 2) for the synthetic layout")
-    per_doc: list[tuple[int, int]] = []
-    for s in range(doc_len):
-        per_doc.append((s, s))
-        if s < extra:
-            per_doc.append((s, s + 1))
-    rows: list[tuple[int, int, int]] = []
-    doc = 0
-    while len(rows) < num_candidates:
-        take = min(len(per_doc), num_candidates - len(rows))
-        rows.extend((doc, s, e) for s, e in per_doc[:take])
-        doc += 1
+    per_doc = np.array([(s, e) for s in range(1000) for e in range(s, s + 1 + (s < 300))])
+    at = np.arange(num_candidates)
+    metadata = np.zeros(num_candidates, dtype=METADATA_DTYPE)
+    metadata["doc_id"] = at // len(per_doc)
+    metadata["s"], metadata["e"] = per_doc[at % len(per_doc)].T
     rng = np.random.Generator(np.random.Philox(key=seed))
     vectors = np.empty((num_candidates, dim), dtype=np.float32)
-    step = max(1, (1 << 22) // max(1, dim))  # ~16 MB float32 chunks
+    step = max(1, (1 << 22) // dim)  # ~16 MB float32 chunks
     for start in range(0, num_candidates, step):
         stop = min(num_candidates, start + step)
         vectors[start:stop] = rng.normal(size=(stop - start, dim)).astype(np.float32)
-    return PhraseIndex("dense", _pack_metadata(rows), vectors=vectors)
+    return PhraseIndex("dense", metadata, vectors=vectors)
 
 
 class _Reader:

@@ -69,7 +69,8 @@ class QueryEngine:
     A question string is tokenized for a sparse index and used as the
     question id for a dense one (see question_encoder). Answer text is
     rendered only when a corpus is attached; otherwise the text field is
-    null.
+    null. An attached corpus must hold every indexed document, each long
+    enough for its spans, or ConfigError is raised.
     """
 
     def __init__(
@@ -79,6 +80,18 @@ class QueryEngine:
         alsh: AlshIndex | None = None,
         word_vectors: "WordVectorTable | None" = None,
     ):
+        ends = zip(*(a.tolist() for a in index.doc_ends())) if corpus is not None else ()
+        for doc_id, end in ends:
+            if doc_id >= len(corpus.documents):
+                raise ConfigError(
+                    f"indexed document {doc_id} is not in the corpus "
+                    f"({len(corpus.documents)} documents)"
+                )
+            if end >= len(corpus.document(doc_id)):
+                raise ConfigError(
+                    f"indexed document {doc_id} has a span ending at token {end}; "
+                    f"the corpus document has {len(corpus.document(doc_id))} tokens"
+                )
         self.index = index
         self.corpus = corpus
         self.alsh = alsh

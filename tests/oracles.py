@@ -9,11 +9,59 @@ import math
 import numpy as np
 
 from phraseindex import filtering
-from phraseindex.candidates import CandidateSpan, enumerate_spans
-from phraseindex.encode.dense import LSTM_SA, sa_all, softmax_pool
+from phraseindex.alsh import _norm_terms
+from phraseindex.candidates import CandidateSpan
+from phraseindex.encode.dense import LSTM_SA, sa_all, softmax
 from phraseindex.errors import ConfigError
 from phraseindex.filtering import PerceptronFilter
 from phraseindex.index import METADATA_DTYPE
+
+
+def enumerate_spans(doc_len: int, max_span_len: int) -> list[tuple[int, int]]:
+    """All (s, e) with 1 <= e-s+1 <= max_span_len, lexicographic by (s, e)."""
+    if doc_len < 0:
+        raise ValueError(f"doc_len must be >= 0, got {doc_len}")
+    if max_span_len < 1:
+        raise ValueError(f"max_span_len must be >= 1, got {max_span_len}")
+    return [
+        (s, e)
+        for s in range(doc_len)
+        for e in range(s, min(s + max_span_len, doc_len))
+    ]
+
+
+def softmax_pool(vectors, scores) -> np.ndarray:
+    """Weighted sum of vectors under softmax(scores)."""
+    vectors = np.asarray(vectors, dtype=np.float64)
+    scores = np.asarray(scores, dtype=np.float64)
+    if vectors.ndim != 2 or scores.ndim != 1 or len(vectors) != len(scores):
+        raise ValueError(
+            f"need matching non-empty lists, got {len(vectors)} vectors "
+            f"and {scores.size} scores"
+        )
+    if len(vectors) == 0:
+        raise ValueError("softmax_pool needs at least one vector")
+    return softmax(scores) @ vectors
+
+
+def preprocess_data(x: np.ndarray, max_norm: float, U: float = 0.75, m: int = 2) -> np.ndarray:
+    """Shrink one data vector into the unit ball and append norm corrections."""
+    if max_norm <= 0:
+        raise ValueError(f"max_norm must be positive, got {max_norm}")
+    x = np.asarray(x, dtype=np.float64)
+    norm = float(np.linalg.norm(x))
+    if norm > max_norm * (1 + 1e-9):
+        raise ValueError(f"vector norm {norm} exceeds max_norm {max_norm}")
+    scaled = x * (U / max_norm)
+    return np.concatenate([scaled, _norm_terms(np.dot(scaled, scaled), m)])
+
+
+def csr_postings(postings: dict, num_terms: int) -> tuple:
+    """The CSR triple (indptr, ordinals, weights) of a term id -> (ordinals, weights) dict."""
+    empty = (np.empty(0, np.uint64), np.empty(0, np.float32))
+    runs = [postings.get(t, empty) for t in range(num_terms)]
+    indptr = np.cumsum([0] + [len(o) for o, _ in runs])
+    return (indptr, *map(np.concatenate, zip(*runs, empty)))
 
 
 def sa_word_vector(channels, position: int) -> np.ndarray:

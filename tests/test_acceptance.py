@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from phraseindex.alsh import AlshParams, build_alsh, load_alsh, save_alsh, search_approx
-from phraseindex.candidates import CandidateSpan, enumerate_spans, span_count
+from phraseindex.candidates import CandidateSpan, span_count
 from phraseindex.corpus import Corpus, Document, load_squad, tokenize
 from phraseindex.encode.dense import candidate_nll, softmax
 from phraseindex.encode.tfidf import IdfTable, SparseVector, tfidf_question_encode
@@ -44,7 +44,7 @@ from phraseindex.index import (
     synthetic_dense_index,
 )
 
-from .oracles import compose_phrase_lstm
+from .oracles import compose_phrase_lstm, csr_postings, enumerate_spans
 from .toyset import one_hot_setup
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -219,7 +219,7 @@ def test_exact_search_matches_brute_force_oracle():
         index = PhraseIndex(
             "sparse",
             _meta(_random_doc_split(rng, n)),
-            postings=postings,
+            postings=csr_postings(postings, terms),
             idf=IdfTable(df={f"t{k:02d}": 1 for k in range(terms)}, num_documents=1),
         )
         nq = int(rng.integers(1, terms + 1))
@@ -385,7 +385,7 @@ def test_composition_math_properties():
         vocab_df={t: 1 for t in tokens},
         num_documents=1,
     )
-    channels = toy_word_vector_table(corpus, dim=6, seed=3).doc(0)
+    channels = toy_word_vector_table(corpus, dim=6, seed=3).documents[0]
     for s in range(len(tokens)):
         v = compose_phrase_lstm(channels, CandidateSpan(0, s, s))
         if not np.array_equal(v[:6], v[6:]):

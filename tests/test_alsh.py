@@ -14,7 +14,6 @@ from phraseindex.alsh import (
     _pack_codes,
     build_alsh,
     load_alsh,
-    preprocess_data,
     preprocess_query,
     save_alsh,
     search_approx,
@@ -22,6 +21,7 @@ from phraseindex.alsh import (
 from phraseindex.errors import ConfigError, FormatError
 from phraseindex.index import METADATA_DTYPE, PhraseIndex, _top_k, search_exact
 
+from .oracles import preprocess_data
 from .test_index import make_meta, quantized, sparse_fixture
 
 
@@ -60,8 +60,8 @@ def test_preprocess_data_validation():
 def test_preprocess_query_normalizes_and_pads():
     np.testing.assert_allclose(preprocess_query(np.array([0.0, 2.0]), m=1), [0.0, 1.0, 0.0])
     np.testing.assert_allclose(preprocess_query(np.array([5.0]), m=0), [1.0])
-    with pytest.raises(ValueError, match="zero"):
-        preprocess_query(np.zeros(4))
+    # A zero vector is padded, not divided: it hashes to code 0 in every table.
+    np.testing.assert_array_equal(preprocess_query(np.zeros(4)), np.zeros(6))
 
 
 def test_transformed_similarity_is_monotone_for_fixed_norm_data():
@@ -185,8 +185,18 @@ def test_search_validation():
         search_approx(alsh, np.ones(9))
     with pytest.raises(ValueError):
         search_approx(alsh, np.ones(4), k_top=0)
-    with pytest.raises(ValueError, match="zero"):
-        search_approx(alsh, np.zeros(4))
+
+
+def test_zero_query_rescores_the_code_zero_buckets():
+    """A zero question probes bucket 0 of every table; each probe scores 0, as in
+    an exact search, so the hits are the lowest probed ordinals."""
+    dense = dense_fixture(n=40, dim=6)
+    alsh = build_alsh(dense, AlshParams(tables=4, bits_per_table=4))
+    probed = _distinct([table[0] for table in alsh.buckets if 0 in table])
+    assert probed.tolist() == [0, 7, 8, 16, 17, 19, 20, 21, 24, 25, 27, 38]
+    hits, probes = search_approx(alsh, np.zeros(6), k_top=3)
+    assert probes == 12
+    assert [(h.span.s, h.score) for h in hits] == [(0, 0.0), (7, 0.0), (8, 0.0)]
 
 
 def _recall_at_1(alsh, dense, queries):

@@ -2,8 +2,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from phraseindex import CandidateSpan, candidates_per_word, enumerate_spans, span_count
-from phraseindex.candidates import span_bounds
+from phraseindex.candidates import CandidateSpan, span_bounds, span_count
+
+from .oracles import enumerate_spans
 
 
 def brute_force_spans(m: int, L: int) -> list[tuple[int, int]]:
@@ -42,14 +43,6 @@ def test_spans_are_lexicographic_unique_and_bounded(m, L):
         assert e - s + 1 <= L
 
 
-def test_candidates_per_word():
-    assert candidates_per_word(10, 7) == pytest.approx(4.9)
-    assert candidates_per_word(1, 7) == 1.0
-    # (m*L - L(L-1)/2) / m approaches L from below
-    assert candidates_per_word(100_000, 7) == pytest.approx(7.0, abs=1e-3)
-    assert candidates_per_word(100_000, 7) < 7.0
-
-
 def test_bad_arguments():
     with pytest.raises(ValueError):
         enumerate_spans(-1, 7)
@@ -57,8 +50,6 @@ def test_bad_arguments():
         enumerate_spans(5, 0)
     with pytest.raises(ValueError):
         span_count(3, -2)
-    with pytest.raises(ValueError):
-        candidates_per_word(0, 7)
 
 
 def test_candidate_span_is_a_plain_triple():

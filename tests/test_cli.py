@@ -300,6 +300,18 @@ def test_query_approx_without_sidecar_exits_two(ws, tmp_path):
     assert "error:" in err
 
 
+def test_query_with_a_corpus_missing_an_indexed_document_exits_two(ws, tmp_path):
+    squad = json.loads(Path(ws["dataset"]).read_text())
+    del squad["data"][0]["paragraphs"][1:]  # keep the first paragraph, document 0
+    cut = tmp_path / "cut.json"
+    cut.write_text(json.dumps(squad))
+    rc, out, err = run(
+        "query", "--index", ws["sparse"], "--question", "x", "--corpus", str(cut)
+    )
+    assert rc == 2 and out == ""
+    assert "error: indexed document 1 is not in the corpus (1 documents)" in err
+
+
 def test_query_dense_without_word_vectors_exits_two(ws):
     rc, _, err = run("query", "--index", ws["dense"], "--question", "q1")
     assert rc == 2

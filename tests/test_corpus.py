@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from phraseindex import CandidateSpan, SchemaError, align_answer, load_squad, tokenize
-from phraseindex.corpus import Document
+from phraseindex.candidates import CandidateSpan
+from phraseindex.corpus import Document, align_answer, load_squad, tokenize
+from phraseindex.errors import SchemaError
 
 
 def make_doc(text: str, doc_id: int = 0) -> Document:

@@ -12,13 +12,12 @@ from phraseindex.encode.dense import (
     compose_question,
     sa_all,
     softmax,
-    softmax_pool,
 )
 from phraseindex.encode.wordvectors import DocChannels, QuestionChannels
 from phraseindex.candidates import CandidateSpan
 from phraseindex.errors import ConfigError
 
-from .oracles import compose_phrase_lstm, compose_phrase_lstm_sa, sa_word_vector
+from .oracles import compose_phrase_lstm, compose_phrase_lstm_sa, sa_word_vector, softmax_pool
 
 
 def doc_channels(base, sa_key=None, sa_query=None, doc_id=0):

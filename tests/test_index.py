@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import struct
 import time
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phraseindex import index as index_module
-from phraseindex.candidates import CandidateSpan, enumerate_spans, span_count
+from phraseindex.candidates import CandidateSpan, span_count
 from phraseindex.corpus import Corpus, Document, tokenize
 from phraseindex.encode.dense import sa_all
 from phraseindex.encode.tfidf import IdfTable, SparseVector, tfidf_phrase_encode
@@ -27,7 +28,13 @@ from phraseindex.index import (
     synthetic_dense_index,
 )
 
-from .oracles import compose_phrase_lstm, compose_phrase_lstm_sa, per_span_dense_build
+from .oracles import (
+    compose_phrase_lstm,
+    compose_phrase_lstm_sa,
+    csr_postings,
+    enumerate_spans,
+    per_span_dense_build,
+)
 
 
 def make_corpus(texts):
@@ -393,7 +400,7 @@ def sparse_fixture(seed=21, n=80, terms=10):
             postings[t] = (ords, dense[ords.astype(np.int64), t])
     df = {f"t{k}": 1 for k in range(terms)}  # t0 < t1 < ... sorts to ids 0..9
     idf = IdfTable(df=df, num_documents=1)
-    index = PhraseIndex("sparse", make_meta([n]), postings=postings, idf=idf)
+    index = PhraseIndex("sparse", make_meta([n]), postings=csr_postings(postings, terms), idf=idf)
     return index, dense
 
 
@@ -469,7 +476,9 @@ def csr_cases(draw):
             ws = draw(st.lists(weights32, min_size=len(ords), max_size=len(ords)))
             postings[t] = (np.array(ords, np.uint64), np.array(ws, np.float32))
     idf = IdfTable(df={f"t{i:02d}": 1 for i in range(num_terms)}, num_documents=1)
-    index = PhraseIndex("sparse", make_meta(counts), postings=postings, idf=idf)
+    index = PhraseIndex(
+        "sparse", make_meta(counts), postings=csr_postings(postings, num_terms), idf=idf
+    )
     ids = sorted(draw(st.sets(st.integers(0, num_terms + 3), max_size=num_terms + 4)))
     qw = draw(st.lists(st.floats(-2, 2, allow_nan=False), min_size=len(ids), max_size=len(ids)))
     query = SparseVector(np.array(ids, dtype=np.int64), np.array(qw, dtype=np.float64))
@@ -657,7 +666,7 @@ def test_load_keeps_postings_across_empty_terms(tmp_path):
         3: (np.array([1, 2], dtype=np.uint64), np.array([1.0, 0.75], dtype=np.float32)),
     }
     idf = IdfTable(df={f"t{k}": 1 for k in range(5)}, num_documents=1)
-    index = PhraseIndex("sparse", make_meta([10]), postings=postings, idf=idf)
+    index = PhraseIndex("sparse", make_meta([10]), postings=csr_postings(postings, 5), idf=idf)
     path, _ = _saved_bytes(tmp_path, index)
     assert load_index(str(path)) == index
 
@@ -680,7 +689,8 @@ def test_load_rejects_unusable_postings(tmp_path, sparse_index, case, needle):
     else:
         ws = np.r_[ws[:-1], np.float32(np.nan)]
     postings = {**sparse_index.postings, term_id: (ords, ws)}
-    bad = PhraseIndex("sparse", sparse_index.metadata, postings=postings, idf=sparse_index.idf)
+    csr = csr_postings(postings, len(sparse_index.idf.vocab))
+    bad = PhraseIndex("sparse", sparse_index.metadata, postings=csr, idf=sparse_index.idf)
     path, raw = _saved_bytes(tmp_path, bad)
     with pytest.raises(FormatError, match=needle) as err:
         load_index(str(path))
@@ -744,7 +754,8 @@ def test_load_rejects_unusable_metadata(tmp_path, sparse_index, case, record, ne
         metadata = metadata[::-1]
     else:
         metadata[record]["s"] = metadata[record]["e"] + 1
-    bad = PhraseIndex("sparse", metadata, postings=sparse_index.postings, idf=sparse_index.idf)
+    postings = (sparse_index.indptr, sparse_index.ordinals, sparse_index.weights)
+    bad = PhraseIndex("sparse", metadata, postings=postings, idf=sparse_index.idf)
     path, _ = _saved_bytes(tmp_path, bad)
     with pytest.raises(FormatError, match=needle) as err:
         load_index(str(path))
@@ -777,7 +788,7 @@ def test_bench_scan_reports_consistent_rates():
         result.total_words / result.mean_query_seconds
     )
     assert result.candidates_per_second == pytest.approx(2600 / result.mean_query_seconds)
-    keys = set(result.to_json())
+    keys = set(dataclasses.asdict(result))
     assert keys == {
         "words_per_second",
         "candidates_per_second",
@@ -819,16 +830,16 @@ def test_scan_time_scales_linearly_with_candidates():
 
 
 def test_synthetic_index_layout_matches_requested_ratio():
-    index = synthetic_dense_index(2600, 8, seed=0, vectors_per_word=1.3)
+    index = synthetic_dense_index(2600, 8, seed=0)
     assert len(index) == 2600
     assert index.total_words() == 2000
     assert len(index) / index.total_words() == pytest.approx(1.3)
     meta = index.metadata
     order = np.lexsort((meta["e"], meta["s"], meta["doc_id"]))
     assert np.array_equal(order, np.arange(len(meta)))
-    again = synthetic_dense_index(2600, 8, seed=0, vectors_per_word=1.3)
+    again = synthetic_dense_index(2600, 8, seed=0)
     assert index == again
-    other = synthetic_dense_index(2600, 8, seed=1, vectors_per_word=1.3)
+    other = synthetic_dense_index(2600, 8, seed=1)
     assert not np.array_equal(index.vectors, other.vectors)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import http.client
 import json
 import socket
@@ -9,9 +10,11 @@ import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from phraseindex.alsh import AlshParams, build_alsh
+from phraseindex.encode.wordvectors import QuestionChannels
 from phraseindex.errors import ConfigError
 from phraseindex.index import build_index, search_exact
 from phraseindex.service import (
@@ -79,6 +82,18 @@ def test_dense_engine_without_word_vectors_fails_when_built(dense_index):
         QueryEngine(dense_index)
 
 
+def test_engine_rejects_a_corpus_that_does_not_cover_the_index(mini_corpus, sparse_index):
+    first = dataclasses.replace(mini_corpus, documents=mini_corpus.documents[:1])
+    with pytest.raises(ConfigError, match="indexed document 1 is not in the corpus"):
+        QueryEngine(sparse_index, corpus=first)
+    doc = mini_corpus.documents[1]
+    short = dataclasses.replace(doc, tokens=doc.tokens[:-1], char_offsets=doc.char_offsets[:-1])
+    cut = dataclasses.replace(mini_corpus, documents=[mini_corpus.documents[0], short])
+    needle = f"document 1 has a span ending at token {len(doc) - 1}; .* has {len(doc) - 1} tokens"
+    with pytest.raises(ConfigError, match=needle):
+        QueryEngine(sparse_index, corpus=cut)
+
+
 def test_engine_matches_direct_search(engine):
     question = "Who won Super Bowl 50?"
     answers, probes = engine.answer(question, top_k=3)
@@ -112,6 +127,18 @@ def test_engine_approx_with_sidecar(mini_corpus, dense_index, toy_vectors):
     approx_answers, probes = rich.answer("q1", top_k=2, approx=True)
     assert probes == len(dense_index)
     assert approx_answers == exact_answers
+
+
+def test_engine_approx_answers_a_zero_question(mini_corpus, dense_index, toy_vectors):
+    scores = {k: np.zeros(3, np.float32) for k in range(4)}
+    zeros = QuestionChannels("zero", np.zeros((3, 8), np.float32), scores)
+    table = dataclasses.replace(toy_vectors, questions={"zero": zeros})
+    alsh = build_alsh(dense_index, AlshParams(bits_per_table=4, tables=4))
+    engine = QueryEngine(dense_index, corpus=mini_corpus, alsh=alsh, word_vectors=table)
+    exact_answers, _ = engine.answer("zero", top_k=2)
+    approx_answers, probes = engine.answer("zero", top_k=2, approx=True)
+    assert probes > 0  # the code-0 buckets, re-scored exactly
+    assert [a["score"] for a in approx_answers] == [a["score"] for a in exact_answers] == [0, 0]
 
 
 # ------------------------------------------------------------------- service

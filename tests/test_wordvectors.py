@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from phraseindex.encode.wordvectors import (
-    DocChannels,
     QuestionChannels,
     WordVectorTable,
     read_word_vectors,
@@ -151,11 +150,7 @@ def test_non_numeric_fields_raise_schema_errors(tmp_path, line, needle):
 
 def test_lookup_errors():
     table = WordVectorTable(dim=2)
-    table.documents[0] = DocChannels(0, base=np.zeros((1, 2), dtype=np.float32))
     table.questions["q"] = QuestionChannels("q", base=np.zeros((1, 2), dtype=np.float32))
-    assert table.doc(0) is table.documents[0]
     assert table.question("q") is table.questions["q"]
-    with pytest.raises(SchemaError):
-        table.doc(5)
     with pytest.raises(SchemaError):
         table.question("nope")

@@ -8,9 +8,11 @@ search always retrieves the gold span and every score is knowable by hand.
 
 import numpy as np
 
-from phraseindex.candidates import CandidateSpan, enumerate_spans
+from phraseindex.candidates import CandidateSpan
 from phraseindex.corpus import Corpus, Document, QAExample, tokenize
 from phraseindex.index import METADATA_DTYPE, PhraseIndex
+
+from .oracles import enumerate_spans
 
 TEXT = "alpha bravo charlie delta echo foxtrot golf hotel india juliet"
 
