@@ -45,6 +45,19 @@ def _load_word_vectors(path: str | None):
     return read_word_vectors(path) if path else None
 
 
+def _positive(cast):
+    """argparse type: a cast value above zero; any other value is a usage error."""
+
+    def parse(text: str):
+        value = cast(text)
+        if not value > 0:  # NaN too
+            raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+        return value
+
+    parse.__name__ = cast.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
 def cmd_index(args) -> int:
     corpus = load_squad(args.corpus)
     index = build_index(
@@ -117,6 +130,8 @@ def cmd_eval(args) -> int:
 def cmd_bench(args) -> int:
     if args.index:
         index = load_index(args.index)
+        if index.kind != "dense":
+            raise ConfigError(f"bench scans a dense index; {args.index} is {index.kind}")
     else:
         index = synthetic_dense_index(args.candidates, args.dim, seed=args.seed)
     result = bench_scan(index, num_queries=args.queries, seed=args.seed)
@@ -269,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("query", help="answer one question against an index")
     p.add_argument("--index", required=True)
     p.add_argument("--question", required=True, help="question text (sparse) or id (dense)")
-    p.add_argument("--top", type=int, default=5)
+    p.add_argument("--top", type=_positive(int), default=5)
     p.add_argument("--doc", type=int, default=None, help="restrict to one document")
     p.add_argument("--approx", action="store_true", help="use the aLSH sidecar")
     p.add_argument("--alsh", help="sidecar path (default: INDEX.alsh)")
@@ -289,9 +304,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="measure exact-scan throughput")
     p.add_argument("--index", help="dense index file; omit to use a synthetic index")
-    p.add_argument("--candidates", type=int, default=130_000)
-    p.add_argument("--dim", type=int, default=1024)
-    p.add_argument("--queries", type=int, default=16)
+    p.add_argument("--candidates", type=_positive(int), default=130_000)
+    p.add_argument("--dim", type=_positive(int), default=1024)
+    p.add_argument("--queries", type=_positive(int), default=16)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_bench)
 
@@ -300,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--filter", required=True, help="trained filter sidecar")
     p.add_argument("--dataset", required=True)
     p.add_argument("--word-vectors")
-    p.add_argument("--points", type=int, default=5)
+    p.add_argument("--points", type=_positive(int), default=5)
     p.add_argument("--out", required=True, help="curve CSV path")
     p.set_defaults(func=cmd_sweep)
 
@@ -337,10 +352,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("storage", help="estimate index storage for a configuration")
-    p.add_argument("--dim", type=int, default=1024)
-    p.add_argument("--bytes-per-value", type=float, default=4)
-    p.add_argument("--vectors-per-word", type=float, default=1.3)
-    p.add_argument("--words", type=float, default=3e9)
+    p.add_argument("--dim", type=_positive(int), default=1024)
+    p.add_argument("--bytes-per-value", type=_positive(float), default=4)
+    p.add_argument("--vectors-per-word", type=_positive(float), default=1.3)
+    p.add_argument("--words", type=_positive(float), default=3e9)
     p.set_defaults(func=cmd_storage)
 
     p = sub.add_parser("serve", help="run the HTTP query service")

@@ -91,6 +91,8 @@ def evaluate(
     block. Predictions are rendered from raw character offsets so
     normalization sees the original text.
 
+    The corpus must hold every indexed document, each long enough for its
+    spans, or ConfigError is raised (PhraseIndex.check_corpus).
     allow_missing_docs permits documents absent from the index (legitimate
     after aggressive filtering); such examples score with an empty
     prediction. per_example, if given, collects
@@ -99,6 +101,7 @@ def evaluate(
     from .alsh import search_approx
     from .index import search_exact
 
+    index.check_corpus(corpus)
     if restrict_to_doc and not allow_missing_docs:
         indexed = set(int(d) for d in index.doc_ids())
         missing = sorted({ex.doc_id for ex in corpus.examples} - indexed)

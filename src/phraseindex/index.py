@@ -9,17 +9,26 @@ candidate's identity everywhere (postings, hashes, filters).
 
 File format (all integers little-endian):
 
-    magic "PIQA" | version u32=2 | kind u8 (0 dense, 1 sparse) | dim u32
+    magic "PIQA" | version u32=3 | kind u8 (0 dense, 1 sparse) | dim u32
     | count u64 | count x (doc_id u32, s u16, e u16) | payload
 
-Dense payload: count x dim float32, row-major. Sparse payload: u64 term
-count T, u64 document count, T x (df u32, len u16, utf-8 term) with terms
-strictly increasing, then T x posting count u64, then every term's ordinals
-u64 (strictly increasing within a term), then every weight f32, in term order.
+Dense payload: u64 start-table rows S, u64 end-table rows E, count x start
+index u32, count x end index u32, then the start table, S x (dim // 2)
+float32, and the end table, E x (dim - dim // 2) float32, both row-major.
+Row i of the vector block is start table row start[i] followed by end table
+row end[i]. A row shares its neighbour's table row when that half is bitwise
+equal, neighbours taken in (doc_id, s, e) order for the start half and in
+(doc_id, e, s) order for the end half, and table rows are numbered by first
+use in row order: an encoder-built block, whose rows are [words[s], words[e]],
+stores each token's halves about once. Sparse payload: u64 term count T, u64
+document count, T x (df u32, len u16, utf-8 term) with terms strictly
+increasing, then T x posting count u64, then every term's ordinals u64
+(strictly increasing within a term), then every weight f32, in term order.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import time
 from dataclasses import dataclass
@@ -30,14 +39,14 @@ import numpy as np
 from .candidates import CandidateSpan, span_bounds, span_count
 from .encode.dense import LSTM, LSTM_SA, sa_all
 from .encode.tfidf import IdfTable, SparseVector, tfidf_phrase_encode
-from .errors import BuildError, FormatError
+from .errors import BuildError, ConfigError, FormatError
 
 if TYPE_CHECKING:
     from .corpus import Corpus
     from .encode.wordvectors import WordVectorTable
 
 MAGIC = b"PIQA"
-VERSION = 2
+VERSION = 3
 KIND_DENSE = 0
 KIND_SPARSE = 1
 MAX_DOC_TOKENS = 65535  # u16 span endpoints
@@ -46,6 +55,7 @@ METADATA_DTYPE = np.dtype([("doc_id", "<u4"), ("s", "<u2"), ("e", "<u2")])
 HEADER_DTYPE = np.dtype([("kind", "u1"), ("dim", "<u4"), ("count", "<u8")])
 SPARSE_DTYPE = np.dtype([("terms", "<u8"), ("documents", "<u8")])
 TERM_DTYPE = np.dtype([("df", "<u4"), ("length", "<u2")])
+TABLES_DTYPE = np.dtype([("start", "<u8"), ("end", "<u8")])
 
 
 @dataclass(frozen=True)
@@ -127,6 +137,21 @@ class PhraseIndex:
         ids = self.metadata["doc_id"]
         starts = np.flatnonzero(np.r_[len(ids) > 0, ids[1:] != ids[:-1]])
         return ids[starts], np.maximum.reduceat(self.metadata["e"].astype(np.int64), starts)
+
+    def check_corpus(self, corpus: "Corpus") -> None:
+        """Raise ConfigError unless the corpus, which answer text is cut from,
+        holds every indexed document, each long enough for its spans."""
+        for doc_id, end in zip(*(a.tolist() for a in self.doc_ends())):
+            if doc_id >= len(corpus.documents):
+                raise ConfigError(
+                    f"indexed document {doc_id} is not in the corpus "
+                    f"({len(corpus.documents)} documents)"
+                )
+            if end >= len(corpus.document(doc_id)):
+                raise ConfigError(
+                    f"indexed document {doc_id} has a span ending at token {end}; "
+                    f"the corpus document has {len(corpus.document(doc_id))} tokens"
+                )
 
     def total_words(self) -> int:
         """Document words covered by the metadata (max end+1 per doc).
@@ -456,7 +481,7 @@ class _Reader:
     """Cursor over a file past its magic and version; errors carry the byte offset.
 
     Each array is read into a buffer of its own, so it is aligned (the dense
-    vectors start at the odd offset 21 + 8 count). A with block closes the file.
+    payload starts at the odd offset 21 + 8 count). A with block closes the file.
     """
 
     def __init__(self, path: str, magic: bytes, version: int):
@@ -499,21 +524,92 @@ class _Reader:
         return self.array(dtype, 1, what)[0].item()
 
 
-def _write(path: str, magic: bytes, version: int, parts: list) -> None:
+def _write(path: str, magic: bytes, version: int, parts) -> None:
     """Write magic, version u32 and the parts: bytes, or numpy values in file byte order.
 
-    Each part goes to the file from its own buffer: a contiguous array is not copied.
+    Each part goes to the file from its own buffer: a contiguous array is not
+    copied. parts is iterated once, so a generator can hand over a large
+    section in chunks.
     """
     with open(path, "wb") as f:
-        for part in [magic, np.array(version, "<u4"), *parts]:
+        for part in itertools.chain([magic, np.array(version, "<u4")], parts):
             f.write(part if isinstance(part, bytes) else np.ascontiguousarray(part))
+
+
+# Budget of one chunk of rows when a dense payload is grouped, written, read
+# or expanded: a step takes _CHUNK_BYTES // (4 dim) rows of the block.
+_CHUNK_BYTES = 1 << 18
+
+
+def _chunks(count: int, dim: int):
+    """Consecutive (start, stop) row ranges covering count rows of width dim."""
+    step = max(1, _CHUNK_BYTES // (4 * max(dim, 1)))
+    return [(a, min(a + step, count)) for a in range(0, count, step)]
+
+
+def _differs(bits: np.ndarray, cols: slice, order: np.ndarray | None = None) -> np.ndarray:
+    """Mask over the positions of order (row order when None): True where the
+    row's cols hold other bits than the row at the position before, or at 0."""
+    new = np.ones(len(bits), bool)
+    for a, b in _chunks(*bits.shape):
+        a = max(a, 1)
+        rows = bits[a - 1 : b, cols] if order is None else bits[order[a - 1 : b], cols]
+        new[a:b] = (rows[1:] != rows[:-1]).any(axis=1)
+    return new
+
+
+def _half_tables(block: np.ndarray, metadata: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's start and end table index, (2, count) u32, and whether the
+    row is the first user of its table row, (2, count) bool.
+
+    Bits are compared, so -0.0 and 0.0 fall in different table rows.
+    """
+    if len(block) >= 2**32:
+        raise ValueError("a dense index file holds fewer than 2**32 rows (u32 table indexes)")
+    bits = block.view("<u4")
+    half = block.shape[1] // 2
+    # End halves: a run of equal neighbours in (doc_id, e, s) order is one
+    # table row, first used by its lowest row. Runs are numbered in that order,
+    # then renumbered by the rank of their lowest row. The outputs are
+    # allocated after the sort, to keep the peak low.
+    order = np.argsort(_span_keys(metadata["doc_id"], metadata["e"], metadata["s"])).astype("<u4")
+    group = np.cumsum(_differs(bits, slice(half, None), order), dtype="<u4")
+    group -= 1
+    lowest = np.full(int(group[-1]) + 1 if len(group) else 0, len(block), "<u4")
+    np.minimum.at(lowest, group, order)
+    ids = np.empty((2, len(block)), "<u4")
+    first = np.zeros((2, len(block)), bool)
+    ids[1, order] = group
+    del order, group
+    first[1, lowest] = True
+    np.cumsum(first[1], dtype="<u4", out=ids[0])  # ids[0] is scratch until the start halves
+    ranks = ids[0, lowest] - 1
+    del lowest
+    ids[1] = ranks[ids[1]]
+    # Start halves: a run of equal neighbours in row order is one table row.
+    first[0] = _differs(bits, slice(0, half))
+    np.cumsum(first[0], dtype="<u4", out=ids[0])
+    ids[0] -= 1
+    return ids, first
+
+
+def _dense_payload(vectors: np.ndarray, metadata: np.ndarray):
+    """The parts of a dense payload: table sizes, indexes, then the tables in chunks."""
+    block = np.ascontiguousarray(vectors, dtype="<f4")
+    ids, first = _half_tables(block, metadata)
+    yield np.array(tuple(first.sum(axis=1).tolist()), TABLES_DTYPE)
+    yield ids
+    half = block.shape[1] // 2
+    for used, cols in zip(first, (slice(0, half), slice(half, None))):
+        for a, b in _chunks(*block.shape):
+            yield block[a:b, cols][used[a:b]]
 
 
 def save_index(index: PhraseIndex, path: str) -> None:
     kind = KIND_DENSE if index.kind == "dense" else KIND_SPARSE
     parts = [np.array((kind, index.dim, len(index)), HEADER_DTYPE), index.metadata]
     if index.kind == "dense":
-        parts.append(np.ascontiguousarray(index.vectors, dtype="<f4"))
+        parts = itertools.chain(parts, _dense_payload(index.vectors, index.metadata))
     else:
         idf = index.idf
         raws = [term.encode("utf-8") for term in idf.vocab]
@@ -536,12 +632,63 @@ def _first_bad(*checks: tuple[np.ndarray, str]) -> tuple[int, str] | None:
     return None
 
 
+def _read_dense(r: _Reader, count: int, dim: int) -> np.ndarray:
+    """The vector block of a dense payload (module docstring).
+
+    The indexes must be in range, in first-use order, as a save writes them,
+    and use every table row. So each is at most its own row number: the
+    tables are read into the block's first rows, then expanded in place from
+    the last row back, and rows below a chunk still hold the table rows it
+    reads.
+    """
+    sizes_at = r.pos
+    sizes = r.record(TABLES_DTYPE, "table sizes")
+    ids_at = r.pos
+    ids = r.array("<u4", 2 * count, "table indexes").reshape(2, count)
+    for h, (half, rows) in enumerate(zip(TABLES_DTYPE.names, sizes)):
+        top = np.maximum.accumulate(ids[h])
+        found = _first_bad(
+            (ids[h] >= rows, f"is past the {half} table's {rows} rows"),
+            (np.r_[ids[h, :1] != 0, ids[h, 1:] > top[:-1] + 1], "is not in first-use order"),
+        )
+        if found:
+            i, problem = found
+            at = ids_at + 4 * (h * count + i)
+            raise FormatError(f"{r.path}: {half} index of row {i} {problem}", offset=at)
+        used = int(top[-1]) + 1 if count else 0
+        if rows != used:
+            at = sizes_at + 8 * h
+            raise FormatError(f"{r.path}: {half} table has {rows} rows for {used} used", offset=at)
+    del top
+    cols = (slice(0, dim // 2), slice(dim // 2, dim))
+    nbytes = 4 * sum(rows * (c.stop - c.start) for rows, c in zip(sizes, cols))
+    if r.pos + nbytes > r.size:  # before the block is allocated
+        raise FormatError(f"{r.path}: truncated while reading the tables", offset=r.pos)
+    vectors = np.empty((count, dim), np.float32)
+    for half, rows, c in zip(TABLES_DTYPE.names, sizes, cols):
+        width, at = c.stop - c.start, r.pos
+        for a, b in _chunks(rows, width):
+            table = r.array("<f4", (b - a) * width, f"the {half} table").reshape(b - a, width)
+            finite = np.isfinite(table).all(axis=1)
+            if not finite.all():
+                row = a + int(finite.argmin())
+                raise FormatError(
+                    f"{r.path}: {half} table row {row} is not finite", offset=at + 4 * width * row
+                )
+            vectors[a:b, c] = table
+    for a, b in reversed(_chunks(count, dim)):
+        for h, c in enumerate(cols):
+            vectors[a:b, c] = vectors[ids[h, a:b], c]
+    return vectors
+
+
 def load_index(path: str) -> PhraseIndex:
     """Read an index file, rejecting what would break a search later.
 
-    Metadata must be strictly increasing on (doc_id, s, e) with s <= e, floats
-    finite, terms strictly increasing with df at most the document count, and
-    each term's posting ordinals strictly increasing and in range.
+    Metadata must be strictly increasing on (doc_id, s, e) with s <= e, dense
+    table indexes in range and in first-use order, floats finite, terms
+    strictly increasing with df at most the document count, and each term's
+    posting ordinals strictly increasing and in range.
     """
     with _Reader(path, MAGIC, VERSION) as r:
         kind, dim, count = r.record(HEADER_DTYPE, "header")
@@ -554,20 +701,14 @@ def load_index(path: str) -> PhraseIndex:
             (metadata["s"] > metadata["e"], "starts after it ends"),
             (np.r_[False, key[1:] <= key[:-1]], "is not after the one before in (doc_id, s, e)"),
         )
+        del key  # O(count): free before the payload's own O(count) checks
         if found:
             i, problem = found
             at = meta_at + i * METADATA_DTYPE.itemsize
             raise FormatError(f"{path}: metadata record {i} {problem}", offset=at)
 
         if kind == KIND_DENSE:
-            at = r.pos
-            vectors = r.array("<f4", count * dim, "vectors").reshape(count, dim)
-            # A row is finite when its extremes are (a NaN is both): no (count, dim) mask.
-            finite = np.isfinite(vectors.max(axis=1, initial=0))
-            finite &= np.isfinite(vectors.min(axis=1, initial=0))
-            if not finite.all():
-                row = int(finite.argmin())
-                raise FormatError(f"{path}: vector row {row} is not finite", offset=at)
+            vectors = _read_dense(r, count, dim)
             r.finish()
             return PhraseIndex("dense", metadata, vectors=vectors)
 

@@ -80,18 +80,8 @@ class QueryEngine:
         alsh: AlshIndex | None = None,
         word_vectors: "WordVectorTable | None" = None,
     ):
-        ends = zip(*(a.tolist() for a in index.doc_ends())) if corpus is not None else ()
-        for doc_id, end in ends:
-            if doc_id >= len(corpus.documents):
-                raise ConfigError(
-                    f"indexed document {doc_id} is not in the corpus "
-                    f"({len(corpus.documents)} documents)"
-                )
-            if end >= len(corpus.document(doc_id)):
-                raise ConfigError(
-                    f"indexed document {doc_id} has a span ending at token {end}; "
-                    f"the corpus document has {len(corpus.document(doc_id))} tokens"
-                )
+        if corpus is not None:
+            index.check_corpus(corpus)
         self.index = index
         self.corpus = corpus
         self.alsh = alsh

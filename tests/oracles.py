@@ -118,6 +118,40 @@ def per_span_dense_build(corpus, encoder, word_vectors, max_span_len=7):
     return np.array(spans, dtype=METADATA_DTYPE), vectors
 
 
+def dense_payload_bytes(vectors: np.ndarray, metadata: np.ndarray) -> bytes:
+    """A version 3 dense payload, built one row at a time from the format text.
+
+    A row joins its neighbour's table row when that half's bytes are equal,
+    neighbours in (doc_id, s, e) order for the start half and (doc_id, e, s)
+    for the end half; table rows are numbered by first use in row order.
+    """
+    rows = np.ascontiguousarray(vectors, dtype="<f4")
+    half = rows.shape[1] // 2
+    keys = [tuple(rec) for rec in metadata.tolist()]
+    halves = [lambda i: rows[i, :half].tobytes(), lambda i: rows[i, half:].tobytes()]
+    orders = [
+        sorted(range(len(rows)), key=lambda i: keys[i]),
+        sorted(range(len(rows)), key=lambda i: (keys[i][0], keys[i][2], keys[i][1])),
+    ]
+    sizes, indexes, tables = [], [], []
+    for bits, order in zip(halves, orders):
+        run_of, run = {}, -1
+        for pos, i in enumerate(order):
+            if pos == 0 or bits(i) != bits(order[pos - 1]):
+                run += 1
+            run_of[i] = run
+        label_of, table = {}, []
+        for i in range(len(rows)):
+            if run_of[i] not in label_of:
+                label_of[run_of[i]] = len(table)
+                table.append(bits(i))
+        sizes.append(len(table))
+        indexes.append(np.array([label_of[run_of[i]] for i in range(len(rows))], "<u4"))
+        tables.append(b"".join(table))
+    head = np.array(sizes, "<u8").tobytes()
+    return head + b"".join(ids.tobytes() for ids in indexes) + b"".join(tables)
+
+
 def gold_label_mask(index, corpus) -> np.ndarray:
     """1.0 at each ordinal whose span is some question's gold span, one ordinal at a time."""
     gold = {(span.doc_id, span.s, span.e) for ex in corpus.examples for span in ex.gold_spans}

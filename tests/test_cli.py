@@ -312,6 +312,58 @@ def test_query_with_a_corpus_missing_an_indexed_document_exits_two(ws, tmp_path)
     assert "error: indexed document 1 is not in the corpus (1 documents)" in err
 
 
+@pytest.mark.parametrize("command", ["eval", "sweep"])
+def test_eval_and_sweep_with_a_corpus_missing_an_indexed_document_exit_two(
+    ws, tmp_path, command
+):
+    # Cut to document 0, with q2 reworded so that its best whole-corpus hit is in document 1.
+    squad = json.loads(Path(ws["dataset"]).read_text())
+    del squad["data"][0]["paragraphs"][1:]
+    squad["data"][0]["paragraphs"][0]["qas"][1]["question"] = (
+        "path of totality crossed how many states"
+    )
+    cut = tmp_path / "cut.json"
+    cut.write_text(json.dumps(squad))
+    if command == "eval":
+        argv = ["eval", "--index", ws["sparse"], "--dataset", str(cut), "--global"]
+    else:
+        argv = ["sweep", "--index", ws["dense"], "--filter", ws["filter"], "--dataset", str(cut),
+                "--word-vectors", ws["wv"], "--out", str(tmp_path / "curve.csv")]
+    rc, out, err = run(*argv)
+    assert rc == 2 and out == ""
+    assert "error: indexed document 1 is not in the corpus (1 documents)" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["query", "--index", "{sparse}", "--question", "x", "--top", "0"],
+        ["bench", "--candidates", "0"],
+        ["bench", "--dim", "-3"],
+        ["bench", "--queries", "0"],
+        ["sweep", "--index", "{dense}", "--filter", "{filter}", "--dataset", "{dataset}",
+         "--out", "curve.csv", "--points", "0"],
+        ["storage", "--dim", "0"],
+        ["storage", "--bytes-per-value", "0"],
+        ["storage", "--vectors-per-word", "-1.3"],
+        ["storage", "--words", "nan"],
+    ],
+    ids=lambda argv: f"{argv[0]} {argv[-2]} {argv[-1]}",
+)
+def test_non_positive_values_are_usage_errors(ws, argv):
+    rc, out, err = run(*(arg.format(**ws) for arg in argv))
+    assert rc == 1 and out == ""
+    assert err.strip().splitlines()[-1].endswith(
+        f"error: argument {argv[-2]}: must be positive, got '{argv[-1]}'"
+    )
+
+
+def test_bench_on_a_sparse_index_exits_two(ws):
+    rc, out, err = run("bench", "--index", ws["sparse"])
+    assert rc == 2 and out == ""
+    assert f"error: bench scans a dense index; {ws['sparse']} is sparse" in err
+
+
 def test_query_dense_without_word_vectors_exits_two(ws):
     rc, _, err = run("query", "--index", ws["dense"], "--question", "q1")
     assert rc == 2

@@ -766,13 +766,23 @@ def test_load_rejects_unusable_metadata(tmp_path, sparse_index, case, record, ne
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_load_rejects_non_finite_vectors(tmp_path, dense_index, value):
-    vectors = dense_index.vectors.copy()
-    vectors[5, 3] = value
-    bad = PhraseIndex("dense", dense_index.metadata, vectors=vectors)
-    path, _ = _saved_bytes(tmp_path, bad)
-    with pytest.raises(FormatError, match="vector row 5 is not finite") as err:
-        load_index(str(path))
-    assert err.value.offset == 21 + len(dense_index) * METADATA_DTYPE.itemsize
+    # Column 3 of row 5 is in its start half, column -1 in its end half.
+    half = dense_index.dim // 2
+    for h, name, col, width in [(0, "start", 3, half), (1, "end", -1, dense_index.dim - half)]:
+        vectors = dense_index.vectors.copy()
+        vectors[5, col] = value
+        bad = PhraseIndex("dense", dense_index.metadata, vectors=vectors)
+        path, raw = _saved_bytes(tmp_path, bad)
+        sizes_at = 21 + len(dense_index) * METADATA_DTYPE.itemsize
+        sizes = struct.unpack_from("<QQ", raw, sizes_at)
+        ids_at = sizes_at + 16
+        # The table row that holds row 5's half, and where that table row starts.
+        row = struct.unpack_from("<I", raw, ids_at + 4 * (h * len(dense_index) + 5))[0]
+        at = ids_at + 8 * len(dense_index) + 4 * (h * sizes[0] * half + row * width)
+        with pytest.raises(FormatError, match=f"{name} table row {row} is not finite") as err:
+            load_index(str(path))
+        assert err.value.offset == at
+        assert np.isnan(value) or struct.unpack_from("<f", raw, at + 4 * (col % half))[0] == value
 
 
 # ---------------------------------------------------------------- benchmarking

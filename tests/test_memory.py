@@ -58,6 +58,21 @@ def test_dense_save_streams_the_block(tmp_path):
     assert peak < MiB
 
 
+def test_encoder_built_dense_save_and_load_hold_their_bounds(tmp_path):
+    """Most halves of an encoder-built block are shared: grouping them on save
+    and expanding them on load stay within the bounds of a block sharing none."""
+    corpus = words_corpus(80, 60)
+    index = build_index(corpus, "lstm_sa", word_vectors=toy_word_vector_table(corpus, dim=16))
+    assert index.vectors.nbytes >= 7 * MiB
+    path = str(tmp_path / "dense.idx")
+    _, peak = traced_peak(lambda: save_index(index, path))
+    assert peak < MiB
+    loaded, peak, held = traced(lambda: load_index(path))
+    assert loaded.vectors.tobytes() == index.vectors.tobytes()
+    assert held >= index.vectors.nbytes
+    assert peak <= held + MiB
+
+
 def test_dense_build_holds_the_block_and_one_document():
     """The build allocates its output once; per document it adds only that
     document's temporaries, measured here by building one document alone."""
@@ -105,8 +120,9 @@ def random_words_corpus(num_docs, doc_len, vocab, seed):
 def test_loads_hold_no_file_image(tmp_path):
     """Each section is read into the array that keeps it, so beyond what a load
     returns it holds only its checks' temporaries: O(count) keys of the
-    metadata, plus, for a sparse index, bool masks over the postings (about 4
-    bytes a posting, a quarter of its file)."""
+    metadata, plus, for a dense index, its table indexes (8 bytes a row) and
+    one chunk of table rows, and, for a sparse index, bool masks over the
+    postings (about 4 bytes a posting, a quarter of its file)."""
     dense = synthetic_dense_index(33_000, 64)
     sparse = build_index(random_words_corpus(40, 200, 300, seed=3), "tfidf")
     alsh = alsh_module.build_alsh(dense, alsh_module.AlshParams())
