@@ -782,7 +782,8 @@ def test_load_rejects_non_finite_vectors(tmp_path, dense_index, value):
         with pytest.raises(FormatError, match=f"{name} table row {row} is not finite") as err:
             load_index(str(path))
         assert err.value.offset == at
-        assert np.isnan(value) or struct.unpack_from("<f", raw, at + 4 * (col % half))[0] == value
+        inner = col % dense_index.dim - h * half  # the column within the table row
+        assert np.isnan(value) or struct.unpack_from("<f", raw, at + 4 * inner)[0] == value
 
 
 # ---------------------------------------------------------------- benchmarking
