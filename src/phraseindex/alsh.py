@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, FormatError
-from .index import PhraseIndex, SearchHit, _Reader, _top_k, _write
+from .index import PhraseIndex, SearchHit, _half_products, _Reader, _row_scores, _top_k, _write
 
 MAGIC = b"PQAH"
 VERSION = 2
@@ -161,7 +161,7 @@ def build_alsh(index: PhraseIndex, params: AlshParams = AlshParams()) -> AlshInd
     chunks = [(start, min(n, start + step)) for start in range(0, n, step)]
     # Row norms do not depend on the chunking.
     chunk_norms = (
-        np.linalg.norm(index.vectors[lo:hi].astype(np.float64), axis=1) for lo, hi in chunks
+        np.linalg.norm(index.rows(slice(lo, hi)).astype(np.float64), axis=1) for lo, hi in chunks
     )
     top = np.max([norms.max() for norms in chunk_norms], initial=0.0)
     max_norm = float(top) if top > 0 else 1.0
@@ -177,7 +177,7 @@ def build_alsh(index: PhraseIndex, params: AlshParams = AlshParams()) -> AlshInd
         flat = hyperplanes.reshape(t * b, aug_dim)
         scale = params.U / max_norm
         for start, stop in chunks:
-            scaled = index.vectors[start:stop].astype(np.float64)
+            scaled = index.rows(slice(start, stop)).astype(np.float64)
             scaled *= scale
             aug = np.concatenate(
                 [scaled, _norm_terms((scaled * scaled).sum(axis=1), m)], axis=1
@@ -244,8 +244,9 @@ def search_approx(
     if len(gathered) == 0:
         return [], 0
 
-    rows = np.ascontiguousarray(index.vectors[gathered])
-    scores = rows @ q.astype(np.float32)
+    # Scored as search_exact scores: when every row is probed, the scores are its scores.
+    halves = np.hsplit(q.astype(np.float32)[None], [index.dim // 2])
+    scores = _row_scores(_half_products(index, halves, index.table_ids[:, gathered]))[:, 0]
     picked = _top_k(scores, min(k_top, len(gathered)))
     hits = [
         SearchHit(index.span(int(gathered[i])), float(scores[i])) for i in picked

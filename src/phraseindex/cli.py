@@ -58,6 +58,17 @@ def _positive(cast):
     return parse
 
 
+def _port(text: str) -> int:
+    """argparse type: a TCP port, 0 (any free port) to 65535; any other value is a usage error."""
+    port = int(text)
+    if not 0 <= port <= 65535:
+        raise argparse.ArgumentTypeError(f"must be 0-65535, got {text!r}")
+    return port
+
+
+_port.__name__ = "int"  # argparse names it in "invalid int value"
+
+
 def cmd_index(args) -> int:
     corpus = load_squad(args.corpus)
     index = build_index(
@@ -364,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--word-vectors")
     p.add_argument("--alsh", help="sidecar path (default: INDEX.alsh, used if present)")
     p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=8080)
+    p.add_argument("--port", type=_port, default=8080)
     p.set_defaults(func=cmd_serve)
 
     return parser

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from .errors import FormatError, TrainingError
-from .index import _SCORE_BLOCK_BYTES, PhraseIndex, _Reader, _span_keys, _write
+from .index import _SCORE_BLOCK_BYTES, PhraseIndex, _half_tables, _Reader, _span_keys, _write
 
 if TYPE_CHECKING:
     from .corpus import Corpus
@@ -39,13 +39,25 @@ class PerceptronFilter:
         BLAS groups them, and sums each, as in one product over all rows.
         """
         weights = self.weights.astype(np.float64)
-        step = max(1, _SCORE_BLOCK_BYTES // (8 * vectors.shape[1] * 64)) * 64
+        step = _score_step(vectors.shape[1])
         scores = np.empty(len(vectors))
         for start in range(0, len(vectors), step):
             block = vectors[start : start + step]
             np.matmul(block.astype(np.float64), weights, out=scores[start : start + step])
         scores += self.bias
         return scores
+
+
+def _score_step(dim: int) -> int:
+    """Rows per block of PerceptronFilter.score: a multiple of 64."""
+    return max(1, _SCORE_BLOCK_BYTES // (8 * max(dim, 1) * 64)) * 64
+
+
+def _index_scores(filt: PerceptronFilter, index: PhraseIndex) -> np.ndarray:
+    """filt.score of a dense index's rows, gathered from its tables one score block at a time."""
+    step = _score_step(index.dim)
+    blocks = (filt.score(index.rows(slice(a, a + step))) for a in range(0, len(index), step))
+    return np.concatenate([np.empty(0), *blocks])
 
 
 @dataclass(frozen=True)
@@ -105,8 +117,11 @@ def train_filter(
     its document. Positives are upweighted by the negative/positive ratio of
     the training split. A seeded 10% held-out split picks the best epoch.
 
-    Training reads index.vectors in place: each epoch is one float32 product
-    for the scores and one for the gradient, with held-out rows weighted 0.
+    Training reads the index's half-row tables in place, with held-out rows
+    weighted 0. A row's score is its start half's product plus its end half's,
+    so an epoch takes each table's products with its half of the weights and
+    gathers them; the gradient of a half is the per-table-row sums of the
+    residuals (bincount) times that table.
     """
     if index.kind != "dense":
         raise ValueError("train_filter needs a dense index")
@@ -114,7 +129,7 @@ def train_filter(
     if labels.sum() == 0:
         raise TrainingError("no candidate matches a gold span; nothing to learn from")
 
-    n, dim = index.vectors.shape
+    n, dim = len(index), index.dim
     rng = np.random.Generator(np.random.Philox(key=seed))
     order = rng.permutation(n)
     held = order[: n // 10]
@@ -134,16 +149,24 @@ def train_filter(
         held = train  # fewer than 10 rows: the loss is the training loss
     y_held, w_held = labels[held], class_weight[held]
 
+    (start_table, end_table), (start_ids, end_ids) = index.tables, index.table_ids.astype(np.intp)
+    half = start_table.shape[1]
     weights = np.zeros(dim)
     bias = 0.0
     z = np.zeros(n)  # every row's score under the zero filter
     best = (math.inf, weights.copy(), bias)
     for _ in range(epochs):
         residual = row_weight * (1.0 / (1.0 + np.exp(-z)) - labels)
-        weights -= learning_rate * (residual.astype(np.float32) @ index.vectors) / denom
+        halves = ((start_table, start_ids, slice(0, half)), (end_table, end_ids, slice(half, dim)))
+        for table, ids, cols in halves:
+            sums = np.bincount(ids, weights=residual, minlength=len(table)).astype(np.float32)
+            weights[cols] -= learning_rate * (sums @ table) / denom
         bias -= learning_rate * residual.sum() / denom
         # These scores give this epoch's held-out loss and the next epoch's gradient.
-        z = np.add(index.vectors @ weights.astype(np.float32), bias, dtype=np.float64)
+        w = weights.astype(np.float32)
+        start = np.take(start_table @ w[:half], start_ids)
+        z = np.add(start, np.take(end_table @ w[half:], end_ids), dtype=np.float64)
+        z += bias
         loss = _weighted_logistic_loss(z[held], y_held, w_held)
         if loss < best[0]:
             best = (loss, weights.copy(), bias)
@@ -166,12 +189,10 @@ def apply_filter(
     if index.kind != "dense":
         raise ValueError("apply_filter needs a dense index")
     words = index.total_words() if total_words is None else total_words
-    keep = filt.score(index.vectors) >= threshold
-    filtered = PhraseIndex(
-        "dense",
-        index.metadata[keep],
-        vectors=np.ascontiguousarray(index.vectors[keep]),
-    )
+    keep = _index_scores(filt, index) >= threshold
+    metadata = index.metadata[keep]
+    ids = index.table_ids[:, keep]
+    filtered = PhraseIndex("dense", metadata, tables=_half_tables(index.tables, *ids, metadata))
     ratio = len(filtered) / words if words else 0.0
     return filtered, ratio
 
@@ -195,7 +216,7 @@ def sweep_thresholds(
 
     if num_points < 1:
         raise ValueError("num_points must be >= 1")
-    scores = np.sort(filt.score(index.vectors))
+    scores = np.sort(_index_scores(filt, index))
     total_words = index.total_words()
     thresholds = [-math.inf]
     n = len(scores)

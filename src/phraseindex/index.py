@@ -1,11 +1,19 @@
 """Immutable phrase index: build, exact inner-product search, persistence.
 
-A dense index stores one float32 row per candidate span; a sparse index
-stores its postings in CSR form, term id t owning the candidate ordinals
-and weights ``ordinals[indptr[t]:indptr[t + 1]]``, plus the term dictionary
-needed to encode questions against it. Metadata is a packed record array
-sorted by (doc_id, s, e); the ordinal of a row in that order is the
-candidate's identity everywhere (postings, hashes, filters).
+A dense index row is [start half; end half]: an encoder-built row is
+[words[s], words[e]]. The index holds the distinct halves once, in a start
+table (count_s x dim // 2 float32) and an end table (count_e x (dim - dim // 2)),
+plus a (2, count) u32 array of each row's start and end table index, the
+layout of the file. A search scores a block of rows in two steps: the
+question halves' products with the table rows the block uses, then a
+gather-add of the two partial scores. PhraseIndex.vectors, the expanded
+(count, dim) block, is built on first access and kept; no search reads it.
+
+A sparse index stores its postings in CSR form, term id t owning the
+candidate ordinals and weights ``ordinals[indptr[t]:indptr[t + 1]]``, plus
+the term dictionary needed to encode questions against it. Metadata is a
+packed record array sorted by (doc_id, s, e); the ordinal of a row in that
+order is the candidate's identity everywhere (postings, hashes, filters).
 
 File format (all integers little-endian):
 
@@ -16,18 +24,20 @@ Dense payload: u64 start-table rows S, u64 end-table rows E, count x start
 index u32, count x end index u32, then the start table, S x (dim // 2)
 float32, and the end table, E x (dim - dim // 2) float32, both row-major.
 Row i of the vector block is start table row start[i] followed by end table
-row end[i]. A row shares its neighbour's table row when that half is bitwise
-equal, neighbours taken in (doc_id, s, e) order for the start half and in
-(doc_id, e, s) order for the end half, and table rows are numbered by first
-use in row order: an encoder-built block, whose rows are [words[s], words[e]],
-stores each token's halves about once. Sparse payload: u64 term count T, u64
-document count, T x (df u32, len u16, utf-8 term) with terms strictly
+row end[i]. When an index is built, a row shares its neighbour's table row
+when that half is bitwise equal, neighbours taken in (doc_id, s, e) order for
+the start half and in (doc_id, e, s) order for the end half, and table rows
+are numbered by first use in row order, so that each token's halves are
+stored about once. A load keeps the file's tables and indexes as they are,
+so a loaded file saves to the same bytes. Sparse payload: u64 term count T,
+u64 document count, T x (df u32, len u16, utf-8 term) with terms strictly
 increasing, then T x posting count u64, then every term's ordinals u64
 (strictly increasing within a term), then every weight f32, in term order.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import time
@@ -67,7 +77,10 @@ class SearchHit:
 class PhraseIndex:
     """Read-only candidate store; safe for concurrent searches.
 
-    Sparse postings: a CSR triple (indptr, ordinals, weights).
+    Dense rows: a start and an end table with (2, count) u32 table indexes
+    (module docstring), given as tables=(start, end, indexes) and kept as
+    they are, or as a vectors block, which is grouped into tables. Sparse
+    postings: a CSR triple (indptr, ordinals, weights).
     """
 
     def __init__(
@@ -76,6 +89,7 @@ class PhraseIndex:
         metadata: np.ndarray,
         *,
         vectors: np.ndarray | None = None,
+        tables: tuple | None = None,
         postings: tuple | None = None,
         idf: IdfTable | None = None,
     ):
@@ -83,12 +97,20 @@ class PhraseIndex:
             raise ValueError(f"unknown index kind {kind!r}")
         self.kind = kind
         self.metadata = np.ascontiguousarray(metadata, dtype=METADATA_DTYPE)
-        self.vectors = vectors
         self.idf = idf
         if kind == "dense":
-            if vectors is None or len(vectors) != len(self.metadata):
+            if vectors is not None and len(vectors) == len(self.metadata):
+                block = np.asarray(vectors, dtype=np.float32)
+                half = block.shape[1] // 2
+                rows = np.arange(len(block), dtype="<u4")
+                tables = _half_tables((block[:, :half], block[:, half:]), rows, rows, self.metadata)
+            if tables is None or np.shape(tables[2]) != (2, len(self.metadata)):
                 raise ValueError("dense index needs one vector row per metadata record")
-            self.dim = int(vectors.shape[1])
+            self.tables = tuple(np.ascontiguousarray(t, dtype=np.float32) for t in tables[:2])
+            self.table_ids = np.ascontiguousarray(tables[2], dtype="<u4")
+            self.dim = sum(t.shape[1] for t in self.tables)
+            if self.tables[0].shape[1] != self.dim // 2:
+                raise ValueError("the start table holds the first dim // 2 columns of a row")
         else:
             if postings is None or idf is None:
                 raise ValueError("sparse index needs postings and a term table")
@@ -104,6 +126,28 @@ class PhraseIndex:
 
     def __len__(self) -> int:
         return len(self.metadata)
+
+    def rows(self, at) -> np.ndarray:
+        """Rows of the vector block, (n, dim) float32, gathered from the tables:
+        at is a slice or an array of ordinals."""
+        ids = self.table_ids[:, at]
+        out = np.empty((ids.shape[1], self.dim), dtype=np.float32)
+        half = self.tables[0].shape[1]
+        out[:, :half] = np.take(self.tables[0], ids[0], axis=0)
+        out[:, half:] = np.take(self.tables[1], ids[1], axis=0)
+        return out
+
+    @functools.cached_property
+    def vectors(self) -> np.ndarray | None:
+        """The (count, dim) float32 vector block of a dense index, None for a
+        sparse one. It is built from the tables on first access and kept, so it
+        is one array that stays writable; searches do not read it."""
+        if self.kind != "dense":
+            return None
+        vectors = np.empty((len(self), self.dim), dtype=np.float32)
+        for a, b in _chunks(len(self), self.dim):
+            vectors[a:b] = self.rows(slice(a, b))
+        return vectors
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PhraseIndex) or self.kind != other.kind:
@@ -234,10 +278,13 @@ def build_index(
 
     if word_vectors is None:
         raise BuildError(f"encoder {encoder!r} needs a word-vector table")
-    # Rows go straight into one block: [base, sa] of each span's start, then of
-    # its end, for lstm_sa ([base] of each for lstm), cast once to float32.
+    # A row is [words[s], words[e]], words being [base, sa] for lstm_sa ([base]
+    # for lstm), cast once to float32: every document's words go into one table
+    # that both halves index, and grouping turns it into the start and end tables.
     width = (2 if encoder == LSTM_SA else 1) * word_vectors.dim
-    vectors = np.empty((len(metadata), 2 * width), dtype=np.float32)
+    words_of_docs = [np.empty((0, width), dtype=np.float32)]
+    token_ids = np.empty((2, len(metadata)), dtype="<u4")
+    base = 0
     for doc, lo, hi in zip(corpus.documents, runs, runs[1:]):
         if doc.doc_id not in word_vectors.documents:
             raise BuildError(f"no word vectors for document {doc.doc_id} (channel base)")
@@ -254,9 +301,15 @@ def build_index(
         words = chan.base
         if encoder == LSTM_SA:
             words = np.concatenate([chan.base, sa_all(chan)], axis=1, dtype=np.float32)
-        vectors[lo:hi, :width] = words[metadata["s"][lo:hi]]
-        vectors[lo:hi, width:] = words[metadata["e"][lo:hi]]
-    return PhraseIndex("dense", metadata, vectors=vectors)
+        words_of_docs.append(words)
+        for ids, field in zip(token_ids, ("s", "e")):
+            ids[lo:hi] = metadata[field][lo:hi]
+            ids[lo:hi] += base
+        base += len(doc)
+    words = np.concatenate(words_of_docs, dtype=np.float32)
+    del words_of_docs
+    tables = _half_tables((words, words), *token_ids, metadata)
+    return PhraseIndex("dense", metadata, tables=tables)
 
 
 def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
@@ -305,40 +358,46 @@ def search_exact(
         q = np.asarray(query, dtype=np.float32)
         if q.ndim not in (1, 2) or q.shape[-1] != index.dim:
             raise ValueError(f"query dim {q.shape} does not match index dim {index.dim}")
-        if q.ndim == 2:
-            return _search_dense_block(index, q, k_top, lo, hi)
-        if hi == lo:
-            return []
-        scores = index.vectors[lo:hi] @ q
-    else:
-        if hi == lo:
-            return []
-        if not isinstance(query, SparseVector):
-            raise ValueError("sparse index expects a SparseVector query")
-        # The query terms' CSR runs in query order: bincount adds each score in that order.
-        known = (query.term_ids >= 0) & (query.term_ids < len(index.indptr) - 1)
-        ids = query.term_ids[known]
-        starts, sizes = index.indptr[ids], index.indptr[ids + 1] - index.indptr[ids]
-        at = np.repeat(starts - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())
-        ords = index.ordinals[at].astype(np.int64)
-        inside = (ords >= lo) & (ords < hi)
-        products = np.repeat(query.weights[known].astype(np.float64), sizes) * index.weights[at]
-        scores = np.bincount(ords[inside] - lo, weights=products[inside], minlength=hi - lo)
-
+        hits = _search_dense_block(index, np.atleast_2d(q), k_top, lo, hi)
+        return hits if q.ndim == 2 else hits[0]
+    if hi == lo:
+        return []
+    if not isinstance(query, SparseVector):
+        raise ValueError("sparse index expects a SparseVector query")
+    # The query terms' CSR runs in query order: bincount adds each score in that order.
+    known = (query.term_ids >= 0) & (query.term_ids < len(index.indptr) - 1)
+    ids = query.term_ids[known]
+    starts, sizes = index.indptr[ids], index.indptr[ids + 1] - index.indptr[ids]
+    at = np.repeat(starts - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())
+    ords = index.ordinals[at].astype(np.int64)
+    inside = (ords >= lo) & (ords < hi)
+    products = np.repeat(query.weights[known].astype(np.float64), sizes) * index.weights[at]
+    scores = np.bincount(ords[inside] - lo, weights=products[inside], minlength=hi - lo)
     return _hits(index, scores, k_top, lo)
 
 
-# Budget of the float32 score block in a batched dense search: a pass over m
-# query rows scores blocks of _SCORE_BLOCK_BYTES // (4 m) index rows, so that
-# block, m x rows x 4 bytes, stays within it. Ranking adds an (m, 2k) merge
-# and, for k > 1, the temporaries of one _top_k call on one row of the block.
-# PerceptronFilter.score casts its rows to float64 within the same budget.
-_SCORE_BLOCK_BYTES = 16 << 20
-# Query rows per pass, so that a block keeps at least 4,096 index rows. Over a
-# 36,183 x 256 block on a 2-core x86 VM, 16,384 questions took 0.13-0.14 ms
-# each at 1,024-4,096 rows per pass, and 0.16-0.17 ms at 256 rows per pass or
-# in one pass of 256-row blocks.
+# Budget of the arrays a dense search scores a block of index rows with: a pass
+# over m query rows walks [lo, hi) in blocks of _block_rows(m) index rows, so
+# that four (rows, m) float32 arrays and the rows' gather indexes stay within
+# it: both halves' products with the table rows the block uses, their columns
+# that get ranked, and the score block with one gathered half. Ranking adds an
+# (m, 2k) merge and a copy of the score block (k == 1) or the temporaries of
+# one _top_k call on one column (k > 1). PerceptronFilter.score casts its rows
+# to float64 within the same budget. Blocks that keep a score block within a
+# core's L2 cache scan faster: over the 36,183-row, 256-d seed-1 benchmark
+# index, 430 questions took 27-30 ms in blocks of 1,024-1,216 rows (8 MiB) and
+# 33-35 ms in blocks of 2,437 rows (16 MiB), min of 15 passes on a 2-core x86
+# VM with 2 MiB of L2 per core.
+_SCORE_BLOCK_BYTES = 8 << 20
+# Query rows per pass. Over a 36,183-row, 256-d encoder-built index on a 2-core
+# x86 VM, 16,384 random questions took 0.06-0.07 ms each at 1,024 rows per
+# pass (blocks of 511 index rows), 0.09-0.10 ms at 256 or 4,096 rows.
 _QUERY_ROWS = 1024
+
+
+def _block_rows(m: int) -> int:
+    """Index rows per block of a pass over m query rows (see _SCORE_BLOCK_BYTES)."""
+    return max(1, _SCORE_BLOCK_BYTES // (16 * m + 16))
 
 
 def _search_dense_block(
@@ -352,7 +411,7 @@ def _search_dense_block(
     out: list[list[SearchHit]] = []
     for start in range(0, len(queries), _QUERY_ROWS):
         batch = queries[start : start + _QUERY_ROWS]
-        ords, scores, nan = _block_top_k(index.vectors, batch, k, lo, hi)
+        ords, scores, nan = _block_top_k(index, batch, k, lo, hi)
         nan &= k < n  # as _top_k: a NaN picks nothing unless every row is asked for
         spans = index.metadata[ords].tolist()  # (doc_id, s, e) per hit
         out.extend(
@@ -362,42 +421,79 @@ def _search_dense_block(
     return out
 
 
-def _block_top_k(
-    vectors: np.ndarray, queries: np.ndarray, k: int, lo: int, hi: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each query row's top k of vectors[lo:hi]: (m, k) ordinals and scores, plus NaN flags.
+def _half_products(index: PhraseIndex, halves: list, ids: np.ndarray) -> list:
+    """Each half's (products, at) for m queries split at dim // 2 (np.hsplit) and
+    the rows with table indexes ids, (2, rows): products[at] is table[ids] @ queries.T.
 
-    One product per block of index rows scores every query. k == 1 ranks the
-    block with one argmax; k > 1 ranks each of its rows with _top_k. The winners
-    merge into a running (m, k) set by score descending, then ordinal ascending,
-    so an equal score in a later block never displaces an earlier, lower ordinal.
+    products is the queries' product with the run of table rows from ids.min()
+    to ids.max(). A run longer than ids, which no canonical grouping makes for
+    the start half, gathers the table rows first.
+    """
+    parts = []
+    for queries, table, half_ids in zip(halves, index.tables, ids):
+        a, b = int(half_ids.min()), int(half_ids.max()) + 1
+        if b - a > len(half_ids):
+            parts.append((np.take(table, half_ids, axis=0) @ queries.T, np.arange(len(half_ids))))
+        else:
+            parts.append((table[a:b] @ queries.T, half_ids - a))
+    return parts
+
+
+def _row_scores(parts: list) -> np.ndarray:
+    """(rows, m) float32 scores from _half_products: the two halves' gathered products, added."""
+    (start, start_at), (end, end_at) = parts
+    scores = np.take(start, start_at, axis=0)  # np.take: faster than fancy indexing
+    scores += np.take(end, end_at, axis=0)
+    return scores
+
+
+def _block_top_k(
+    index: PhraseIndex, queries: np.ndarray, k: int, lo: int, hi: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each query row's top k of rows [lo, hi): (m, k) ordinals and scores, plus NaN flags.
+
+    A block of index rows is scored as a (rows, m) array, the start halves'
+    products plus the end halves'. A row scores at most the sum of the largest
+    products of its halves (rounding is monotone), so once a query has k
+    winners, a block whose bound is at or below its k-th score can add none:
+    its column is not scored (a NaN or infinite bound is). k == 1 ranks a
+    scored column with argmax, k > 1 with _top_k. The winners merge into a
+    running (m, k) set by score descending, then ordinal ascending, so an
+    equal score in a later block never displaces an earlier, lower ordinal.
     nan flags the query rows whose scores hold a NaN anywhere in [lo, hi).
     """
     m = len(queries)
-    step = max(1, _SCORE_BLOCK_BYTES // (4 * m))
+    step = _block_rows(m)
+    halves = np.hsplit(queries, [index.dim // 2])
     nan = np.zeros(m, dtype=bool)
     for start in range(lo, hi, step):
-        block = queries @ vectors[start : min(start + step, hi)].T
-        if k == 1:
-            cols = block.argmax(axis=1)[:, None]  # the first maximum, or the first NaN
+        stop = min(start + step, hi)
+        parts = _half_products(index, halves, index.table_ids[:, start:stop])
+        ranked = np.arange(m)
+        if start > lo and neg.shape[1] == k:
+            bound = parts[0][0].max(axis=0) + parts[1][0].max(axis=0)
+            ranked = np.flatnonzero(~(bound <= -neg[:, -1]) | ~np.isfinite(bound))
+            parts = [(np.take(products, ranked, axis=1), at) for products, at in parts]
+        block = _row_scores(parts)
+        del parts
+        cols = np.zeros((len(ranked), min(k, stop - start)), dtype=np.int64)
+        if k == 1:  # the first maximum, or the first NaN
+            cols[:, 0] = block.argmax(axis=0)
         else:
-            cols = np.zeros((m, min(k, block.shape[1])), dtype=np.int64)
-            rows = range(m)  # NaN rows too: when k >= n they still return all of theirs
-            if start > lo and neg.shape[1] == k:
-                # Skip rows whose block maximum is at or below their running k-th
-                # score: their column-0 picks lose the merge on score or, tied, on
-                # ordinal. A NaN maximum compares False, so its row is ranked.
-                rows = np.flatnonzero(~(block.max(axis=1) <= -neg[:, -1]))
-            for r in rows:
-                picked = _top_k(block[r], k)
+            for j, r in enumerate(ranked.tolist()):
+                picked = _top_k(block[:, j], k)
                 if len(picked) < cols.shape[1]:
                     nan[r] = True  # _top_k picks nothing from a row holding a NaN
                 else:
-                    cols[r] = picked
-        top = -np.take_along_axis(block, cols, axis=1)  # negated: lexsort ascends
-        del block  # before the next product, so one score block is alive at a time
+                    cols[j] = picked
+        # Negated scores, as lexsort ascends. A column left out adds candidates
+        # that sort after its running set: score -inf at ordinal hi.
+        top = np.full((m, cols.shape[1]), np.inf, dtype=np.float32)
+        cand = np.full((m, cols.shape[1]), hi, dtype=np.int64)
+        top[ranked] = -block[cols, np.arange(len(ranked))[:, None]]
+        cand[ranked] = cols + start
+        del block  # before the next products, so one score block is alive at a time
         nan |= np.isnan(top).any(axis=1)
-        cand = cols + start
         if start > lo:
             cand = np.concatenate([ords, cand], axis=1)
             top = np.concatenate([neg, top], axis=1)
@@ -469,12 +565,18 @@ def synthetic_dense_index(num_candidates: int, dim: int, seed: int = 0) -> Phras
     metadata["doc_id"] = at // len(per_doc)
     metadata["s"], metadata["e"] = per_doc[at % len(per_doc)].T
     rng = np.random.Generator(np.random.Philox(key=seed))
-    vectors = np.empty((num_candidates, dim), dtype=np.float32)
+    # Rows go straight into the two tables, which share no row.
+    half = dim // 2
+    start_table = np.empty((num_candidates, half), dtype=np.float32)
+    end_table = np.empty((num_candidates, dim - half), dtype=np.float32)
     step = max(1, (1 << 22) // dim)  # ~16 MB float32 chunks
     for start in range(0, num_candidates, step):
         stop = min(num_candidates, start + step)
-        vectors[start:stop] = rng.normal(size=(stop - start, dim)).astype(np.float32)
-    return PhraseIndex("dense", metadata, vectors=vectors)
+        rows = rng.normal(size=(stop - start, dim)).astype(np.float32)
+        start_table[start:stop], end_table[start:stop] = rows[:, :half], rows[:, half:]
+    ids = np.arange(num_candidates, dtype="<u4")
+    tables = _half_tables((start_table, end_table), ids, ids, metadata)
+    return PhraseIndex("dense", metadata, tables=tables)
 
 
 class _Reader:
@@ -528,16 +630,15 @@ def _write(path: str, magic: bytes, version: int, parts) -> None:
     """Write magic, version u32 and the parts: bytes, or numpy values in file byte order.
 
     Each part goes to the file from its own buffer: a contiguous array is not
-    copied. parts is iterated once, so a generator can hand over a large
-    section in chunks.
+    copied.
     """
     with open(path, "wb") as f:
         for part in itertools.chain([magic, np.array(version, "<u4")], parts):
             f.write(part if isinstance(part, bytes) else np.ascontiguousarray(part))
 
 
-# Budget of one chunk of rows when a dense payload is grouped, written, read
-# or expanded: a step takes _CHUNK_BYTES // (4 dim) rows of the block.
+# Budget of one chunk of rows when dense halves are grouped, checked on load or
+# expanded: a step takes _CHUNK_BYTES // (4 dim) rows of width dim.
 _CHUNK_BYTES = 1 << 18
 
 
@@ -547,69 +648,60 @@ def _chunks(count: int, dim: int):
     return [(a, min(a + step, count)) for a in range(0, count, step)]
 
 
-def _differs(bits: np.ndarray, cols: slice, order: np.ndarray | None = None) -> np.ndarray:
-    """Mask over the positions of order (row order when None): True where the
-    row's cols hold other bits than the row at the position before, or at 0."""
-    new = np.ones(len(bits), bool)
-    for a, b in _chunks(*bits.shape):
-        a = max(a, 1)
-        rows = bits[a - 1 : b, cols] if order is None else bits[order[a - 1 : b], cols]
-        new[a:b] = (rows[1:] != rows[:-1]).any(axis=1)
-    return new
+def _group_half(table: np.ndarray, ids: np.ndarray, order: np.ndarray | None):
+    """One half's canonical table and u32 indexes, for rows whose half is table[ids].
 
-
-def _half_tables(block: np.ndarray, metadata: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's start and end table index, (2, count) u32, and whether the
-    row is the first user of its table row, (2, count) bool.
-
-    Bits are compared, so -0.0 and 0.0 fall in different table rows.
+    A run of bitwise-equal neighbours in order (row order when None) is one
+    table row, first used by its lowest row; table rows are numbered by first
+    use in row order and hold that row's half. Bits are compared, so -0.0 and
+    0.0 fall in different table rows. The table comes back as it is when its
+    rows are already those, in that order.
     """
-    if len(block) >= 2**32:
-        raise ValueError("a dense index file holds fewer than 2**32 rows (u32 table indexes)")
-    bits = block.view("<u4")
-    half = block.shape[1] // 2
-    # End halves: a run of equal neighbours in (doc_id, e, s) order is one
-    # table row, first used by its lowest row. Runs are numbered in that order,
-    # then renumbered by the rank of their lowest row. The outputs are
-    # allocated after the sort, to keep the peak low.
-    order = np.argsort(_span_keys(metadata["doc_id"], metadata["e"], metadata["s"])).astype("<u4")
-    group = np.cumsum(_differs(bits, slice(half, None), order), dtype="<u4")
+    n = len(ids)
+    at = ids if order is None else ids[order]  # each position's table row
+    bits = table.view("<u4")
+    first = np.ones(n, dtype=bool)
+    for a, b in _chunks(n, table.shape[1]):
+        a = max(a, 1)
+        rows = bits[at[a - 1 : b]]
+        first[a:b] = (rows[1:] != rows[:-1]).any(axis=1)
+    del at
+    group = np.cumsum(first, dtype="<u4")
     group -= 1
-    lowest = np.full(int(group[-1]) + 1 if len(group) else 0, len(block), "<u4")
-    np.minimum.at(lowest, group, order)
-    ids = np.empty((2, len(block)), "<u4")
-    first = np.zeros((2, len(block)), bool)
-    ids[1, order] = group
-    del order, group
-    first[1, lowest] = True
-    np.cumsum(first[1], dtype="<u4", out=ids[0])  # ids[0] is scratch until the start halves
-    ranks = ids[0, lowest] - 1
-    del lowest
-    ids[1] = ranks[ids[1]]
-    # Start halves: a run of equal neighbours in row order is one table row.
-    first[0] = _differs(bits, slice(0, half))
-    np.cumsum(first[0], dtype="<u4", out=ids[0])
-    ids[0] -= 1
-    return ids, first
+    if order is not None:
+        # Runs are numbered in order, then renumbered by the rank of their lowest row.
+        lowest = np.full(int(group[-1]) + 1 if n else 0, n, dtype="<u4")
+        np.minimum.at(lowest, group, order)
+        first[:] = False
+        first[lowest] = True
+        rank = np.cumsum(first, dtype="<u4")[lowest]
+        rank -= 1
+        del lowest
+        group[order] = rank[group]  # group is read in full before the write
+    source = ids[first]  # the table row of each first user, in row order
+    if not np.array_equal(source, np.arange(len(table))):
+        table = table[source]
+    return table, group
 
 
-def _dense_payload(vectors: np.ndarray, metadata: np.ndarray):
-    """The parts of a dense payload: table sizes, indexes, then the tables in chunks."""
-    block = np.ascontiguousarray(vectors, dtype="<f4")
-    ids, first = _half_tables(block, metadata)
-    yield np.array(tuple(first.sum(axis=1).tolist()), TABLES_DTYPE)
-    yield ids
-    half = block.shape[1] // 2
-    for used, cols in zip(first, (slice(0, half), slice(half, None))):
-        for a, b in _chunks(*block.shape):
-            yield block[a:b, cols][used[a:b]]
+def _half_tables(tables, start_ids, end_ids, metadata: np.ndarray) -> tuple:
+    """(start table, end table, (2, count) u32 table indexes), grouped as a save
+    writes them (module docstring), of rows whose start half is
+    tables[0][start_ids] and whose end half is tables[1][end_ids]."""
+    if len(metadata) >= 2**32:
+        raise ValueError("a dense index holds fewer than 2**32 rows (u32 table indexes)")
+    start, start_ids = _group_half(tables[0], start_ids, None)
+    by_end = np.argsort(_span_keys(metadata["doc_id"], metadata["e"], metadata["s"]))
+    end, end_ids = _group_half(tables[1], end_ids, by_end.astype("<u4"))
+    return start, end, np.stack([start_ids, end_ids])
 
 
 def save_index(index: PhraseIndex, path: str) -> None:
     kind = KIND_DENSE if index.kind == "dense" else KIND_SPARSE
     parts = [np.array((kind, index.dim, len(index)), HEADER_DTYPE), index.metadata]
     if index.kind == "dense":
-        parts = itertools.chain(parts, _dense_payload(index.vectors, index.metadata))
+        sizes = tuple(len(table) for table in index.tables)
+        parts += [np.array(sizes, TABLES_DTYPE), index.table_ids, *index.tables]
     else:
         idf = index.idf
         raws = [term.encode("utf-8") for term in idf.vocab]
@@ -632,14 +724,11 @@ def _first_bad(*checks: tuple[np.ndarray, str]) -> tuple[int, str] | None:
     return None
 
 
-def _read_dense(r: _Reader, count: int, dim: int) -> np.ndarray:
-    """The vector block of a dense payload (module docstring).
+def _read_dense(r: _Reader, count: int, dim: int) -> tuple:
+    """The start table, end table and (2, count) table indexes of a dense payload.
 
     The indexes must be in range, in first-use order, as a save writes them,
-    and use every table row. So each is at most its own row number: the
-    tables are read into the block's first rows, then expanded in place from
-    the last row back, and rows below a chunk still hold the table rows it
-    reads.
+    and use every table row; the table rows must be finite.
     """
     sizes_at = r.pos
     sizes = r.record(TABLES_DTYPE, "table sizes")
@@ -660,26 +749,22 @@ def _read_dense(r: _Reader, count: int, dim: int) -> np.ndarray:
             at = sizes_at + 8 * h
             raise FormatError(f"{r.path}: {half} table has {rows} rows for {used} used", offset=at)
     del top
-    cols = (slice(0, dim // 2), slice(dim // 2, dim))
-    nbytes = 4 * sum(rows * (c.stop - c.start) for rows, c in zip(sizes, cols))
-    if r.pos + nbytes > r.size:  # before the block is allocated
+    widths = (dim // 2, dim - dim // 2)
+    if r.pos + 4 * sum(rows * width for rows, width in zip(sizes, widths)) > r.size:
         raise FormatError(f"{r.path}: truncated while reading the tables", offset=r.pos)
-    vectors = np.empty((count, dim), np.float32)
-    for half, rows, c in zip(TABLES_DTYPE.names, sizes, cols):
-        width, at = c.stop - c.start, r.pos
+    tables = []
+    for half, rows, width in zip(TABLES_DTYPE.names, sizes, widths):
+        at = r.pos
+        table = r.array("<f4", rows * width, f"the {half} table").reshape(rows, width)
         for a, b in _chunks(rows, width):
-            table = r.array("<f4", (b - a) * width, f"the {half} table").reshape(b - a, width)
-            finite = np.isfinite(table).all(axis=1)
+            finite = np.isfinite(table[a:b]).all(axis=1)
             if not finite.all():
                 row = a + int(finite.argmin())
                 raise FormatError(
                     f"{r.path}: {half} table row {row} is not finite", offset=at + 4 * width * row
                 )
-            vectors[a:b, c] = table
-    for a, b in reversed(_chunks(count, dim)):
-        for h, c in enumerate(cols):
-            vectors[a:b, c] = vectors[ids[h, a:b], c]
-    return vectors
+        tables.append(table)
+    return (*tables, ids)
 
 
 def load_index(path: str) -> PhraseIndex:
@@ -708,9 +793,9 @@ def load_index(path: str) -> PhraseIndex:
             raise FormatError(f"{path}: metadata record {i} {problem}", offset=at)
 
         if kind == KIND_DENSE:
-            vectors = _read_dense(r, count, dim)
+            tables = _read_dense(r, count, dim)
             r.finish()
-            return PhraseIndex("dense", metadata, vectors=vectors)
+            return PhraseIndex("dense", metadata, tables=tables)
 
         num_terms, num_docs = r.record(SPARSE_DTYPE, "term and document counts")
         df: dict[str, int] = {}

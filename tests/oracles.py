@@ -14,7 +14,7 @@ from phraseindex.candidates import CandidateSpan
 from phraseindex.encode.dense import LSTM_SA, sa_all, softmax
 from phraseindex.errors import ConfigError
 from phraseindex.filtering import PerceptronFilter
-from phraseindex.index import METADATA_DTYPE
+from phraseindex.index import METADATA_DTYPE, SearchHit, _top_k
 
 
 def enumerate_spans(doc_len: int, max_span_len: int) -> list[tuple[int, int]]:
@@ -208,3 +208,56 @@ def train_filter_float64(index, corpus, epochs=100, learning_rate=0.5, seed=0):
     _, weights, bias = best
     filt = PerceptronFilter(weights=weights.astype(np.float32), bias=float(np.float32(bias)))
     return filt, trajectory
+
+
+def gemm_search(vectors, metadata, query, k_top, lo, hi, rows_per_block=None):
+    """Dense search_exact over rows [lo, hi) of a whole (count, dim) vector block.
+
+    A 1-D query scores vectors[lo:hi] @ query and ranks it with _top_k. A
+    (m, dim) block of queries is scored by blocks of rows_per_block index rows
+    (16 MiB of float32 scores when None), with one queries @ vectors[block].T
+    each; k == 1 ranks a block with argmax, k > 1 each query's row with _top_k,
+    and the winners merge by score descending, then ordinal ascending.
+    """
+    spans = [CandidateSpan(*rec) for rec in metadata.tolist()]
+    n = hi - lo
+    if query.ndim == 1:
+        if n == 0:
+            return []
+        scores = vectors[lo:hi] @ query
+        return [SearchHit(spans[lo + r], float(scores[r])) for r in _top_k(scores, min(k_top, n))]
+    m = len(query)
+    if n == 0:
+        return [[] for _ in range(m)]
+    k = min(k_top, n)
+    step = rows_per_block or max(1, (16 << 20) // (4 * m))
+    nan = np.zeros(m, dtype=bool)
+    for start in range(lo, hi, step):
+        block = query @ vectors[start : min(start + step, hi)].T
+        if k == 1:
+            cols = block.argmax(axis=1)[:, None]  # the first maximum, or the first NaN
+        else:
+            cols = np.zeros((m, min(k, block.shape[1])), dtype=np.int64)
+            rows = range(m)
+            if start > lo and neg.shape[1] == k:
+                rows = np.flatnonzero(~(block.max(axis=1) <= -neg[:, -1]))
+            for r in rows:
+                picked = _top_k(block[r], k)
+                if len(picked) < cols.shape[1]:
+                    nan[r] = True
+                else:
+                    cols[r] = picked
+        top = -np.take_along_axis(block, cols, axis=1)
+        nan |= np.isnan(top).any(axis=1)
+        cand = cols + start
+        if start > lo:
+            cand = np.concatenate([ords, cand], axis=1)
+            top = np.concatenate([neg, top], axis=1)
+        order = np.lexsort((cand, top), axis=1)[:, :k]
+        ords = np.take_along_axis(cand, order, axis=1)
+        neg = np.take_along_axis(top, order, axis=1)
+    nan &= k < n  # as _top_k: a NaN picks nothing unless every row is asked for
+    return [
+        [] if drop else [SearchHit(spans[o], s) for o, s in zip(row, row_scores)]
+        for drop, row, row_scores in zip(nan.tolist(), ords.tolist(), (-neg).tolist())
+    ]

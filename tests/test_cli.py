@@ -399,6 +399,16 @@ def test_serve_dense_without_word_vectors_exits_two_at_start(ws):
     assert "--word-vectors" in err
 
 
+@pytest.mark.parametrize("port", ["-5", "70000"])
+def test_out_of_range_port_is_a_usage_error(ws, port):
+    with mock.patch("phraseindex.cli.serve", side_effect=AssertionError("server started")):
+        rc, out, err = run("serve", "--index", ws["sparse"], "--port", port)
+    assert rc == 1 and out == ""
+    assert err.strip().splitlines()[-1].endswith(
+        f"error: argument --port: must be 0-65535, got '{port}'"
+    )
+
+
 def test_module_invocation_matches_script():
     import subprocess
     import sys

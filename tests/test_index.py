@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phraseindex import index as index_module
-from phraseindex.candidates import CandidateSpan, span_count
+from phraseindex.candidates import CandidateSpan, span_bounds, span_count
 from phraseindex.corpus import Corpus, Document, tokenize
 from phraseindex.encode.dense import sa_all
 from phraseindex.encode.tfidf import IdfTable, SparseVector, tfidf_phrase_encode
@@ -33,6 +33,7 @@ from .oracles import (
     compose_phrase_lstm_sa,
     csr_postings,
     enumerate_spans,
+    gemm_search,
     per_span_dense_build,
 )
 
@@ -263,10 +264,10 @@ def test_block_search_equals_row_by_row_search(case):
     counts, vectors, queries, doc_id, k_top, rows_per_chunk = case
     index = PhraseIndex("dense", make_meta(counts), vectors=vectors)
     lo, hi = (0, len(index)) if doc_id is None else index.doc_range(doc_id)
-    budget = index_module._SCORE_BLOCK_BYTES
-    if rows_per_chunk is not None:
-        budget = rows_per_chunk * 4 * max(1, hi - lo)
-    with mock.patch.object(index_module, "_SCORE_BLOCK_BYTES", budget):
+    block_rows = index_module._block_rows
+    if rows_per_chunk is not None:  # blocks of rows_per_chunk x (hi - lo) // m index rows
+        block_rows = lambda m: max(1, rows_per_chunk * max(1, hi - lo) // m)  # noqa: E731
+    with mock.patch.object(index_module, "_block_rows", block_rows):
         block = search_exact(index, queries, k_top=k_top, doc_id=doc_id)
     assert len(block) == len(queries)
     for q, hits in zip(queries, block):
@@ -586,6 +587,21 @@ def test_dense_round_trip_is_bit_exact(tmp_path, dense_index):
     assert open(path, "rb").read() == open(path2, "rb").read()
 
 
+def test_loaded_vectors_are_built_once_and_searches_do_not_read_them(tmp_path, dense_index):
+    path = str(tmp_path / "dense.idx")
+    save_index(dense_index, path)
+    loaded = load_index(path)
+    queries = quantized((3, loaded.dim), 4)
+    before = search_exact(loaded, queries, k_top=3)
+    vectors = loaded.vectors
+    assert vectors is loaded.vectors and vectors.flags.writeable
+    assert vectors.shape == (len(loaded), loaded.dim) and vectors.dtype == np.float32
+    assert vectors.tobytes() == dense_index.vectors.tobytes()
+    vectors[3] += 1.0
+    assert loaded.vectors[3].tobytes() == vectors[3].tobytes()
+    assert search_exact(loaded, queries, k_top=3) == before
+
+
 def test_sparse_round_trip_is_bit_exact(tmp_path, sparse_index):
     path = str(tmp_path / "sparse.idx")
     save_index(sparse_index, path)
@@ -863,10 +879,9 @@ def _exact_key(hits):
 
 
 def _search_in_blocks(index, queries, k_top, doc_id=None, rows_per_block=1, query_rows=None):
-    """Block search whose score budget holds rows_per_block index rows per block."""
+    """Block search that scores rows_per_block index rows per block."""
     query_rows = query_rows or index_module._QUERY_ROWS
-    budget = rows_per_block * 4 * min(len(queries), query_rows)
-    with mock.patch.object(index_module, "_SCORE_BLOCK_BYTES", budget), \
+    with mock.patch.object(index_module, "_block_rows", lambda m: rows_per_block), \
             mock.patch.object(index_module, "_QUERY_ROWS", query_rows):
         return search_exact(index, queries, k_top=k_top, doc_id=doc_id)
 
@@ -950,3 +965,105 @@ def test_block_search_of_an_all_minus_inf_row_returns_its_lowest_ordinals(k):
     (hits,) = _search_in_blocks(index, np.ones((1, 1), np.float32), k, doc_id=1)
     assert [(h.span.doc_id, h.span.s) for h in hits] == [(1, s) for s in range(k)]
     assert [h.score for h in hits] == [-np.inf] * k
+
+
+# ------------------------------------------- factored scoring against the block GEMM
+
+
+@st.composite
+def factored_cases(draw):
+    """A dense index over documents of (s, e) spans, its (count, dim) vector block,
+    a query block, a scope and k from 1 to n + 2. Cells are small integers,
+    infinities and NaN. The rows are built as an encoder builds them,
+    [words[s][:dim // 2], words[e][dim // 2:]] with words drawn from three rows,
+    so that halves recur; or they are independent; or the index is given as
+    tables of a few rows and random table indexes, as a load keeps them."""
+    lengths = draw(st.lists(st.integers(0, 5), min_size=1, max_size=3), label="lengths")
+    max_span_len = draw(st.integers(1, 3), label="max_span_len")
+    spans = [
+        (d, s, e)
+        for d, n in enumerate(lengths)
+        for s, e in zip(*(a.tolist() for a in span_bounds(n, max_span_len)))
+    ]
+    metadata = np.array(spans, dtype=METADATA_DTYPE).reshape(-1)
+    n, dim = len(spans), draw(st.integers(0, 7), label="dim")
+    half = dim // 2
+
+    def cells(rows, width):
+        values = draw(st.lists(block_cell, min_size=rows * width, max_size=rows * width))
+        return np.array(values, np.float32).reshape(rows, width)
+
+    rows = draw(st.sampled_from(["encoder", "independent", "tables"]), label="rows")
+    if rows == "tables":
+        tables = [cells(draw(st.integers(1, 6)), width) for width in (half, dim - half)]
+        ids = np.array([draw(st.lists(st.integers(0, len(t) - 1), min_size=n, max_size=n))
+                        for t in tables], dtype="<u4").reshape(2, n)
+        index = PhraseIndex("dense", metadata, tables=(*tables, ids))
+        vectors = np.concatenate([tables[0][ids[0]], tables[1][ids[1]]], axis=1)
+    else:
+        vectors = cells(n, dim)
+        if rows == "encoder":
+            picks = draw(st.lists(st.integers(0, 2), min_size=sum(lengths), max_size=sum(lengths)))
+            words = np.split(cells(3, dim)[picks], np.cumsum(lengths)[:-1])
+            for i, (d, s, e) in enumerate(spans):
+                vectors[i] = np.r_[words[d][s][:half], words[d][e][half:]]
+        index = PhraseIndex("dense", metadata, vectors=vectors)
+    queries = cells(draw(st.integers(1, 4), label="m"), dim)
+    doc_id = draw(st.none() | st.integers(0, len(lengths)), label="doc_id")
+    k_top = draw(st.integers(1, n + 2), label="k_top")
+    return index, vectors, queries, doc_id, k_top
+
+
+@settings(max_examples=500, deadline=None)
+@given(factored_cases(), st.sampled_from([1, 2, 3, None]))
+def test_factored_search_returns_the_block_gemm_spans_and_score_bits(case, rows_per_block):
+    index, vectors, queries, doc_id, k_top = case
+    metadata = index.metadata
+    lo, hi = (0, len(index)) if doc_id is None else index.doc_range(doc_id)
+    block_rows = index_module._block_rows if rows_per_block is None else lambda m: rows_per_block
+    with np.errstate(invalid="ignore"), mock.patch.object(index_module, "_block_rows", block_rows):
+        block = search_exact(index, queries, k_top=k_top, doc_id=doc_id)
+        expected = gemm_search(vectors, metadata, queries, k_top, lo, hi)
+        assert [_exact_key(hits) for hits in block] == [_exact_key(hits) for hits in expected]
+        for q in queries:
+            hits = search_exact(index, q, k_top=k_top, doc_id=doc_id)
+            assert _exact_key(hits) == _exact_key(gemm_search(vectors, metadata, q, k_top, lo, hi))
+
+
+@pytest.mark.parametrize("doc_id", [None, 1])
+@pytest.mark.parametrize("k_top", [1, 5])
+def test_factored_search_of_random_rows_matches_the_block_gemm(doc_id, k_top):
+    rng = np.random.Generator(np.random.Philox(key=5))
+    metadata = make_meta([300, 200, 100])
+    vectors = rng.normal(size=(600, 64)).astype(np.float32)
+    queries = rng.normal(size=(40, 64)).astype(np.float32)
+    index = PhraseIndex("dense", metadata, vectors=vectors)
+    lo, hi = (0, len(index)) if doc_id is None else index.doc_range(doc_id)
+    block = search_exact(index, queries, k_top=k_top, doc_id=doc_id)
+    singles = [search_exact(index, q, k_top=k_top, doc_id=doc_id) for q in queries]
+    for got in (block, singles):
+        expected = gemm_search(vectors, metadata, queries, k_top, lo, hi)
+        assert [[h.span for h in hits] for hits in got] == [
+            [h.span for h in hits] for hits in expected
+        ]
+        for hits, want in zip(got, expected):
+            assert [h.score for h in hits] == pytest.approx([h.score for h in want], rel=1e-6)
+
+
+@pytest.mark.parametrize("rows_per_block", [1, 2, 3, None])
+def test_factored_search_of_blocks_whose_table_rows_lie_far_apart(rows_per_block):
+    """Rows 0-3 use table rows 0, 3, 1, 2 of each half, rows 4-5 rows 3 and 0:
+    a block's run of table rows can be longer than the block, as in a loaded file."""
+    start = np.array([[2], [-1], [0], [5]], np.float32)
+    end = np.array([[1, 0], [0, 2], [3, -1], [-2, 1]], np.float32)
+    ids = np.array([[0, 3, 1, 2, 3, 0], [0, 3, 1, 2, 3, 0]], "<u4")
+    index = PhraseIndex("dense", make_meta([6]), tables=(start, end, ids))
+    vectors = np.concatenate([start[ids[0]], end[ids[1]]], axis=1)
+    queries = np.array([[1, 1, 1], [-1, 2, 0], [0, 0, 1]], np.float32)
+    block_rows = index_module._block_rows if rows_per_block is None else lambda m: rows_per_block
+    with mock.patch.object(index_module, "_block_rows", block_rows):
+        for k in range(1, 8):
+            block = search_exact(index, queries, k_top=k)
+            assert block == gemm_search(vectors, index.metadata, queries, k, 0, 6)
+            for q, hits in zip(queries, block):
+                assert hits == gemm_search(vectors, index.metadata, q, k, 0, 6)

@@ -58,19 +58,47 @@ def test_dense_save_streams_the_block(tmp_path):
     assert peak < MiB
 
 
+def encoder_built(num_docs=80, doc_len=60):
+    """An lstm_sa index whose (count, dim) block is at least 7 MiB."""
+    corpus = words_corpus(num_docs, doc_len)
+    return build_index(corpus, "lstm_sa", word_vectors=toy_word_vector_table(corpus, dim=16))
+
+
 def test_encoder_built_dense_save_and_load_hold_their_bounds(tmp_path):
-    """Most halves of an encoder-built block are shared: grouping them on save
-    and expanding them on load stay within the bounds of a block sharing none."""
-    corpus = words_corpus(80, 60)
-    index = build_index(corpus, "lstm_sa", word_vectors=toy_word_vector_table(corpus, dim=16))
-    assert index.vectors.nbytes >= 7 * MiB
+    """Most halves of an encoder-built block are shared: a save writes the
+    tables the index holds, and a load holds the file's tables and indexes,
+    not the block."""
+    index = encoder_built()
     path = str(tmp_path / "dense.idx")
     _, peak = traced_peak(lambda: save_index(index, path))
     assert peak < MiB
     loaded, peak, held = traced(lambda: load_index(path))
-    assert loaded.vectors.tobytes() == index.vectors.tobytes()
-    assert held >= index.vectors.nbytes
+    arrays = (*loaded.tables, loaded.table_ids, loaded.metadata)
+    assert held <= sum(a.nbytes for a in arrays) + MiB
     assert peak <= held + MiB
+    assert loaded.vectors.tobytes() == index.vectors.tobytes()
+    assert index.vectors.nbytes >= 7 * MiB
+
+
+def test_encoder_built_load_and_searches_allocate_no_vector_block(tmp_path):
+    """load_index, a block search_exact and search_approx peak below one
+    (count, dim) float32 array: none of them expands the tables."""
+    index = encoder_built()
+    block = 4 * len(index) * index.dim
+    assert block >= 7 * MiB
+    path = str(tmp_path / "dense.idx")
+    save_index(index, path)
+    sidecar = alsh_module.build_alsh(index)
+    queries = np.random.Generator(np.random.Philox(key=2)).normal(size=(8, index.dim))
+    calls = {
+        "load_index": lambda: load_index(path),
+        "search_exact k=1": lambda: search_exact(index, queries.astype(np.float32), k_top=1),
+        "search_exact k=3": lambda: search_exact(index, queries.astype(np.float32), k_top=3),
+        "search_approx": lambda: alsh_module.search_approx(sidecar, queries[0], k_top=3),
+    }
+    for name, call in calls.items():
+        _, peak = traced_peak(call)
+        assert peak < block, name
 
 
 def test_dense_build_holds_the_block_and_one_document():
