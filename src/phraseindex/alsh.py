@@ -7,24 +7,26 @@ hyperplanes. Bucket collisions propose candidates; the proposals are then
 re-scored exactly against the original vectors, so approximation can only
 lose recall, never corrupt scores.
 
-Each hash table is stored flat, as in an inverted-file index: the distinct
-codes in ascending order, CSR bounds into one ordinal array, and the
-ordinals of each bucket in ascending order. A lookup is one binary search.
+The index holds each candidate's code in every table, the layout of the
+file, and derives each table's buckets from its codes when it is built or
+loaded: as in an inverted-file index, the distinct codes in ascending order,
+CSR bounds into one ordinal array, and the ordinals of each bucket in
+ascending order. A lookup is one binary search.
 
 File format (all integers little-endian):
 
-    magic "PQAH" | version u32=2 | m u32 | U f64 | bits u32 | tables u32
-    | seed i64 | max_norm f64 | augmented dim u32
+    magic "PQAH" | version u32=3 | m u32 | U f64 | bits u32 | tables u32
+    | seed i64 | max_norm f64 | augmented dim u32 | rows u64
     | tables x bits x augmented dim float64 hyperplanes
-    | per table: u64 bucket count B, B x code u64 (strictly increasing),
-      B x bucket size u64 (each >= 1), then the ordinals u64 of every
-      bucket in code order, ascending within a bucket
+    | tables x rows codes, table by table in candidate order, each below
+      2**bits, in the narrowest unsigned integer that holds bits bits
+      (u16 at the default 12)
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator, Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,9 +34,10 @@ from .errors import ConfigError, FormatError
 from .index import PhraseIndex, SearchHit, _half_products, _Reader, _row_scores, _top_k, _write
 
 MAGIC = b"PQAH"
-VERSION = 2
+VERSION = 3
 HEADER_DTYPE = np.dtype([("m", "<u4"), ("U", "<f8"), ("bits", "<u4"), ("tables", "<u4"),
-                         ("seed", "<i8"), ("max_norm", "<f8"), ("aug_dim", "<u4")])
+                         ("seed", "<i8"), ("max_norm", "<f8"), ("aug_dim", "<u4"),
+                         ("rows", "<u8")])
 
 
 @dataclass(frozen=True)
@@ -63,8 +66,8 @@ class BucketTable(Mapping):
     """Read-only code -> ascending ordinals map over three flat arrays.
 
     ``codes`` (u64, strictly increasing) names the non-empty buckets, and
-    bucket i holds ``ordinals[indptr[i]:indptr[i + 1]]``. Lookups are binary
-    searches; ``len()`` is the bucket count.
+    bucket i holds ``ordinals[indptr[i]:indptr[i + 1]]`` (u32). Lookups are
+    binary searches; ``len()`` is the bucket count.
     """
 
     __slots__ = ("codes", "indptr", "ordinals")
@@ -99,13 +102,38 @@ class BucketTable(Mapping):
         return len(self.codes)
 
 
+def _code_dtype(bits: int) -> np.dtype:
+    """The narrowest unsigned type that holds bits bits, little-endian: u16 at 12."""
+    return np.dtype(np.min_scalar_type((1 << bits) - 1)).newbyteorder("<")
+
+
 @dataclass
 class AlshIndex:
     params: AlshParams
     max_norm: float
     hyperplanes: np.ndarray  # (T, b, dim + m) float64, unit rows
-    buckets: list[BucketTable]  # one per hash table
+    codes: np.ndarray  # (T, count) hash codes of every candidate, in _code_dtype(b)
     backing: PhraseIndex
+    buckets: list[BucketTable] = field(init=False)  # one per hash table
+
+    def __post_init__(self):
+        # A stable argsort of a table's codes groups its buckets in code order,
+        # each bucket's ordinals ascending.
+        n = self.codes.shape[1]
+        self.buckets = []
+        for row in self.codes:
+            order = np.argsort(row, kind="stable")
+            sorted_codes = row[order]
+            first = np.ones(n, dtype=bool)
+            first[1:] = sorted_codes[1:] != sorted_codes[:-1]
+            starts = np.flatnonzero(first)
+            self.buckets.append(
+                BucketTable(
+                    sorted_codes[starts].astype(np.uint64),
+                    np.append(starts, n).astype(np.uint64),
+                    order.astype(np.uint32),
+                )
+            )
 
 
 def _norm_terms(sq_norms: np.ndarray, m: int) -> np.ndarray:
@@ -132,8 +160,6 @@ def preprocess_query(q: np.ndarray, m: int = 2) -> np.ndarray:
 
 def _pack_codes(projections: np.ndarray, bits: int) -> np.ndarray:
     """Sign-bit hash codes from a (rows, bits) projection block."""
-    if bits == 0:
-        return np.zeros(projections.shape[:-1], dtype=np.uint64)
     on = (projections > 0).astype(np.uint64)
     on <<= np.arange(bits, dtype=np.uint64)
     return on.sum(axis=-1, dtype=np.uint64)
@@ -168,38 +194,18 @@ def build_alsh(index: PhraseIndex, params: AlshParams = AlshParams()) -> AlshInd
 
     rng = np.random.Generator(np.random.Philox(key=params.seed))
     hyperplanes = rng.normal(size=(t, b, aug_dim))
-    if b:
-        hyperplanes /= np.linalg.norm(hyperplanes, axis=2, keepdims=True)
+    hyperplanes /= np.linalg.norm(hyperplanes, axis=2, keepdims=True)
 
-    # The narrowest unsigned type that holds b bits: uint16 at the default 12.
-    codes = np.zeros((t, n), dtype=np.min_scalar_type((1 << b) - 1))
-    if b and n:
-        flat = hyperplanes.reshape(t * b, aug_dim)
-        scale = params.U / max_norm
-        for start, stop in chunks:
-            scaled = index.rows(slice(start, stop)).astype(np.float64)
-            scaled *= scale
-            aug = np.concatenate(
-                [scaled, _norm_terms((scaled * scaled).sum(axis=1), m)], axis=1
-            )
-            proj = aug @ flat.T
-            codes[:, start:stop] = _pack_codes(proj.reshape(stop - start, t, b), b).T
-
-    buckets = []
-    for row in codes:
-        order = np.argsort(row, kind="stable")
-        sorted_codes = row[order]
-        first = np.ones(n, dtype=bool)
-        first[1:] = sorted_codes[1:] != sorted_codes[:-1]
-        starts = np.flatnonzero(first)
-        buckets.append(
-            BucketTable(
-                sorted_codes[starts].astype(np.uint64),
-                np.append(starts, n).astype(np.uint64),
-                order.astype(np.uint64),
-            )
-        )
-    return AlshIndex(params, max_norm, hyperplanes, buckets, index)
+    codes = np.empty((t, n), dtype=_code_dtype(b))
+    flat = hyperplanes.reshape(t * b, aug_dim)
+    scale = params.U / max_norm
+    for start, stop in chunks:
+        scaled = index.rows(slice(start, stop)).astype(np.float64)
+        scaled *= scale
+        aug = np.concatenate([scaled, _norm_terms((scaled * scaled).sum(axis=1), m)], axis=1)
+        proj = aug @ flat.T
+        codes[:, start:stop] = _pack_codes(proj.reshape(stop - start, t, b), b).T
+    return AlshIndex(params, max_norm, hyperplanes, codes, index)
 
 
 def _distinct(parts: list[np.ndarray]) -> np.ndarray:
@@ -255,65 +261,47 @@ def search_approx(
 
 
 def save_alsh(alsh: AlshIndex, path: str) -> None:
-    p, aug_dim = alsh.params, alsh.hyperplanes.shape[2]
-    header = (p.m, p.U, p.bits_per_table, p.tables, p.seed, alsh.max_norm, aug_dim)
-    parts = [np.array(header, HEADER_DTYPE), np.ascontiguousarray(alsh.hyperplanes, "<f8")]
-    for table in alsh.buckets:
-        parts += [
-            np.array(len(table), "<u8"),
-            np.asarray(table.codes, "<u8"),
-            np.diff(table.indptr).astype("<u8"),
-            np.asarray(table.ordinals, "<u8"),
-        ]
+    p, aug_dim, rows = alsh.params, alsh.hyperplanes.shape[2], alsh.codes.shape[1]
+    header = (p.m, p.U, p.bits_per_table, p.tables, p.seed, alsh.max_norm, aug_dim, rows)
+    parts = [
+        np.array(header, HEADER_DTYPE),
+        np.ascontiguousarray(alsh.hyperplanes, "<f8"),
+        np.ascontiguousarray(alsh.codes, _code_dtype(p.bits_per_table)),
+    ]
     _write(path, MAGIC, VERSION, parts)
-
-
-def _table_problem(
-    codes: np.ndarray, indptr: np.ndarray, ordinals: np.ndarray, bits: int, n: int
-) -> str | None:
-    """What makes a loaded table unusable, or None; each check is vectorised."""
-    if np.any(codes[1:] <= codes[:-1]):
-        return "has codes that are not strictly increasing"
-    if bits < 64 and len(codes) and codes[-1] >= 2**bits:
-        return f"has code 0x{int(codes[-1]):x} wider than {bits} bits"
-    if np.any(indptr[1:] <= indptr[:-1]):  # a zero size, or sizes that wrap u64
-        return "has an empty bucket or bucket sizes past 2**64"
-    if len(ordinals) and ordinals.max() >= n:
-        return "references ordinal beyond index"
-    rising = ordinals[1:] > ordinals[:-1]
-    rising[indptr[1:-1].astype(np.int64) - 1] = True  # bucket boundaries may fall
-    if not rising.all():
-        return "has ordinals out of order within a bucket"
-    return None
 
 
 def load_alsh(path: str, backing: PhraseIndex) -> AlshIndex:
     with _Reader(path, MAGIC, VERSION) as r:
-        m, U, bits, tables, seed, max_norm, aug_dim = r.record(HEADER_DTYPE, "header")
+        m, U, bits, tables, seed, max_norm, aug_dim, rows = r.record(HEADER_DTYPE, "header")
         params = AlshParams(m=m, U=U, bits_per_table=bits, tables=tables, seed=seed)
+        if bits > 64:
+            raise FormatError(f"{path}: {bits} bits do not fit a u64 code", offset=20)
         if not 0 < max_norm < np.inf:  # false for NaN too
             raise FormatError(f"{path}: max_norm {max_norm} is not finite and positive", offset=36)
         if backing.kind != "dense" or aug_dim != backing.dim + m:
             raise FormatError(
                 f"{path}: augmented dim {aug_dim} does not fit backing index "
                 f"(dim {backing.dim} + m {m})",
-                offset=r.pos - 4,
+                offset=44,
+            )
+        if rows != len(backing):
+            raise FormatError(
+                f"{path}: {rows} rows do not match the backing index's {len(backing)}", offset=48
             )
         planes = r.array("<f8", tables * bits * aug_dim, "hyperplanes")
         if not np.isfinite(planes).all():
             raise FormatError(f"{path}: hyperplanes are not finite", offset=r.pos - planes.nbytes)
-        hyperplanes = planes.reshape(tables, bits, aug_dim)
-        buckets = []
-        for ti in range(tables):
-            at = r.pos
-            count = r.record("<u8", f"bucket count of table {ti}")
-            codes = r.array("<u8", count, f"codes of table {ti}")
-            indptr = np.zeros(count + 1, dtype=np.uint64)
-            np.cumsum(r.array("<u8", count, f"bucket sizes of table {ti}"), out=indptr[1:])
-            ordinals = r.array("<u8", indptr[-1], f"ordinals of table {ti}")
-            problem = _table_problem(codes, indptr, ordinals, bits, len(backing))
-            if problem:
-                raise FormatError(f"{path}: table {ti} {problem}", offset=at)
-            buckets.append(BucketTable(codes, indptr, ordinals))
+        codes = r.array(_code_dtype(bits), tables * rows, "codes")
+        wide = np.flatnonzero(codes > (1 << bits) - 1)
+        if len(wide):
+            i = int(wide[0])
+            raise FormatError(
+                f"{path}: code {codes[i]} of table {i // rows} is wider than {bits} bits",
+                offset=r.pos - codes.nbytes + i * codes.itemsize,
+            )
         r.finish()
-        return AlshIndex(params, max_norm, hyperplanes, buckets, backing)
+        return AlshIndex(
+            params, max_norm, planes.reshape(tables, bits, aug_dim),
+            codes.reshape(tables, rows), backing,
+        )

@@ -334,8 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--index", required=True)
     p.add_argument("--m", type=int, default=2)
     p.add_argument("--U", type=float, default=0.75)
-    p.add_argument("--bits", type=int, default=12)
-    p.add_argument("--tables", type=int, default=32)
+    p.add_argument("--bits", type=_positive(int), default=12)
+    p.add_argument("--tables", type=_positive(int), default=32)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="sidecar path (default: INDEX.alsh)")
     p.set_defaults(func=cmd_alsh_build)

@@ -237,12 +237,13 @@ def test_sidecar_round_trip_is_bit_exact(tmp_path):
     assert loaded.params == alsh.params
     assert loaded.max_norm == alsh.max_norm
     assert np.array_equal(loaded.hyperplanes, alsh.hyperplanes)
+    assert np.array_equal(loaded.codes, alsh.codes)
     for ta, tb in zip(alsh.buckets, loaded.buckets):
-        assert ta.keys() == tb.keys()
-        assert all(np.array_equal(ta[k], tb[k]) for k in ta)
-    path2 = str(tmp_path / "y.alsh")
-    save_alsh(loaded, path2)
-    assert open(path, "rb").read() == open(path2, "rb").read()
+        for name in ("codes", "indptr", "ordinals"):
+            assert np.array_equal(getattr(ta, name), getattr(tb, name)), name
+    path2 = tmp_path / "y.alsh"
+    save_alsh(loaded, str(path2))
+    assert path2.read_bytes() == (tmp_path / "x.alsh").read_bytes()
     q = quantized(8, 3)
     assert search_approx(loaded, q, k_top=5) == search_approx(alsh, q, k_top=5)
 
@@ -278,12 +279,13 @@ def test_load_rejects_mismatched_backing(tmp_path):
         load_alsh(str(path), other)
 
 
-def test_load_rejects_out_of_range_ordinals(tmp_path):
+def test_load_rejects_a_backing_index_of_another_size(tmp_path):
     dense = dense_fixture(n=16, dim=4)
     path, _ = _saved(tmp_path, build_alsh(dense, AlshParams(tables=1, bits_per_table=2)))
     shrunk = PhraseIndex("dense", make_meta([4]), vectors=dense.vectors[:4])
-    with pytest.raises(FormatError, match="beyond index"):
+    with pytest.raises(FormatError, match="16 rows do not match the backing index's 4") as err:
         load_alsh(str(path), shrunk)
+    assert err.value.offset == 48
 
 
 @pytest.mark.parametrize("keep", [0, 2, 6, 20, 45, 80])
@@ -304,82 +306,36 @@ def test_load_rejects_trailing_data(tmp_path):
         load_alsh(str(path), dense)
     assert err.value.offset == len(raw)
 
-def _table_words(raw, alsh):
-    """Offset of table 0 and writable u64 views of its codes, sizes and ordinals.
-
-    Assumes a one-table sidecar, so the ordinals run to the end of the file.
-    """
-    t, b, aug_dim = alsh.hyperplanes.shape
-    at = 48 + 8 * t * b * aug_dim
-    count = struct.unpack_from("<Q", raw, at)[0]
-    words = np.frombuffer(raw, dtype="<u8", offset=at + 8)
-    return at, words[:count], words[count : 2 * count], words[2 * count :]
-
-
-def _unsorted_codes(codes, sizes, ords):
-    codes[[0, 1]] = codes[[1, 0]]
-
-
-def _duplicate_code(codes, sizes, ords):
-    codes[1] = codes[0]
-
-
-def _code_too_wide(codes, sizes, ords):
-    codes[-1] = 2**3
-
-
-def _empty_bucket(codes, sizes, ords):
-    sizes[1] += sizes[0]
-    sizes[0] = 0
-
-
-def _sizes_wrap_u64(codes, sizes, ords):
-    sizes[0] += 2**63  # the two additions cancel mod 2**64: same ordinal count
-    sizes[1] += 2**63
-
-
-def _ordinals_out_of_order(codes, sizes, ords):
-    i = int(np.flatnonzero(sizes >= 2)[0])
-    lo = int(sizes[:i].sum())
-    ords[[lo, lo + 1]] = ords[[lo + 1, lo]]
-
-
-def _ordinal_beyond_index(codes, sizes, ords):
-    ords[-1] = 16
-
-
-CORRUPTIONS = {
-    "unsorted codes": (_unsorted_codes, "strictly increasing"),
-    "duplicate code": (_duplicate_code, "strictly increasing"),
-    "code too wide": (_code_too_wide, "wider than 3 bits"),
-    "empty bucket": (_empty_bucket, "empty bucket"),
-    "sizes wrap u64": (_sizes_wrap_u64, "empty bucket"),
-    "ordinals out of order": (_ordinals_out_of_order, "out of order"),
-    "ordinal beyond index": (_ordinal_beyond_index, "beyond index"),
-}
-
-
-@pytest.mark.parametrize("case", sorted(CORRUPTIONS))
-def test_load_rejects_malformed_table(tmp_path, case):
+@pytest.mark.parametrize(
+    "at, value, message",
+    [
+        # Table 1's code of row 5: the last 16 bytes are its codes, u8 at 3 bits.
+        pytest.param(-16 + 5, np.uint8(8), "code 8 of table 1 is wider than 3 bits",
+                     id="code too wide"),
+        pytest.param(48, np.uint64(15), "15 rows do not match the backing index's 16",
+                     id="rows mismatch"),
+        # bits 65 and tables 0: no hyperplanes or codes to read, yet no code type holds 65 bits.
+        pytest.param(20, np.uint64(65), "65 bits do not fit a u64 code", id="code over 64 bits"),
+    ],
+)
+def test_load_rejects_malformed_table(tmp_path, at, value, message):
     dense = dense_fixture(n=16, dim=4)
-    alsh = build_alsh(dense, AlshParams(tables=1, bits_per_table=3, seed=1))
-    path, raw = _saved(tmp_path, alsh)
-    at, codes, sizes, ords = _table_words(raw, alsh)
-    assert len(codes) >= 2 and sizes.max() >= 2
-    corrupt, message = CORRUPTIONS[case]
-    corrupt(codes, sizes, ords)
+    path, raw = _saved(tmp_path, build_alsh(dense, AlshParams(tables=2, bits_per_table=3)))
+    at %= len(raw)
+    raw[at : at + value.nbytes] = value.tobytes()
     path.write_bytes(raw)
     with pytest.raises(FormatError, match=message) as err:
         load_alsh(str(path), dense)
     assert err.value.offset == at
 
 
-def test_load_rejects_version_one(tmp_path):
+@pytest.mark.parametrize("version", [1, 2])
+def test_load_rejects_old_versions(tmp_path, version):
     dense = dense_fixture(n=16, dim=4)
     path, raw = _saved(tmp_path, build_alsh(dense, AlshParams(tables=1, bits_per_table=2)))
-    raw[4:8] = struct.pack("<I", 1)
+    raw[4:8] = struct.pack("<I", version)
     path.write_bytes(raw)
-    with pytest.raises(FormatError, match="unsupported version 1") as err:
+    with pytest.raises(FormatError, match=f"unsupported version {version}") as err:
         load_alsh(str(path), dense)
     assert err.value.offset == 4
 
@@ -398,7 +354,7 @@ def test_load_rejects_version_one(tmp_path):
 def test_load_rejects_unusable_floats(tmp_path, field, value, needle):
     dense = dense_fixture(n=16, dim=4)
     path, raw = _saved(tmp_path, build_alsh(dense, AlshParams(tables=2, bits_per_table=2)))
-    at = 36 if field == "max_norm" else 48  # the field, or the first hyperplane
+    at = 36 if field == "max_norm" else 56  # the field, or the first hyperplane
     where = at if field == "max_norm" else at + 8 * 5  # a value inside the block
     struct.pack_into("<d", raw, where, value)
     path.write_bytes(raw)
@@ -494,7 +450,7 @@ def test_flat_tables_match_dict_reference(docs, dim, m, U, bits, tables, seed):
     for table, ref in zip(alsh.buckets, reference):
         assert list(table) == sorted(ref)
         for code, ords in ref.items():
-            assert table[code].dtype == np.uint64
+            assert table[code].dtype == np.uint32
             np.testing.assert_array_equal(table[code], ords)
     for qseed in range(3):
         q = quantized(dim, seed + 1 + qseed)
@@ -530,11 +486,11 @@ def test_build_over_several_chunks_matches_dict_reference():
 @given(st.lists(st.lists(st.integers(0, 60), min_size=1, max_size=12, unique=True),
                 min_size=1, max_size=8))
 def test_distinct_matches_np_unique_of_the_buckets(buckets):
-    """Buckets as the tables hold them: ascending, non-empty, read-only u64 runs
+    """Buckets as the tables hold them: ascending, non-empty, read-only u32 runs
     that share ordinals with each other."""
     parts = []
     for bucket in buckets:
-        part = np.array(sorted(bucket), dtype=np.uint64)
+        part = np.array(sorted(bucket), dtype=np.uint32)
         part.flags.writeable = False
         parts.append(part)
     got = _distinct(parts)

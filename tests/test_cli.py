@@ -347,6 +347,8 @@ def test_eval_and_sweep_with_a_corpus_missing_an_indexed_document_exit_two(
         ["storage", "--bytes-per-value", "0"],
         ["storage", "--vectors-per-word", "-1.3"],
         ["storage", "--words", "nan"],
+        ["alsh-build", "--index", "{dense}", "--bits", "0"],
+        ["alsh-build", "--index", "{dense}", "--tables", "0"],
     ],
     ids=lambda argv: f"{argv[0]} {argv[-2]} {argv[-1]}",
 )

@@ -1,5 +1,6 @@
 import math
 import struct
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -353,7 +354,7 @@ def test_filter_round_trip_is_bit_exact(tmp_path):
     assert loaded.bias == filt.bias
     path2 = str(tmp_path / "g.flt")
     save_filter(loaded, path2)
-    assert open(path, "rb").read() == open(path2, "rb").read()
+    assert Path(path).read_bytes() == Path(path2).read_bytes()
 
 
 def test_filter_load_rejects_corruption(tmp_path):

@@ -1,7 +1,7 @@
 """Random byte flips and truncations of every file format: a load either
 succeeds or raises FormatError, never any other exception, and leaves no file
-open (an unclosed file's ResourceWarning fails the test). A dense index that
-loads saves to the bytes it was loaded from."""
+open (an unclosed file's ResourceWarning fails the test). A dense index or
+an aLSH sidecar that loads saves to the bytes it was loaded from."""
 
 import numpy as np
 import pytest
@@ -75,6 +75,7 @@ def test_mutated_file_loads_or_raises_format_error(formats, name, data):
         loaded = load(str(path))
     except FormatError:
         return
-    if name == "dense.idx":
-        save_index(loaded, str(path))
+    save = {"dense.idx": save_index, "dense.alsh": save_alsh}.get(name)
+    if save:
+        save(loaded, str(path))
         assert path.read_bytes() == bytes(mutated[:cut])

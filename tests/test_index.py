@@ -2,6 +2,7 @@ import dataclasses
 import math
 import struct
 import time
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -168,7 +169,7 @@ def test_build_is_deterministic(tmp_path, mini_corpus, toy_vectors):
         pa, pb = str(tmp_path / f"{name}_a.idx"), str(tmp_path / f"{name}_b.idx")
         save_index(a, pa)
         save_index(b, pb)
-        assert open(pa, "rb").read() == open(pb, "rb").read()
+        assert Path(pa).read_bytes() == Path(pb).read_bytes()
 
 
 # ---------------------------------------------------------------- exact search
@@ -584,7 +585,7 @@ def test_dense_round_trip_is_bit_exact(tmp_path, dense_index):
     assert loaded.metadata.dtype == METADATA_DTYPE
     path2 = str(tmp_path / "dense2.idx")
     save_index(loaded, path2)
-    assert open(path, "rb").read() == open(path2, "rb").read()
+    assert Path(path).read_bytes() == Path(path2).read_bytes()
 
 
 def test_loaded_vectors_are_built_once_and_searches_do_not_read_them(tmp_path, dense_index):
@@ -611,7 +612,7 @@ def test_sparse_round_trip_is_bit_exact(tmp_path, sparse_index):
     assert loaded.idf.num_documents == sparse_index.idf.num_documents
     path2 = str(tmp_path / "sparse2.idx")
     save_index(loaded, path2)
-    assert open(path, "rb").read() == open(path2, "rb").read()
+    assert Path(path).read_bytes() == Path(path2).read_bytes()
 
 
 def _saved_bytes(tmp_path, index):

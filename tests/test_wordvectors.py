@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -67,7 +69,7 @@ def test_write_read_round_trip(tmp_path, toy_vectors):
     # a second write of the loaded table is byte-identical
     path2 = str(tmp_path / "wv2.txt")
     write_word_vectors(loaded, path2)
-    assert open(path).read() == open(path2).read()
+    assert Path(path).read_text() == Path(path2).read_text()
 
 
 def test_id_namespace_rules(tmp_path):
