@@ -275,8 +275,10 @@ def load_alsh(path: str, backing: PhraseIndex) -> AlshIndex:
     with _Reader(path, MAGIC, VERSION) as r:
         m, U, bits, tables, seed, max_norm, aug_dim, rows = r.record(HEADER_DTYPE, "header")
         params = AlshParams(m=m, U=U, bits_per_table=bits, tables=tables, seed=seed)
-        if bits > 64:
-            raise FormatError(f"{path}: {bits} bits do not fit a u64 code", offset=20)
+        try:
+            params.validate()
+        except ConfigError as err:
+            raise FormatError(f"{path}: {err}", offset=8) from None
         if not 0 < max_norm < np.inf:  # false for NaN too
             raise FormatError(f"{path}: max_norm {max_norm} is not finite and positive", offset=36)
         if backing.kind != "dense" or aug_dim != backing.dim + m:

@@ -314,8 +314,6 @@ def test_load_rejects_trailing_data(tmp_path):
                      id="code too wide"),
         pytest.param(48, np.uint64(15), "15 rows do not match the backing index's 16",
                      id="rows mismatch"),
-        # bits 65 and tables 0: no hyperplanes or codes to read, yet no code type holds 65 bits.
-        pytest.param(20, np.uint64(65), "65 bits do not fit a u64 code", id="code over 64 bits"),
     ],
 )
 def test_load_rejects_malformed_table(tmp_path, at, value, message):
@@ -327,6 +325,27 @@ def test_load_rejects_malformed_table(tmp_path, at, value, message):
     with pytest.raises(FormatError, match=message) as err:
         load_alsh(str(path), dense)
     assert err.value.offset == at
+
+
+@pytest.mark.parametrize(
+    "at, value, needle",
+    [
+        # bits 65 and tables 0: no hyperplanes or codes to read, yet no code type holds 65 bits.
+        (20, np.uint64(65), "bits_per_table must be in \\[0, 64\\]"),
+        (24, np.uint32(0), "tables must be >= 1, got 0"),
+        (12, np.float64(np.nan), "U must be in \\(0, 1\\], got nan"),
+    ],
+    ids=["bits over 64", "no tables", "U not a number"],
+)
+def test_load_rejects_parameters_a_build_rejects(tmp_path, at, value, needle):
+    """The header is checked as AlshParams.validate checks a build's parameters."""
+    dense = dense_fixture(n=16, dim=4)
+    path, raw = _saved(tmp_path, build_alsh(dense, AlshParams(tables=2, bits_per_table=3)))
+    raw[at : at + value.nbytes] = value.tobytes()
+    path.write_bytes(raw)
+    with pytest.raises(FormatError, match=needle) as err:
+        load_alsh(str(path), dense)
+    assert err.value.offset == 8
 
 
 @pytest.mark.parametrize("version", [1, 2])
