@@ -351,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-word-vectors", help="write deterministic toy word vectors")
     p.add_argument("--dataset", required=True)
-    p.add_argument("--dim", type=int, default=16)
+    p.add_argument("--dim", type=_positive(int), default=16)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--no-sa", action="store_true", help="skip self-attention channels")
     p.add_argument("--out", required=True)

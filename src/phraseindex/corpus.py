@@ -137,9 +137,16 @@ def align_answer(
     return CandidateSpan(doc.doc_id, s, e)
 
 
-def _require(mapping, key, path):
+_JSON_TYPES = {list: "an array", str: "a string", int: "an integer"}
+
+
+def _require(mapping, key, path, kind):
+    """mapping[key], which must be of type kind (a JSON true/false is not an int)."""
     if not isinstance(mapping, dict) or key not in mapping:
         raise SchemaError(f"missing field '{key}' at {path}")
+    if not isinstance(mapping[key], kind) or isinstance(mapping[key], bool):
+        got = json.dumps(mapping[key])[:40]
+        raise SchemaError(f"field '{key}' at {path} must be {_JSON_TYPES[kind]}, got {got}")
     return mapping[key]
 
 
@@ -159,17 +166,17 @@ def load_squad(path: str) -> Corpus:
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
 
-    articles = _require(data, "data", "$")
+    articles = _require(data, "data", "$", list)
     documents: list[Document] = []
     examples: list[QAExample] = []
     vocab_df: dict[str, int] = {}
     failures = 0
 
     for ai, article in enumerate(articles):
-        paragraphs = _require(article, "paragraphs", f"data[{ai}]")
+        paragraphs = _require(article, "paragraphs", f"data[{ai}]", list)
         for pi, para in enumerate(paragraphs):
             ppath = f"data[{ai}].paragraphs[{pi}]"
-            context = _require(para, "context", ppath)
+            context = _require(para, "context", ppath, str)
             doc_id = len(documents)
             tokens, offsets = tokenize(context)
             doc = Document(doc_id, context, tokens, offsets)
@@ -177,17 +184,18 @@ def load_squad(path: str) -> Corpus:
             for t in set(tokens):
                 vocab_df[t] = vocab_df.get(t, 0) + 1
 
-            for qi, qa in enumerate(_require(para, "qas", ppath)):
+            for qi, qa in enumerate(_require(para, "qas", ppath, list)):
                 qpath = f"{ppath}.qas[{qi}]"
-                question = _require(qa, "question", qpath)
-                qid = str(_require(qa, "id", qpath))
-                answers = _require(qa, "answers", qpath)
+                question = _require(qa, "question", qpath, str)
+                qid = _require(qa, "id", qpath, str)
+                answers = _require(qa, "answers", qpath, list)
                 q_tokens, _ = tokenize(question)
                 gold_answers: list[str] = []
                 gold_spans: list[CandidateSpan] = []
                 gold_norms: set[str] = set()
                 for ni, ans in enumerate(answers):
-                    text = _require(ans, "text", f"{qpath}.answers[{ni}]")
+                    text = _require(ans, "text", f"{qpath}.answers[{ni}]", str)
+                    _require(ans, "answer_start", f"{qpath}.answers[{ni}]", int)
                     gold_answers.append(text)
                     gold_norms.add(" ".join(normalize_answer(text)))
                 seen: set[CandidateSpan] = set()

@@ -1,46 +1,33 @@
-"""TF-IDF encoders for phrases (context bags) and questions.
+"""TF-IDF weighting of token bags: candidate phrases and questions.
 
 Weighting: tf = raw count in the bag, idf = ln((N+1)/(df+1)) + 1 (smoothed,
 always positive), L2 normalization, score = dot product. A phrase's bag is
 its own tokens plus the tokens within `window` positions of its endpoints;
 `include_phrase=False` restricts the bag to the surrounding context only.
+
+weigh_bags weighs a batch of bags given as a term-id matrix: the index build
+passes a block of spans' bags, a question is a batch of one bag.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from collections import Counter
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 if TYPE_CHECKING:
-    from ..candidates import CandidateSpan
-    from ..corpus import Corpus, Document
+    from ..corpus import Corpus
 
 
 @dataclass(frozen=True)
 class SparseVector:
-    """L2-normalized sparse vector: strictly increasing term ids, float weights."""
+    """Sparse vector: strictly increasing term ids, float weights."""
 
     term_ids: np.ndarray  # int64, sorted ascending
     weights: np.ndarray  # float64
-
-    @classmethod
-    def empty(cls) -> "SparseVector":
-        return cls(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.float64))
-
-    @classmethod
-    def from_weights(cls, by_term: dict[int, float]) -> "SparseVector":
-        if not by_term:
-            return cls.empty()
-        ids = np.array(sorted(by_term), dtype=np.int64)
-        w = np.array([by_term[int(t)] for t in ids], dtype=np.float64)
-        norm = math.sqrt(float(w @ w))
-        if norm > 0:
-            w = w / norm
-        return cls(ids, w)
 
 
 @dataclass
@@ -75,37 +62,40 @@ class IdfTable:
     def term_id(self, term: str) -> int | None:
         return self._term_ids.get(term)
 
+    @functools.cached_property
+    def idf_by_id(self) -> np.ndarray:
+        """idf of each term id, float64: the values of idf()."""
+        return np.array([self.idf(t) for t in self._terms], dtype=np.float64)
 
-def _encode_bag(tokens: Iterable[str], idf: IdfTable) -> SparseVector:
-    weights: dict[int, float] = {}
-    for term, count in Counter(tokens).items():
-        tid = idf.term_id(term)
-        if tid is None:
-            continue
-        weights[tid] = count * idf.idf(term)
-    return SparseVector.from_weights(weights)
+    def ids(self, tokens: list[str]) -> np.ndarray:
+        """Term id of each token, int64, -1 for a term with no id."""
+        return np.array([self._term_ids.get(t, -1) for t in tokens], dtype=np.int64)
 
 
-def tfidf_phrase_encode(
-    doc: "Document",
-    span: "CandidateSpan",
-    window: int,
-    idf: IdfTable,
-    include_phrase: bool = True,
-) -> SparseVector:
-    """Encode one candidate span as the TF-IDF vector of its context bag."""
-    if window < 0:
-        raise ValueError(f"window must be >= 0, got {window}")
-    if not (0 <= span.s <= span.e < len(doc)):
-        raise ValueError(f"span {span} out of range for document of {len(doc)} tokens")
-    lo = max(0, span.s - window)
-    hi = min(len(doc), span.e + 1 + window)
-    bag = doc.tokens[lo:hi]
-    if not include_phrase:
-        bag = doc.tokens[lo : span.s] + doc.tokens[span.e + 1 : hi]
-    return _encode_bag(bag, idf)
+def weigh_bags(bags: np.ndarray, idf_by_id: np.ndarray) -> tuple:
+    """TF-IDF vectors of a batch of bags: (sizes, term_ids, weights).
+
+    bags is a (bags, width) int64 matrix of term ids, -1 in an empty slot, and
+    idf_by_id the positive idf of each term. A term weighs its count times its
+    idf; each bag is L2-normalised, its squares summed in term order. Bag i's
+    vector is the next sizes[i] term ids (ascending) and float64 weights.
+    """
+    width = max(bags.shape[1], 1)
+    flat = np.sort(bags, axis=1).ravel()
+    # Each run of equal ids within a row starts at a bound; the last bound ends the rows.
+    edge = np.empty(flat.size + 1, dtype=bool)
+    edge[1:-1] = flat[1:] != flat[:-1]
+    edge[::width] = True
+    bounds = np.flatnonzero(edge)
+    starts, counts = bounds[:-1], bounds[1:] - bounds[:-1]
+    used = flat[starts] >= 0
+    terms, bag = flat[starts[used]], starts[used] // width
+    weights = counts[used] * idf_by_id[terms]
+    weights /= np.sqrt(np.bincount(bag, weights=weights * weights, minlength=len(bags)))[bag]
+    return np.bincount(bag, minlength=len(bags)), terms, weights
 
 
 def tfidf_question_encode(question_tokens: list[str], idf: IdfTable) -> SparseVector:
     """Encode a question as the TF-IDF vector of its token bag."""
-    return _encode_bag(question_tokens, idf)
+    _, terms, weights = weigh_bags(idf.ids(question_tokens)[None, :], idf.idf_by_id)
+    return SparseVector(terms, weights)

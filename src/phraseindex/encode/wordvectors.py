@@ -14,6 +14,7 @@ as a question. score* blocks carry one float per position (dim 1).
 from __future__ import annotations
 
 import hashlib
+import os
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, TextIO
 
@@ -64,7 +65,7 @@ def read_word_vectors(path: str) -> WordVectorTable:
     that every value is finite."""
     table = WordVectorTable(dim=0)
     with open(path, encoding="utf-8") as f:
-        lineno = 0
+        size, lineno = os.fstat(f.fileno()).st_size, 0
         while True:
             header = f.readline()
             lineno += 1
@@ -81,6 +82,11 @@ def read_word_vectors(path: str) -> WordVectorTable:
                 count, dim = int(count_s), int(dim_s)
             except ValueError:
                 raise SchemaError(f"{path}:{lineno}: non-integer count/dim in header")
+            if count < 0 or dim < 1:
+                raise SchemaError(f"{path}:{lineno}: bad header {header.strip()!r}")
+            # Allocate only what the file can fill: a line is at least 2 (dim + 1) bytes.
+            if count * 2 * (dim + 1) > size:
+                raise SchemaError(f"{path}:{lineno}: truncated block for {channel} {ident}")
             rows = np.zeros((count, dim), dtype=np.float32)
             seen = np.zeros(count, dtype=bool)
             for _ in range(count):

@@ -48,7 +48,7 @@ import numpy as np
 
 from .candidates import CandidateSpan, span_bounds, span_count
 from .encode.dense import LSTM, LSTM_SA, sa_all
-from .encode.tfidf import IdfTable, SparseVector, tfidf_phrase_encode
+from .encode.tfidf import IdfTable, SparseVector, weigh_bags
 from .errors import BuildError, ConfigError, FormatError
 
 if TYPE_CHECKING:
@@ -79,8 +79,7 @@ class PhraseIndex:
 
     Dense rows: a start and an end table with (2, count) u32 table indexes
     (module docstring), given as tables=(start, end, indexes) and kept as
-    they are, or as a vectors block, which is grouped into tables. Sparse
-    postings: a CSR triple (indptr, ordinals, weights).
+    they are. Sparse postings: a CSR triple (indptr, ordinals, weights).
     """
 
     def __init__(
@@ -88,7 +87,6 @@ class PhraseIndex:
         kind: str,
         metadata: np.ndarray,
         *,
-        vectors: np.ndarray | None = None,
         tables: tuple | None = None,
         postings: tuple | None = None,
         idf: IdfTable | None = None,
@@ -99,11 +97,6 @@ class PhraseIndex:
         self.metadata = np.ascontiguousarray(metadata, dtype=METADATA_DTYPE)
         self.idf = idf
         if kind == "dense":
-            if vectors is not None and len(vectors) == len(self.metadata):
-                block = np.asarray(vectors, dtype=np.float32)
-                half = block.shape[1] // 2
-                rows = np.arange(len(block), dtype="<u4")
-                tables = _half_tables((block[:, :half], block[:, half:]), rows, rows, self.metadata)
             if tables is None or np.shape(tables[2]) != (2, len(self.metadata)):
                 raise ValueError("dense index needs one vector row per metadata record")
             self.tables = tuple(np.ascontiguousarray(t, dtype=np.float32) for t in tables[:2])
@@ -253,28 +246,29 @@ def build_index(
 
     if encoder == "tfidf":
         idf = IdfTable.from_corpus(corpus)
-        # Each document's bags are flattened before the next document's are
-        # encoded, so only one document's per-span vectors are alive at a time.
-        empty = SparseVector.empty()  # keeps every concatenation non-empty
-        terms, weights, bag_sizes = [empty.term_ids], [empty.weights], []
+        none = np.zeros(0, dtype=np.int64)  # keeps every concatenation non-empty
+        parts = [(none, none, np.zeros(0, dtype=np.float32))]
         for doc, lo, hi in zip(corpus.documents, runs, runs[1:]):
-            vecs = [empty] + [
-                tfidf_phrase_encode(
-                    doc, CandidateSpan(*row), window, idf, include_phrase=include_phrase
-                )
-                for row in metadata[lo:hi].tolist()
-            ]
-            terms.append(np.concatenate([v.term_ids for v in vecs]))
-            weights.append(np.concatenate([v.weights for v in vecs]))
-            bag_sizes += [len(v.term_ids) for v in vecs[1:]]
+            tokens, reach = idf.ids(doc.tokens), min(window, len(doc))
+            # A bag is tokens[s - reach : e + 1 + reach] within the document, less
+            # [s, e] unless include_phrase: at most 2 reach + max_span_len slots.
+            slots = np.arange(min(2 * reach + max_span_len, len(doc)))
+            for a, b in _chunks(hi - lo, len(slots)):
+                s, e = (metadata[f][lo + a : lo + b, None].astype(np.int64) for f in "se")
+                at = np.maximum(s - reach, 0) + slots
+                keep = at < np.minimum(e + 1 + reach, len(doc))
+                if not include_phrase:
+                    keep &= (at < s) | (at > e)
+                bags = np.where(keep, tokens[np.minimum(at, len(doc) - 1)], -1)
+                sizes, terms, weights = weigh_bags(bags, idf.idf_by_id)
+                parts.append((sizes, terms, weights.astype(np.float32)))
         # One stable sort by term keeps each term's ordinals ascending.
-        terms = np.concatenate(terms)
+        sizes, terms, weights = (np.concatenate(p) for p in zip(*parts))
         order = np.argsort(terms, kind="stable")
-        ordinals = np.repeat(np.arange(len(bag_sizes), dtype=np.uint64), bag_sizes)[order]
-        weights = np.concatenate(weights).astype(np.float32)[order]
+        ordinals = np.repeat(np.arange(len(metadata), dtype=np.uint64), sizes)[order]
+        weights = weights[order]
         indptr = np.r_[0, np.cumsum(np.bincount(terms, minlength=len(idf.vocab)))]
-        postings = (indptr, ordinals, weights)
-        return PhraseIndex("sparse", metadata, postings=postings, idf=idf)
+        return PhraseIndex("sparse", metadata, postings=(indptr, ordinals, weights), idf=idf)
 
     if word_vectors is None:
         raise BuildError(f"encoder {encoder!r} needs a word-vector table")
@@ -475,7 +469,6 @@ def _block_top_k(
             ranked = np.flatnonzero(~(bound <= -neg[:, -1]) | ~np.isfinite(bound))
             parts = [(np.take(products, ranked, axis=1), at) for products, at in parts]
         block = _row_scores(parts)
-        del parts
         cols = np.zeros((len(ranked), min(k, stop - start)), dtype=np.int64)
         if k == 1:  # the first maximum, or the first NaN
             cols[:, 0] = block.argmax(axis=0)

@@ -1,10 +1,12 @@
 """Per-item reference versions of the package's array code, kept as test oracles.
 
 Each function computes, one span or one ordinal at a time, what the package
-now computes in a few array operations: tests compare the two bit for bit.
+now computes in a few array operations: tests compare the two bit for bit,
+or within a stated float ulp bound where the sums run in another order.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 
@@ -12,9 +14,10 @@ from phraseindex import filtering
 from phraseindex.alsh import _norm_terms
 from phraseindex.candidates import CandidateSpan
 from phraseindex.encode.dense import LSTM_SA, sa_all, softmax
+from phraseindex.encode.tfidf import SparseVector
 from phraseindex.errors import ConfigError
 from phraseindex.filtering import PerceptronFilter
-from phraseindex.index import METADATA_DTYPE, SearchHit, _top_k
+from phraseindex.index import METADATA_DTYPE, PhraseIndex, SearchHit, _half_tables, _top_k
 
 
 def enumerate_spans(doc_len: int, max_span_len: int) -> list[tuple[int, int]]:
@@ -62,6 +65,49 @@ def csr_postings(postings: dict, num_terms: int) -> tuple:
     runs = [postings.get(t, empty) for t in range(num_terms)]
     indptr = np.cumsum([0] + [len(o) for o, _ in runs])
     return (indptr, *map(np.concatenate, zip(*runs, empty)))
+
+
+def vectors_index(metadata, vectors) -> PhraseIndex:
+    """A dense index of a (count, dim) vector block, its halves grouped into the
+    start and end tables as a build groups them. A block whose row count is not
+    the metadata's makes the constructor raise ValueError."""
+    metadata = np.ascontiguousarray(metadata, dtype=METADATA_DTYPE)
+    tables = None
+    if len(vectors) == len(metadata):
+        block = np.asarray(vectors, dtype=np.float32)
+        half = block.shape[1] // 2
+        rows = np.arange(len(block), dtype="<u4")
+        tables = _half_tables((block[:, :half], block[:, half:]), rows, rows, metadata)
+    return PhraseIndex("dense", metadata, tables=tables)
+
+
+def tfidf_bag_encode(tokens, idf) -> SparseVector:
+    """TF-IDF vector of one token bag: counts through a Counter, terms with no
+    id skipped, L2-normalised by w @ w."""
+    by_term = {}
+    for term, count in Counter(tokens).items():
+        tid = idf.term_id(term)
+        if tid is not None:
+            by_term[tid] = count * idf.idf(term)
+    ids = np.array(sorted(by_term), dtype=np.int64)
+    w = np.array([by_term[t] for t in ids.tolist()], dtype=np.float64)
+    norm = math.sqrt(float(w @ w))
+    return SparseVector(ids, w / norm if norm > 0 else w)
+
+
+def tfidf_phrase_encode(doc, span, window: int, idf, include_phrase: bool = True) -> SparseVector:
+    """One candidate span's TF-IDF vector: the bag of its tokens and the tokens
+    within window positions of its endpoints (context only unless include_phrase)."""
+    if window < 0:
+        raise ValueError(f"window must be >= 0, got {window}")
+    if not (0 <= span.s <= span.e < len(doc)):
+        raise ValueError(f"span {span} out of range for document of {len(doc)} tokens")
+    lo = max(0, span.s - window)
+    hi = min(len(doc), span.e + 1 + window)
+    bag = doc.tokens[lo:hi]
+    if not include_phrase:
+        bag = doc.tokens[lo : span.s] + doc.tokens[span.e + 1 : hi]
+    return tfidf_bag_encode(bag, idf)
 
 
 def sa_word_vector(channels, position: int) -> np.ndarray:

@@ -44,7 +44,7 @@ from phraseindex.index import (
     synthetic_dense_index,
 )
 
-from .oracles import compose_phrase_lstm, csr_postings, enumerate_spans
+from .oracles import compose_phrase_lstm, csr_postings, enumerate_spans, vectors_index
 from .toyset import one_hot_setup
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -193,7 +193,7 @@ def test_exact_search_matches_brute_force_oracle():
         if n >= 4:  # duplicated rows force exact score ties
             dup = int(rng.integers(1, n // 2 + 1))
             vectors[rng.integers(0, n, size=dup)] = vectors[rng.integers(0, n, size=dup)]
-        index = PhraseIndex("dense", _meta(_random_doc_split(rng, n)), vectors=vectors)
+        index = vectors_index(_meta(_random_doc_split(rng, n)), vectors)
         q = _sixteenths(rng, dim)
         k = int(rng.integers(1, n + 1))
         found, ties = _check_against_oracle(
@@ -249,7 +249,7 @@ def test_approximate_search_recall_probes_and_table_scaling():
     n, dim, num_queries = 10_000, 64, 200
     data = rng.normal(size=(n, dim))
     data /= np.linalg.norm(data, axis=1, keepdims=True)
-    index = PhraseIndex("dense", _meta([n]), vectors=data.astype(np.float32))
+    index = vectors_index(_meta([n]), data.astype(np.float32))
     picked = rng.choice(n, size=num_queries, replace=False)
     queries = data[picked] + 0.05 * rng.normal(size=(num_queries, dim))
 

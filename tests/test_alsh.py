@@ -19,14 +19,14 @@ from phraseindex.alsh import (
     search_approx,
 )
 from phraseindex.errors import ConfigError, FormatError
-from phraseindex.index import METADATA_DTYPE, PhraseIndex, _top_k, search_exact
+from phraseindex.index import METADATA_DTYPE, _top_k, search_exact
 
-from .oracles import preprocess_data
+from .oracles import preprocess_data, vectors_index
 from .test_index import make_meta, quantized, sparse_fixture
 
 
 def dense_fixture(n=120, dim=12, seed=77):
-    return PhraseIndex("dense", make_meta([n]), vectors=quantized((n, dim), seed))
+    return vectors_index(make_meta([n]), quantized((n, dim), seed))
 
 
 # ------------------------------------------------------------- preprocessing
@@ -131,9 +131,7 @@ def test_build_is_seed_deterministic():
 
 
 def test_build_empty_index():
-    empty = PhraseIndex(
-        "dense", np.zeros(0, dtype=METADATA_DTYPE), vectors=np.zeros((0, 4), dtype=np.float32)
-    )
+    empty = vectors_index(np.zeros(0, dtype=METADATA_DTYPE), np.zeros((0, 4), dtype=np.float32))
     alsh = build_alsh(empty, AlshParams(tables=2, bits_per_table=4))
     assert alsh.max_norm == 1.0
     assert all(len(t) == 0 for t in alsh.buckets)
@@ -171,7 +169,7 @@ def test_approx_scores_are_exact_for_surfaced_candidates():
 
 def test_doc_filter_restricts_probes_and_hits():
     vectors = quantized((90, 8), 41)
-    dense = PhraseIndex("dense", make_meta([30, 30, 30]), vectors=vectors)
+    dense = vectors_index(make_meta([30, 30, 30]), vectors)
     alsh = build_alsh(dense, AlshParams(bits_per_table=2, tables=6, seed=3))
     hits, probes = search_approx(alsh, quantized(8, 42), k_top=10, doc_id=1)
     assert probes <= 30
@@ -212,7 +210,7 @@ def test_more_tables_do_not_lose_recall():
     rng = np.random.Generator(np.random.Philox(key=8))
     data = rng.normal(size=(2000, 16))
     data /= np.linalg.norm(data, axis=1, keepdims=True)
-    dense = PhraseIndex("dense", make_meta([2000]), vectors=data.astype(np.float32))
+    dense = vectors_index(make_meta([2000]), data.astype(np.float32))
     queries = [
         (data[i] + 0.1 * rng.normal(size=16)).astype(np.float32)
         for i in rng.integers(0, 2000, size=40)
@@ -282,7 +280,7 @@ def test_load_rejects_mismatched_backing(tmp_path):
 def test_load_rejects_a_backing_index_of_another_size(tmp_path):
     dense = dense_fixture(n=16, dim=4)
     path, _ = _saved(tmp_path, build_alsh(dense, AlshParams(tables=1, bits_per_table=2)))
-    shrunk = PhraseIndex("dense", make_meta([4]), vectors=dense.vectors[:4])
+    shrunk = vectors_index(make_meta([4]), dense.vectors[:4])
     with pytest.raises(FormatError, match="16 rows do not match the backing index's 4") as err:
         load_alsh(str(path), shrunk)
     assert err.value.offset == 48
@@ -459,7 +457,7 @@ def _reference_search(params, hyperplanes, buckets, index, q, k_top, doc_id):
 )
 def test_flat_tables_match_dict_reference(docs, dim, m, U, bits, tables, seed):
     n = sum(docs)
-    index = PhraseIndex("dense", make_meta(docs), vectors=quantized((n, dim), seed))
+    index = vectors_index(make_meta(docs), quantized((n, dim), seed))
     params = AlshParams(m=m, U=U, bits_per_table=bits, tables=tables, seed=seed)
     alsh = build_alsh(index, params)
     max_norm, hyperplanes, reference = _reference_build(index, params)
@@ -489,7 +487,7 @@ def test_build_over_several_chunks_matches_dict_reference():
     dim = 8
     vectors = quantized((40, dim), 12)
     vectors[-1] *= 2
-    index = PhraseIndex("dense", make_meta([40]), vectors=vectors)
+    index = vectors_index(make_meta([40]), vectors)
     params = AlshParams(bits_per_table=3, tables=2, seed=6)
     budget = 15 * 8 * (dim + params.m)  # 15 rows of the augmented float64 block
     with mock.patch.object(alsh_module, "_HASH_CHUNK_BYTES", budget):

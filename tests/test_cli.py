@@ -230,6 +230,15 @@ def test_stats_reports_both_blocks(ws):
     assert report["index"]["total_words"] == report["corpus"]["tokens"] == 78
 
 
+def test_mistyped_dataset_field_exits_two(tmp_path):
+    bad = tmp_path / "bad.json"
+    qa = {"id": "q", "question": "q?", "answers": [{"text": "a", "answer_start": "0"}]}
+    bad.write_text(json.dumps({"data": [{"paragraphs": [{"context": "a b", "qas": [qa]}]}]}))
+    rc, out, err = run("stats", "--dataset", str(bad))
+    assert rc == 2 and out == ""
+    assert "field 'answer_start' at data[0].paragraphs[0].qas[0].answers[0]" in err
+
+
 def test_stats_without_arguments_fails(ws):
     rc, _, err = run("stats")
     assert rc == 2
@@ -349,6 +358,7 @@ def test_eval_and_sweep_with_a_corpus_missing_an_indexed_document_exit_two(
         ["storage", "--words", "nan"],
         ["alsh-build", "--index", "{dense}", "--bits", "0"],
         ["alsh-build", "--index", "{dense}", "--tables", "0"],
+        ["gen-word-vectors", "--dataset", "{dataset}", "--out", "wv.txt", "--dim", "0"],
     ],
     ids=lambda argv: f"{argv[0]} {argv[-2]} {argv[-1]}",
 )

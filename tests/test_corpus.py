@@ -137,6 +137,30 @@ def test_load_squad_schema_errors(tmp_path):
         load_squad(str(bad))
     assert "id" in str(err.value) or "qas" in str(err.value)
 
+    def squad(answer=None, paragraphs=None, **fields):
+        qa = {"id": "q", "question": "q?", "answers": [answer or {"text": "a", "answer_start": 0}]}
+        para = {"context": "a b", "qas": [qa]}
+        for key, value in fields.items():
+            (qa if key in qa else para)[key] = value
+        return {"data": [{"paragraphs": [para] if paragraphs is None else paragraphs}]}
+
+    answers = "data[0].paragraphs[0].qas[0].answers[0]"
+    mistyped = [
+        (squad({"text": "a"}), f"missing field 'answer_start' at {answers}"),
+        (squad({"text": "a", "answer_start": "0"}), f"field 'answer_start' at {answers}"),
+        (squad({"text": "a", "answer_start": True}), f"field 'answer_start' at {answers}"),
+        (squad({"text": 7, "answer_start": 0}), f"field 'text' at {answers}"),
+        (squad(question=["q?"]), "field 'question' at data[0].paragraphs[0].qas[0]"),
+        (squad(context=None), "field 'context' at data[0].paragraphs[0]"),
+        (squad(paragraphs=5), "field 'paragraphs' at data[0]"),
+        (squad(answers=5), "field 'answers' at data[0].paragraphs[0].qas[0]"),
+    ]
+    for content, needle in mistyped:
+        bad.write_text(json.dumps(content))
+        with pytest.raises(SchemaError) as err:
+            load_squad(str(bad))
+        assert needle in str(err.value)
+
 
 def test_load_squad_counts_alignment_failures(tmp_path):
     path = tmp_path / "miss.json"

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 from phraseindex.errors import FormatError
 from phraseindex.filtering import apply_filter, train_filter
-from phraseindex.index import METADATA_DTYPE, PhraseIndex, load_index, save_index
+from phraseindex.index import METADATA_DTYPE, load_index, save_index
 
-from .oracles import dense_payload_bytes
+from .oracles import dense_payload_bytes, vectors_index
 
 # -0.0 and 0.0 are equal floats with different bits; 1e-45 is subnormal.
 VALUES = [0.0, -0.0, 1.0, -1.5, 0.1, 1e-45, 3e38]
@@ -26,7 +26,7 @@ def header_bytes(index):
 
 def dense(metadata, rows):
     meta = np.array(metadata, dtype=METADATA_DTYPE)
-    return PhraseIndex("dense", meta, vectors=np.asarray(rows, dtype=np.float32))
+    return vectors_index(meta, np.asarray(rows, dtype=np.float32))
 
 
 @st.composite

@@ -12,8 +12,9 @@ from phraseindex.corpus import Corpus, Document, QAExample, tokenize
 from phraseindex.encode.dense import LSTM_SA, compose_question
 from phraseindex.errors import EvaluationError
 from phraseindex.evaluation import Metrics, evaluate, f1_em_single, normalize_answer
-from phraseindex.index import METADATA_DTYPE, PhraseIndex, search_exact
+from phraseindex.index import METADATA_DTYPE, search_exact
 
+from .oracles import vectors_index
 from .toyset import one_hot_setup
 
 ORACLE = json.loads((Path(__file__).parent / "data" / "metric_oracle.json").read_text())
@@ -169,7 +170,7 @@ def two_doc_setup():
     for i, row in enumerate(spans):
         metadata[i] = row
         vectors[i, i] = 2.0
-    index = PhraseIndex("dense", metadata, vectors=vectors)
+    index = vectors_index(metadata, vectors)
     example = QAExample("g", ["where"], 0, ["cc"], [])
     corpus = Corpus(docs, [example], {"aa": 1, "bb": 1, "cc": 1, "dd": 1}, 2)
 
@@ -259,7 +260,7 @@ def test_batched_rows_match_the_per_question_loop_with_missing_docs(restrict_to_
     rows = [(d, s, e) for d in (0, 2) for s in range(3) for e in range(s, 3)]
     metadata = np.array(rows, dtype=METADATA_DTYPE)
     vectors = (rng.integers(-4, 5, size=(len(rows), 5)) / 4.0).astype(np.float32)
-    index = PhraseIndex("dense", metadata, vectors=vectors)
+    index = vectors_index(metadata, vectors)
     queries = {ex.question_id: rng.normal(size=5).astype(np.float32) for ex in examples}
 
     def encode(ex):

@@ -24,9 +24,9 @@ from phraseindex.filtering import (
     sweep_thresholds,
     train_filter,
 )
-from phraseindex.index import METADATA_DTYPE, PhraseIndex, search_exact
+from phraseindex.index import METADATA_DTYPE, search_exact
 
-from .oracles import gold_label_mask, train_filter_float64
+from .oracles import gold_label_mask, train_filter_float64, vectors_index
 from .test_index import make_meta, quantized, sparse_fixture
 from .toyset import one_hot_setup
 
@@ -68,7 +68,7 @@ def test_gold_labels_match_the_per_ordinal_loop(lengths, max_span_len, keep_seed
     metadata["s"] = np.concatenate([b[0] for b in bounds])
     metadata["e"] = np.concatenate([b[1] for b in bounds])
     keep = np.random.Generator(np.random.Philox(key=keep_seed)).random(len(metadata)) < 0.7
-    index = PhraseIndex("dense", metadata[keep], vectors=np.zeros((keep.sum(), 1), np.float32))
+    index = vectors_index(metadata[keep], np.zeros((keep.sum(), 1), np.float32))
     examples = [
         QAExample(f"q{i}", ["w"], spans[0].doc_id if spans else 0, ["w"], spans)
         for i, spans in enumerate(questions + questions[:1])
@@ -86,7 +86,7 @@ def test_training_separates_separable_labels():
     vectors = (0.05 * rng.normal(size=(n, dim))).astype(np.float32)
     vectors[:, 0] = -2.0
     vectors[golds, 0] = 2.0
-    index = PhraseIndex("dense", make_meta([n]), vectors=vectors)
+    index = vectors_index(make_meta([n]), vectors)
     filt = train_filter(index, labeled_corpus(n, golds), epochs=50)
     scores = filt.score(index.vectors)
     assert (scores[golds] > 0).all()
@@ -94,7 +94,7 @@ def test_training_separates_separable_labels():
 
 
 def test_zero_epochs_returns_zero_filter():
-    index = PhraseIndex("dense", make_meta([10]), vectors=quantized((10, 4), 1))
+    index = vectors_index(make_meta([10]), quantized((10, 4), 1))
     filt = train_filter(index, labeled_corpus(10, [2]), epochs=0)
     assert np.array_equal(filt.weights, np.zeros(4, dtype=np.float32))
     assert filt.bias == 0.0
@@ -107,7 +107,7 @@ def test_training_survives_heavy_class_imbalance():
     vectors = (0.1 * rng.normal(size=(n, dim))).astype(np.float32)
     vectors[7] = 0.0
     vectors[7, 0] = 2.0
-    index = PhraseIndex("dense", make_meta([n]), vectors=vectors)
+    index = vectors_index(make_meta([n]), vectors)
     filt = train_filter(index, labeled_corpus(n, [7]))
     scores = filt.score(index.vectors)
     assert np.isfinite(filt.weights).all() and math.isfinite(filt.bias)
@@ -115,7 +115,7 @@ def test_training_survives_heavy_class_imbalance():
 
 
 def test_training_requires_positives_and_dense_index():
-    index = PhraseIndex("dense", make_meta([10]), vectors=quantized((10, 4), 1))
+    index = vectors_index(make_meta([10]), quantized((10, 4), 1))
     with pytest.raises(TrainingError, match="gold"):
         train_filter(index, labeled_corpus(10, []))
     sparse, _ = sparse_fixture()
@@ -126,7 +126,7 @@ def test_training_requires_positives_and_dense_index():
 def test_training_is_deterministic():
     n = 60
     vectors = quantized((n, 5), 9)
-    index = PhraseIndex("dense", make_meta([n]), vectors=vectors)
+    index = vectors_index(make_meta([n]), vectors)
     corpus = labeled_corpus(n, [5, 20])
     a = train_filter(index, corpus, seed=3)
     b = train_filter(index, corpus, seed=3)
@@ -156,7 +156,7 @@ def test_training_matches_the_float64_oracle(n, dim, epochs, seed, data):
     values = data.draw(st.lists(cells, min_size=n * dim, max_size=n * dim), label="vectors")
     vectors = np.array(values, dtype=np.float32).reshape(n, dim)
     golds = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1), label="golds"))
-    index = PhraseIndex("dense", make_meta([n]), vectors=vectors)
+    index = vectors_index(make_meta([n]), vectors)
     corpus = labeled_corpus(n, golds)
     filt = train_filter(index, corpus, epochs=epochs, seed=seed)
     oracle, trajectory = train_filter_float64(index, corpus, epochs=epochs, seed=seed)
@@ -182,7 +182,7 @@ def ladder_index(n=100, dim=4):
     """Candidate i scores exactly i/16 under ladder_filter."""
     vectors = np.zeros((n, dim), dtype=np.float32)
     vectors[:, 0] = np.arange(n, dtype=np.float32) / 16.0
-    return PhraseIndex("dense", make_meta([n]), vectors=vectors)
+    return vectors_index(make_meta([n]), vectors)
 
 
 def ladder_filter(dim=4):
@@ -230,7 +230,7 @@ def test_median_threshold_keeps_upper_half_inclusive():
 
 
 def test_raising_threshold_never_grows_the_index():
-    index = PhraseIndex("dense", make_meta([80]), vectors=quantized((80, 6), 15))
+    index = vectors_index(make_meta([80]), quantized((80, 6), 15))
     filt = PerceptronFilter(weights=quantized(6, 16), bias=0.125)
     sizes = []
     previous = set()
@@ -244,7 +244,7 @@ def test_raising_threshold_never_grows_the_index():
 
 
 def test_surviving_candidates_keep_their_scores():
-    index = PhraseIndex("dense", make_meta([60]), vectors=quantized((60, 8), 23))
+    index = vectors_index(make_meta([60]), quantized((60, 8), 23))
     filt = PerceptronFilter(weights=quantized(8, 24), bias=0.0)
     q = quantized(8, 25)
     full = {h.span: h.score for h in search_exact(index, q, k_top=60)}

@@ -14,7 +14,7 @@ from phraseindex import index as index_module
 from phraseindex.candidates import CandidateSpan, span_bounds, span_count
 from phraseindex.corpus import Corpus, Document, tokenize
 from phraseindex.encode.dense import sa_all
-from phraseindex.encode.tfidf import IdfTable, SparseVector, tfidf_phrase_encode
+from phraseindex.encode.tfidf import IdfTable, SparseVector
 from phraseindex.encode.wordvectors import toy_word_vector_table
 from phraseindex.errors import BuildError, FormatError
 from phraseindex.index import (
@@ -36,6 +36,8 @@ from .oracles import (
     enumerate_spans,
     gemm_search,
     per_span_dense_build,
+    tfidf_phrase_encode,
+    vectors_index,
 )
 
 
@@ -176,7 +178,7 @@ def test_build_is_deterministic(tmp_path, mini_corpus, toy_vectors):
 
 
 def test_search_orthonormal_rows():
-    index = PhraseIndex("dense", make_meta([4]), vectors=np.eye(4, dtype=np.float32))
+    index = vectors_index(make_meta([4]), np.eye(4, dtype=np.float32))
     q = np.zeros(4, dtype=np.float32)
     q[2] = 1.0
     hits = search_exact(index, q, k_top=4)
@@ -190,7 +192,7 @@ def test_search_matches_brute_force(seed):
     dim = int(rng.integers(2, 33))
     vectors = quantized((n, dim), seed)
     q = quantized(dim, 5000 + seed)
-    index = PhraseIndex("dense", make_meta([n]), vectors=vectors)
+    index = vectors_index(make_meta([n]), vectors)
     for k in {1, min(3, n), n}:
         hits = search_exact(index, q, k_top=k)
         expected = brute_force(vectors, q, k)
@@ -199,7 +201,7 @@ def test_search_matches_brute_force(seed):
 
 def test_search_restricted_to_one_document():
     vectors = quantized((60, 8), 3)
-    index = PhraseIndex("dense", make_meta([20, 20, 20]), vectors=vectors)
+    index = vectors_index(make_meta([20, 20, 20]), vectors)
     q = quantized(8, 4)
     hits = search_exact(index, q, k_top=5, doc_id=1)
     assert all(h.span.doc_id == 1 for h in hits)
@@ -211,8 +213,8 @@ def test_search_restricted_to_one_document():
 def test_search_scaling_leaves_ranking_fixed():
     vectors = quantized((50, 8), 11)
     q = quantized(8, 12)
-    a = PhraseIndex("dense", make_meta([50]), vectors=vectors)
-    b = PhraseIndex("dense", make_meta([50]), vectors=vectors * 4.0)
+    a = vectors_index(make_meta([50]), vectors)
+    b = vectors_index(make_meta([50]), vectors * 4.0)
     ha = search_exact(a, q, k_top=50)
     hb = search_exact(b, q, k_top=50)
     assert [h.span for h in ha] == [h.span for h in hb]
@@ -221,13 +223,13 @@ def test_search_scaling_leaves_ranking_fixed():
 
 
 def test_search_k_beyond_n_returns_each_candidate_once():
-    index = PhraseIndex("dense", make_meta([7]), vectors=quantized((7, 4), 2))
+    index = vectors_index(make_meta([7]), quantized((7, 4), 2))
     hits = search_exact(index, quantized(4, 9), k_top=100)
     assert sorted(h.span.s for h in hits) == list(range(7))
 
 
 def test_search_input_validation():
-    index = PhraseIndex("dense", make_meta([3]), vectors=np.eye(3, dtype=np.float32))
+    index = vectors_index(make_meta([3]), np.eye(3, dtype=np.float32))
     with pytest.raises(ValueError):
         search_exact(index, np.zeros(5, dtype=np.float32))
     with pytest.raises(ValueError):
@@ -263,7 +265,7 @@ def block_cases(draw):
 @given(block_cases())
 def test_block_search_equals_row_by_row_search(case):
     counts, vectors, queries, doc_id, k_top, rows_per_chunk = case
-    index = PhraseIndex("dense", make_meta(counts), vectors=vectors)
+    index = vectors_index(make_meta(counts), vectors)
     lo, hi = (0, len(index)) if doc_id is None else index.doc_range(doc_id)
     block_rows = index_module._block_rows
     if rows_per_chunk is not None:  # blocks of rows_per_chunk x (hi - lo) // m index rows
@@ -278,13 +280,13 @@ def test_block_search_equals_row_by_row_search(case):
 
 
 def test_block_search_over_an_empty_range_gives_one_empty_list_per_row():
-    index = PhraseIndex("dense", make_meta([3, 0, 2]), vectors=quantized((5, 4), 1))
+    index = vectors_index(make_meta([3, 0, 2]), quantized((5, 4), 1))
     assert search_exact(index, quantized((3, 4), 2), k_top=2, doc_id=1) == [[], [], []]
     assert search_exact(index, quantized((3, 4), 2), k_top=2, doc_id=9) == [[], [], []]
 
 
 def test_block_search_rejects_a_wrong_dim_block():
-    index = PhraseIndex("dense", make_meta([3]), vectors=np.eye(3, dtype=np.float32))
+    index = vectors_index(make_meta([3]), np.eye(3, dtype=np.float32))
     for bad in (np.zeros((2, 4)), np.zeros((2, 2)), np.zeros((1, 2, 3))):
         with pytest.raises(ValueError, match="does not match index dim"):
             search_exact(index, bad)
@@ -374,7 +376,7 @@ def _reference_doc_range(index, doc_id):
 
 @pytest.mark.parametrize("as_numpy", [False, True])
 def test_doc_range_matches_two_searchsorted_calls(as_numpy):
-    index = PhraseIndex("dense", make_meta([3, 0, 2, 4]), vectors=np.zeros((9, 2), np.float32))
+    index = vectors_index(make_meta([3, 0, 2, 4]), np.zeros((9, 2), np.float32))
     for doc_id in (-1, 0, 1, 2, 3, 4, 2**32 - 1, 2**32, 2**40):
         key = np.int64(doc_id) if as_numpy else doc_id
         assert index.doc_range(key) == _reference_doc_range(index, doc_id)
@@ -382,7 +384,7 @@ def test_doc_range_matches_two_searchsorted_calls(as_numpy):
 
 
 def test_block_search_of_a_nan_row_matches_the_single_search():
-    index = PhraseIndex("dense", make_meta([4]), vectors=quantized((4, 3), 5))
+    index = vectors_index(make_meta([4]), quantized((4, 3), 5))
     queries = np.array([[np.nan, 0.0, 0.0], [1.0, 0.0, 0.0]], dtype=np.float32)
     block = search_exact(index, queries)
     assert block[0] == search_exact(index, queries[0]) == []
@@ -428,7 +430,7 @@ def test_sparse_zero_overlap_fills_in_ordinal_order():
 
 def test_sparse_and_dense_agree_on_shared_weights():
     sparse, dense_matrix = sparse_fixture(seed=33)
-    dense = PhraseIndex("dense", make_meta([80]), vectors=dense_matrix)
+    dense = vectors_index(make_meta([80]), dense_matrix)
     q_ids = np.array([0, 3, 9], dtype=np.int64)
     q_w = np.array([0.5, 0.25, 0.0625])
     q_dense = np.zeros(10, dtype=np.float32)
@@ -549,6 +551,43 @@ def test_tfidf_build_matches_the_per_span_reference_on_small_corpora(
     _assert_same_postings(index.postings, expected)
 
 
+def _tfidf_csr(corpus, max_span_len, window, include_phrase) -> tuple:
+    """build_index's CSR postings and the per-span reference's."""
+    index = build_index(corpus, "tfidf", max_span_len, window, include_phrase=include_phrase)
+    expected = _reference_tfidf_postings(corpus, max_span_len, window, include_phrase)
+    return (index.indptr, index.ordinals, index.weights), csr_postings(expected, len(index.idf.vocab))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.integers(0, 39).map("w{:02d}".format), min_size=0, max_size=70),
+        min_size=1, max_size=3,
+    ),
+    st.integers(1, 12),
+    st.integers(0, 90),
+    st.booleans(),
+)
+def test_tfidf_build_matches_the_per_span_reference_on_long_bags(
+    texts, max_span_len, window, include_phrase
+):
+    # Bags of 16 or more distinct terms, where the reference's w @ w may sum
+    # the squares in another order than the build's term-order sum.
+    corpus = make_corpus([" ".join(words) for words in texts])
+    got, expected = _tfidf_csr(corpus, max_span_len, window, include_phrase)
+    assert np.array_equal(got[0], expected[0]) and np.array_equal(got[1], expected[1])
+    assert got[2].dtype == np.float32
+    np.testing.assert_array_max_ulp(got[2], expected[2].astype(np.float32), maxulp=1)
+
+
+@pytest.mark.parametrize("include_phrase", [True, False])
+def test_tfidf_window_past_every_document_is_the_longest_document(mini_corpus, include_phrase):
+    longest = max(len(doc) for doc in mini_corpus.documents)
+    huge = build_index(mini_corpus, "tfidf", window=10**6, include_phrase=include_phrase)
+    clamped = build_index(mini_corpus, "tfidf", window=longest, include_phrase=include_phrase)
+    assert huge == clamped
+
+
 # ---------------------------------------------------------------- bookkeeping
 
 
@@ -557,19 +596,17 @@ def test_total_words_is_max_end_plus_one_per_doc():
     arr = np.zeros(len(rows), dtype=METADATA_DTYPE)
     for i, r in enumerate(rows):
         arr[i] = r
-    index = PhraseIndex("dense", arr, vectors=np.zeros((5, 2), dtype=np.float32))
+    index = vectors_index(arr, np.zeros((5, 2), dtype=np.float32))
     assert index.total_words() == 2 + 5
-    empty = PhraseIndex(
-        "dense", np.zeros(0, dtype=METADATA_DTYPE), vectors=np.zeros((0, 2), dtype=np.float32)
-    )
+    empty = vectors_index(np.zeros(0, dtype=METADATA_DTYPE), np.zeros((0, 2), dtype=np.float32))
     assert empty.total_words() == 0
 
 
 def test_index_constructor_validation():
     with pytest.raises(ValueError):
-        PhraseIndex("fuzzy", make_meta([1]), vectors=np.zeros((1, 2), dtype=np.float32))
+        PhraseIndex("fuzzy", make_meta([1]))
     with pytest.raises(ValueError):
-        PhraseIndex("dense", make_meta([2]), vectors=np.zeros((1, 2), dtype=np.float32))
+        vectors_index(make_meta([2]), np.zeros((1, 2), dtype=np.float32))
     with pytest.raises(ValueError):
         PhraseIndex("sparse", make_meta([1]))
 
@@ -788,7 +825,7 @@ def test_load_rejects_non_finite_vectors(tmp_path, dense_index, value):
     for h, name, col, width in [(0, "start", 3, half), (1, "end", -1, dense_index.dim - half)]:
         vectors = dense_index.vectors.copy()
         vectors[5, col] = value
-        bad = PhraseIndex("dense", dense_index.metadata, vectors=vectors)
+        bad = vectors_index(dense_index.metadata, vectors)
         path, raw = _saved_bytes(tmp_path, bad)
         sizes_at = 21 + len(dense_index) * METADATA_DTYPE.itemsize
         sizes = struct.unpack_from("<QQ", raw, sizes_at)
@@ -891,7 +928,7 @@ def _search_in_blocks(index, queries, k_top, doc_id=None, rows_per_block=1, quer
 @given(block_cases(), st.sampled_from([1, 2]), st.sampled_from([1, 2, 3, None]))
 def test_block_search_with_one_or_two_index_rows_per_block(case, rows_per_block, query_rows):
     counts, vectors, queries, doc_id, k_top, _ = case
-    index = PhraseIndex("dense", make_meta(counts), vectors=vectors)
+    index = vectors_index(make_meta(counts), vectors)
     block = _search_in_blocks(index, queries, k_top, doc_id, rows_per_block, query_rows)
     assert len(block) == len(queries)
     for q, hits in zip(queries, block):
@@ -915,7 +952,7 @@ def test_block_hits_equal_top_k_of_the_full_score_row(counts, dim, m, rows_per_b
     n = sum(counts)
     cells = st.lists(block_cell, min_size=(n + m) * dim, max_size=(n + m) * dim)
     values = np.array(data.draw(cells), dtype=np.float32).reshape(n + m, dim)
-    index = PhraseIndex("dense", make_meta(counts), vectors=values[:n])
+    index = vectors_index(make_meta(counts), values[:n])
     queries = values[n:]
     doc_id = data.draw(st.none() | st.integers(0, len(counts) - 1))
     lo, hi = (0, n) if doc_id is None else index.doc_range(doc_id)
@@ -929,7 +966,7 @@ def test_block_hits_equal_top_k_of_the_full_score_row(counts, dim, m, rows_per_b
 
 
 def test_block_search_equal_best_rows_in_two_blocks_keep_the_lower_ordinal():
-    index = PhraseIndex("dense", make_meta([4]), vectors=np.array([[0], [5], [5], [5]], np.float32))
+    index = vectors_index(make_meta([4]), np.array([[0], [5], [5], [5]], np.float32))
     queries = np.ones((2, 1), np.float32)
     assert [h.span.s for h in _search_in_blocks(index, queries, 1)[0]] == [1]
     assert [h.span.s for h in _search_in_blocks(index, queries, 1, rows_per_block=2)[1]] == [1]
@@ -940,7 +977,7 @@ def test_block_search_equal_best_rows_in_two_blocks_keep_the_lower_ordinal():
 @pytest.mark.parametrize("rows_per_block", [1, 2, 3])
 def test_block_search_with_a_nan_only_in_the_last_block(rows_per_block):
     vectors = np.array([[1], [2], [3], [np.nan]], np.float32)
-    index = PhraseIndex("dense", make_meta([4]), vectors=vectors)
+    index = vectors_index(make_meta([4]), vectors)
     queries = np.ones((3, 1), np.float32)
     for k in (1, 2, 3):
         assert _search_in_blocks(index, queries, k, rows_per_block=rows_per_block) == [[]] * 3
@@ -952,7 +989,7 @@ def test_block_search_with_a_nan_only_in_the_last_block(rows_per_block):
 
 def test_block_search_with_a_nan_row_and_k_at_least_n_returns_every_row_nan_last():
     vectors = np.array([[1], [np.nan], [3], [np.nan], [1]], np.float32)
-    index = PhraseIndex("dense", make_meta([5]), vectors=vectors)
+    index = vectors_index(make_meta([5]), vectors)
     for rows_per_block in (1, 2, 5):
         (hits,) = _search_in_blocks(index, np.ones((1, 1), np.float32), 5, rows_per_block=rows_per_block)
         assert [h.span.s for h in hits] == [2, 0, 4, 1, 3]
@@ -962,7 +999,7 @@ def test_block_search_with_a_nan_row_and_k_at_least_n_returns_every_row_nan_last
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_block_search_of_an_all_minus_inf_row_returns_its_lowest_ordinals(k):
     vectors = np.full((5, 1), -np.inf, np.float32)
-    index = PhraseIndex("dense", make_meta([2, 3]), vectors=vectors)
+    index = vectors_index(make_meta([2, 3]), vectors)
     (hits,) = _search_in_blocks(index, np.ones((1, 1), np.float32), k, doc_id=1)
     assert [(h.span.doc_id, h.span.s) for h in hits] == [(1, s) for s in range(k)]
     assert [h.score for h in hits] == [-np.inf] * k
@@ -1008,7 +1045,7 @@ def factored_cases(draw):
             words = np.split(cells(3, dim)[picks], np.cumsum(lengths)[:-1])
             for i, (d, s, e) in enumerate(spans):
                 vectors[i] = np.r_[words[d][s][:half], words[d][e][half:]]
-        index = PhraseIndex("dense", metadata, vectors=vectors)
+        index = vectors_index(metadata, vectors)
     queries = cells(draw(st.integers(1, 4), label="m"), dim)
     doc_id = draw(st.none() | st.integers(0, len(lengths)), label="doc_id")
     k_top = draw(st.integers(1, n + 2), label="k_top")
@@ -1038,7 +1075,7 @@ def test_factored_search_of_random_rows_matches_the_block_gemm(doc_id, k_top):
     metadata = make_meta([300, 200, 100])
     vectors = rng.normal(size=(600, 64)).astype(np.float32)
     queries = rng.normal(size=(40, 64)).astype(np.float32)
-    index = PhraseIndex("dense", metadata, vectors=vectors)
+    index = vectors_index(metadata, vectors)
     lo, hi = (0, len(index)) if doc_id is None else index.doc_range(doc_id)
     block = search_exact(index, queries, k_top=k_top, doc_id=doc_id)
     singles = [search_exact(index, q, k_top=k_top, doc_id=doc_id) for q in queries]

@@ -1,17 +1,15 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from phraseindex.candidates import CandidateSpan
 from phraseindex.corpus import Document, tokenize
-from phraseindex.encode.tfidf import (
-    IdfTable,
-    SparseVector,
-    tfidf_phrase_encode,
-    tfidf_question_encode,
-)
+from phraseindex.encode.tfidf import IdfTable, SparseVector, tfidf_question_encode, weigh_bags
+
+from .oracles import tfidf_bag_encode, tfidf_phrase_encode
 
 
 class FixedIdf:
@@ -26,6 +24,13 @@ class FixedIdf:
 
     def term_id(self, term: str):
         return self._ids.get(term)
+
+    @property
+    def idf_by_id(self) -> np.ndarray:
+        return np.array([self.values[t] for t in sorted(self.values)])
+
+    def ids(self, tokens) -> np.ndarray:
+        return np.array([self._ids.get(t, -1) for t in tokens], dtype=np.int64)
 
 
 def make_doc(text: str) -> Document:
@@ -110,14 +115,31 @@ def test_idf_table_ids_are_sorted_vocab_positions():
 
 
 @given(
-    st.dictionaries(
-        st.integers(0, 30), st.floats(0.01, 10, allow_nan=False), min_size=1, max_size=8
-    )
+    st.lists(
+        st.lists(st.integers(-1, 30), min_size=0, max_size=12), min_size=1, max_size=6
+    ).map(lambda rows: [row + [-1] * (12 - len(row)) for row in rows]),
+    st.lists(st.floats(0.01, 10), min_size=31, max_size=31),
 )
-def test_sparse_vector_unit_norm_property(weights):
-    vec = SparseVector.from_weights(weights)
-    assert math.sqrt(vec.weights @ vec.weights) == pytest.approx(1.0, abs=1e-6)
-    assert list(vec.term_ids) == sorted(vec.term_ids)
+def test_sparse_vector_unit_norm_property(bags, idf):
+    sizes, terms, weights = weigh_bags(np.array(bags, dtype=np.int64), np.array(idf))
+    assert sizes.sum() == len(terms) == len(weights)
+    ends = np.cumsum(sizes).tolist()
+    for bag, size, end in zip(bags, sizes.tolist(), ends):
+        ids, w = terms[end - size : end], weights[end - size : end]
+        assert ids.tolist() == sorted({t for t in bag if t >= 0})  # strictly increasing
+        if size:
+            assert math.sqrt(w @ w) == pytest.approx(1.0, abs=1e-12)
+
+
+@given(st.lists(st.integers(0, 60).map("t{:02d}".format), max_size=40))
+def test_question_encode_matches_the_counter_reference(tokens):
+    # Terms t00-t39 have ids, the rest do not. The reference sums the squares
+    # with w @ w, in another order than the term-order sum: 4 float64 ulp.
+    idf = IdfTable(df={f"t{i:02d}": i % 7 for i in range(40)}, num_documents=9)
+    got, expected = tfidf_question_encode(tokens, idf), tfidf_bag_encode(tokens, idf)
+    assert got.term_ids.dtype == np.int64 and got.weights.dtype == np.float64
+    assert np.array_equal(got.term_ids, expected.term_ids)
+    np.testing.assert_array_max_ulp(got.weights, expected.weights, maxulp=4)
 
 
 def test_phrase_encode_validates_inputs():

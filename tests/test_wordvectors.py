@@ -112,6 +112,9 @@ def test_positions_may_arrive_out_of_order(tmp_path):
         ("base 0 2 2\n0 1 2\n0 3 4\n", "repeated position"),
         ("score1 q 1 1\n0 1\n", "no base"),
         ("base 0 1 2\n0 1 2\nsa_key 0 2 2\n0 1 2\n1 3 4\n", "covers"),
+        ("base 0 -1 4\n", "bad header"),
+        ("base 0 2 -3\n0\n1\n", "bad header"),
+        ("base 0 99999999999 99999\n0 1\n", "truncated"),
     ],
 )
 def test_malformed_files_raise_schema_errors(tmp_path, content, needle):

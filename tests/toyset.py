@@ -10,9 +10,9 @@ import numpy as np
 
 from phraseindex.candidates import CandidateSpan
 from phraseindex.corpus import Corpus, Document, QAExample, tokenize
-from phraseindex.index import METADATA_DTYPE, PhraseIndex
+from phraseindex.index import METADATA_DTYPE
 
-from .oracles import enumerate_spans
+from .oracles import enumerate_spans, vectors_index
 
 TEXT = "alpha bravo charlie delta echo foxtrot golf hotel india juliet"
 
@@ -42,7 +42,7 @@ def one_hot_setup():
         # Distinct magnitudes keep filter scores tie-free across ordinals.
         vectors[i, i] = 2.0 + 0.001 * i
         ordinal_of[(s, e)] = i
-    index = PhraseIndex("dense", metadata, vectors=vectors)
+    index = vectors_index(metadata, vectors)
 
     def encode_question(ex):
         q = np.zeros(n, dtype=np.float32)
