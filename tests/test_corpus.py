@@ -161,6 +161,11 @@ def test_load_squad_schema_errors(tmp_path):
             load_squad(str(bad))
         assert needle in str(err.value)
 
+    bad.write_bytes(b'\xff\xfe{"data": []}')  # not UTF-8
+    with pytest.raises(SchemaError) as err:
+        load_squad(str(bad))
+    assert "not valid JSON" in str(err.value)
+
 
 def test_load_squad_counts_alignment_failures(tmp_path):
     path = tmp_path / "miss.json"
