@@ -8,10 +8,11 @@ re-scored exactly against the original vectors, so approximation can only
 lose recall, never corrupt scores.
 
 The index holds each candidate's code in every table, the layout of the
-file, and derives each table's buckets from its codes when it is built or
-loaded: as in an inverted-file index, the distinct codes in ascending order,
-CSR bounds into one ordinal array, and the ordinals of each bucket in
-ascending order. A lookup is one binary search.
+file, and derives the buckets of all tables from the codes when it is built
+or loaded: as in an inverted-file index, one CSR keyed by (table, code), the
+keys ``table << bits | code`` in ascending order, bounds into one ordinal
+array, and the ordinals of each bucket in ascending order. A query's T
+lookups are one binary search.
 
 File format (all integers little-endian):
 
@@ -25,7 +26,6 @@ File format (all integers little-endian):
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,46 +60,11 @@ class AlshParams:
             )
         if self.tables < 1:
             raise ConfigError(f"tables must be >= 1, got {self.tables}")
-
-
-class BucketTable(Mapping):
-    """Read-only code -> ascending ordinals map over three flat arrays.
-
-    ``codes`` (u64, strictly increasing) names the non-empty buckets, and
-    bucket i holds ``ordinals[indptr[i]:indptr[i + 1]]`` (u32). Lookups are
-    binary searches; ``len()`` is the bucket count.
-    """
-
-    __slots__ = ("codes", "indptr", "ordinals")
-
-    def __init__(self, codes: np.ndarray, indptr: np.ndarray, ordinals: np.ndarray):
-        for arr in (codes, indptr, ordinals):
-            arr.flags.writeable = False
-        self.codes = codes
-        self.indptr = indptr
-        self.ordinals = ordinals
-
-    def get(self, code, default=None):
-        try:
-            key = np.uint64(code)
-        except (OverflowError, TypeError, ValueError):
-            return default
-        i = int(self.codes.searchsorted(key))
-        if i == len(self.codes) or self.codes[i] != code:
-            return default
-        return self.ordinals[self.indptr[i] : self.indptr[i + 1]]
-
-    def __getitem__(self, code) -> np.ndarray:
-        ords = self.get(code)
-        if ords is None:
-            raise KeyError(code)
-        return ords
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.codes.tolist())
-
-    def __len__(self) -> int:
-        return len(self.codes)
+        if self.bits_per_table + (self.tables - 1).bit_length() > 64:
+            raise ConfigError(
+                f"bits_per_table {self.bits_per_table} and {self.tables} tables do not fit a "
+                f"bucket key, table << bits | code, in 64 bits"
+            )
 
 
 def _code_dtype(bits: int) -> np.dtype:
@@ -114,26 +79,56 @@ class AlshIndex:
     hyperplanes: np.ndarray  # (T, b, dim + m) float64, unit rows
     codes: np.ndarray  # (T, count) hash codes of every candidate, in _code_dtype(b)
     backing: PhraseIndex
-    buckets: list[BucketTable] = field(init=False)  # one per hash table
+    # The buckets of every table, read-only: bucket i holds the u32 ordinals
+    # ordinals[indptr[i]:indptr[i + 1]], ascending, and is keyed by keys[i]
+    # (u64, table << b | code, strictly increasing).
+    keys: np.ndarray = field(init=False)
+    indptr: np.ndarray = field(init=False)
+    ordinals: np.ndarray = field(init=False)
 
     def __post_init__(self):
         # A stable argsort of a table's codes groups its buckets in code order,
-        # each bucket's ordinals ascending.
-        n = self.codes.shape[1]
-        self.buckets = []
-        for row in self.codes:
-            order = np.argsort(row, kind="stable")
-            sorted_codes = row[order]
-            first = np.ones(n, dtype=bool)
-            first[1:] = sorted_codes[1:] != sorted_codes[:-1]
-            starts = np.flatnonzero(first)
-            self.buckets.append(
-                BucketTable(
-                    sorted_codes[starts].astype(np.uint64),
-                    np.append(starts, n).astype(np.uint64),
-                    order.astype(np.uint32),
-                )
-            )
+        # each bucket's ordinals ascending. The first pass sorts and counts the
+        # buckets, so that the second writes the keys and bounds in place and
+        # no more than one table's temporaries are live beside the result.
+        t, n = self.codes.shape
+        ordinals = np.empty((t, n), dtype=np.uint32)
+        first = np.empty(n, dtype=bool)
+        counts = []
+        for row, order in zip(self.codes, ordinals):
+            order[:] = np.argsort(row, kind="stable")
+            counts.append(int(np.count_nonzero(_mark_runs(row.take(order), first))))
+        self.keys = np.empty(sum(counts), dtype=np.uint64)
+        self.indptr = np.full(len(self.keys) + 1, t * n, dtype=np.int64)
+        table_keys = _table_keys(t, self.params.bits_per_table)
+        stops = np.cumsum(counts)
+        for table, (row, order, stop) in enumerate(zip(self.codes, ordinals, stops)):
+            sorted_codes = row.take(order)
+            starts = np.flatnonzero(_mark_runs(sorted_codes, first))
+            at = slice(stop - len(starts), stop)
+            np.bitwise_or(sorted_codes[starts], table_keys[table], out=self.keys[at])
+            np.add(starts, table * n, out=self.indptr[at])
+        self.ordinals = ordinals.reshape(t * n)
+        for arr in (self.keys, self.indptr, self.ordinals):
+            arr.flags.writeable = False
+
+    @property
+    def buckets(self) -> list[np.ndarray]:
+        """Each table's bucket keys, a view of keys: its length is the bucket count."""
+        t, b = self.params.tables, self.params.bits_per_table
+        return np.split(self.keys, self.keys.searchsorted(_table_keys(t, b)[1:]))
+
+
+def _mark_runs(values: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Sets out[i] where sorted values[i] starts a run of equal values; returns out."""
+    out[:1] = True
+    np.not_equal(values[1:], values[:-1], out=out[1:])
+    return out
+
+
+def _table_keys(t: int, b: int) -> np.ndarray:
+    """The key of code 0 in each of t tables, table << b as u64 (0 when b is 64)."""
+    return np.arange(t, dtype=np.uint64) << np.uint64(b)
 
 
 def _norm_terms(sq_norms: np.ndarray, m: int) -> np.ndarray:
@@ -212,10 +207,7 @@ def _distinct(parts: list[np.ndarray]) -> np.ndarray:
     """Sorted distinct ordinals of the buckets as int64: np.unique of their concatenation."""
     ordinals = np.concatenate(parts, dtype=np.int64)
     ordinals.sort()
-    first = np.empty(len(ordinals), dtype=bool)
-    first[:1] = True
-    np.not_equal(ordinals[1:], ordinals[:-1], out=first[1:])
-    return ordinals[first]
+    return ordinals[_mark_runs(ordinals, np.empty(len(ordinals), dtype=bool))]
 
 
 def search_approx(
@@ -239,11 +231,12 @@ def search_approx(
 
     t, b, aug_dim = alsh.hyperplanes.shape
     codes = _pack_codes((alsh.hyperplanes.reshape(t * b, aug_dim) @ q_aug).reshape(t, b), b)
-    found = (table.get(code) for table, code in zip(alsh.buckets, codes))
-    parts = [hit for hit in found if hit is not None]
-    if not parts:
-        return [], 0
-    gathered = _distinct(parts)
+    keys = codes | _table_keys(t, b)
+    left = alsh.keys.searchsorted(keys)
+    found = left[left < alsh.keys.searchsorted(keys, "right")]
+    # The buckets' runs, after an empty one for a query that matches no bucket.
+    runs = zip(alsh.indptr[found].tolist(), alsh.indptr[found + 1].tolist())
+    gathered = _distinct([alsh.ordinals[:0], *(alsh.ordinals[a:z] for a, z in runs)])
     if doc_id is not None:
         lo, hi = index.doc_range(doc_id)
         gathered = gathered[(gathered >= lo) & (gathered < hi)]

@@ -176,7 +176,7 @@ def cmd_alsh_build(args) -> int:
     alsh = build_alsh(index, params)
     out = _alsh_sidecar(args.index, args.out)
     save_alsh(alsh, out)
-    sizes = np.concatenate([np.diff(t.indptr) for t in alsh.buckets])
+    sizes = np.diff(alsh.indptr)
     print(
         json.dumps(
             {

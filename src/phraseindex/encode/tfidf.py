@@ -11,7 +11,6 @@ passes a block of spans' bags, a question is a batch of one bag.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -43,10 +42,12 @@ class IdfTable:
     num_documents: int
     _term_ids: dict[str, int] = field(init=False, repr=False)
     _terms: list[str] = field(init=False, repr=False)
+    idf_by_id: np.ndarray = field(init=False, repr=False)  # float64, the values of idf()
 
     def __post_init__(self):
         self._terms = sorted(self.df)
         self._term_ids = {t: i for i, t in enumerate(self._terms)}
+        self.idf_by_id = np.array([self.idf(t) for t in self._terms], dtype=np.float64)
 
     @classmethod
     def from_corpus(cls, corpus: "Corpus") -> "IdfTable":
@@ -61,11 +62,6 @@ class IdfTable:
 
     def term_id(self, term: str) -> int | None:
         return self._term_ids.get(term)
-
-    @functools.cached_property
-    def idf_by_id(self) -> np.ndarray:
-        """idf of each term id, float64: the values of idf()."""
-        return np.array([self.idf(t) for t in self._terms], dtype=np.float64)
 
     def ids(self, tokens: list[str]) -> np.ndarray:
         """Term id of each token, int64, -1 for a term with no id."""

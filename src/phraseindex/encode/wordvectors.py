@@ -64,58 +64,66 @@ def read_word_vectors(path: str) -> WordVectorTable:
     """Parse a word-vector file, validating coverage, dimension agreement and
     that every value is finite."""
     table = WordVectorTable(dim=0)
-    with open(path, encoding="utf-8") as f:
-        size, lineno = os.fstat(f.fileno()).st_size, 0
-        while True:
-            header = f.readline()
-            lineno += 1
-            if not header:
-                break
-            if not header.strip():
-                continue
-            parts = header.split()
-            if len(parts) != 4:
-                raise SchemaError(f"{path}:{lineno}: bad header {header.strip()!r}")
-            channel, ident, count_s, dim_s = parts
-            header_line = lineno
-            try:
-                count, dim = int(count_s), int(dim_s)
-            except ValueError:
-                raise SchemaError(f"{path}:{lineno}: non-integer count/dim in header")
-            if count < 0 or dim < 1:
-                raise SchemaError(f"{path}:{lineno}: bad header {header.strip()!r}")
-            # Allocate only what the file can fill: a line is at least 2 (dim + 1) bytes.
-            if count * 2 * (dim + 1) > size:
-                raise SchemaError(f"{path}:{lineno}: truncated block for {channel} {ident}")
-            rows = np.zeros((count, dim), dtype=np.float32)
-            seen = np.zeros(count, dtype=bool)
-            for _ in range(count):
-                line = f.readline()
-                lineno += 1
-                if not line:
-                    raise SchemaError(f"{path}:{lineno}: truncated block for {channel} {ident}")
-                fields = line.split()
-                if len(fields) != dim + 1:
-                    raise SchemaError(
-                        f"{path}:{lineno}: expected {dim + 1} fields, got {len(fields)}"
-                    )
-                try:
-                    pos, values = int(fields[0]), [float(x) for x in fields[1:]]
-                except ValueError as exc:
-                    raise SchemaError(f"{path}:{lineno}: {exc}") from None
-                if not 0 <= pos < count or seen[pos]:
-                    raise SchemaError(f"{path}:{lineno}: bad or repeated position {pos}")
-                seen[pos] = True
-                rows[pos] = values
-            if not np.isfinite(rows).all():  # nan, inf, or beyond float32 range
-                pos = int(np.isfinite(rows).all(axis=1).argmin())
-                raise SchemaError(
-                    f"{path}:{header_line}: {channel} {ident} has a non-finite value "
-                    f"at position {pos}"
-                )
-            _insert_block(table, channel, ident, rows, f"{path}:{lineno}")
+    try:
+        with open(path, encoding="utf-8") as f:
+            _read_blocks(f, path, table)
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not valid UTF-8 ({exc})") from None
     _validate(table, path)
     return table
+
+
+def _read_blocks(f, path: str, table: WordVectorTable) -> None:
+    """Parse every block of an open word-vector file into table."""
+    size, lineno = os.fstat(f.fileno()).st_size, 0
+    while True:
+        header = f.readline()
+        lineno += 1
+        if not header:
+            break
+        if not header.strip():
+            continue
+        parts = header.split()
+        if len(parts) != 4:
+            raise SchemaError(f"{path}:{lineno}: bad header {header.strip()!r}")
+        channel, ident, count_s, dim_s = parts
+        header_line = lineno
+        try:
+            count, dim = int(count_s), int(dim_s)
+        except ValueError:
+            raise SchemaError(f"{path}:{lineno}: non-integer count/dim in header")
+        if count < 0 or dim < 1:
+            raise SchemaError(f"{path}:{lineno}: bad header {header.strip()!r}")
+        # Allocate only what the file can fill: a line is at least 2 (dim + 1) bytes.
+        if count * 2 * (dim + 1) > size:
+            raise SchemaError(f"{path}:{lineno}: truncated block for {channel} {ident}")
+        rows = np.zeros((count, dim), dtype=np.float32)
+        seen = np.zeros(count, dtype=bool)
+        for _ in range(count):
+            line = f.readline()
+            lineno += 1
+            if not line:
+                raise SchemaError(f"{path}:{lineno}: truncated block for {channel} {ident}")
+            fields = line.split()
+            if len(fields) != dim + 1:
+                raise SchemaError(
+                    f"{path}:{lineno}: expected {dim + 1} fields, got {len(fields)}"
+                )
+            try:
+                pos, values = int(fields[0]), [float(x) for x in fields[1:]]
+            except ValueError as exc:
+                raise SchemaError(f"{path}:{lineno}: {exc}") from None
+            if not 0 <= pos < count or seen[pos]:
+                raise SchemaError(f"{path}:{lineno}: bad or repeated position {pos}")
+            seen[pos] = True
+            rows[pos] = values
+        if not np.isfinite(rows).all():  # nan, inf, or beyond float32 range
+            pos = int(np.isfinite(rows).all(axis=1).argmin())
+            raise SchemaError(
+                f"{path}:{header_line}: {channel} {ident} has a non-finite value "
+                f"at position {pos}"
+            )
+        _insert_block(table, channel, ident, rows, f"{path}:{lineno}")
 
 
 def _insert_block(table, channel, ident, rows, where):

@@ -359,13 +359,15 @@ def search_exact(
     if not isinstance(query, SparseVector):
         raise ValueError("sparse index expects a SparseVector query")
     # The query terms' CSR runs in query order: bincount adds each score in that order.
+    # Each concatenation starts with an empty run, for a query with no known term.
     known = (query.term_ids >= 0) & (query.term_ids < len(index.indptr) - 1)
     ids = query.term_ids[known]
-    starts, sizes = index.indptr[ids], index.indptr[ids + 1] - index.indptr[ids]
-    at = np.repeat(starts - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())
-    ords = index.ordinals[at].astype(np.int64)
+    starts, stops = index.indptr[ids], index.indptr[ids + 1]
+    runs = [slice(a, z) for a, z in zip(starts.tolist(), stops.tolist())]
+    ords = np.concatenate([index.ordinals[:0], *(index.ordinals[r] for r in runs)], dtype=np.int64)
+    products = np.concatenate([index.weights[:0], *(index.weights[r] for r in runs)], dtype=float)
+    products *= np.repeat(query.weights[known], stops - starts)
     inside = (ords >= lo) & (ords < hi)
-    products = np.repeat(query.weights[known].astype(np.float64), sizes) * index.weights[at]
     scores = np.bincount(ords[inside] - lo, weights=products[inside], minlength=hi - lo)
     return _hits(index, scores, k_top, lo)
 

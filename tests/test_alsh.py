@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from phraseindex import alsh as alsh_module
@@ -27,6 +27,15 @@ from .test_index import make_meta, quantized, sparse_fixture
 
 def dense_fixture(n=120, dim=12, seed=77):
     return vectors_index(make_meta([n]), quantized((n, dim), seed))
+
+
+def bucket_dicts(alsh):
+    """The index's buckets as one code -> ordinals dict per table, read off its keys."""
+    b = alsh.params.bits_per_table
+    tables = [{} for _ in range(alsh.params.tables)]
+    for i, key in enumerate(alsh.keys.tolist()):
+        tables[key >> b][key & ((1 << b) - 1)] = alsh.ordinals[alsh.indptr[i] : alsh.indptr[i + 1]]
+    return tables
 
 
 # ------------------------------------------------------------- preprocessing
@@ -85,13 +94,16 @@ def test_transformed_similarity_is_monotone_for_fixed_norm_data():
 def test_params_validation():
     AlshParams().validate()
     AlshParams(bits_per_table=0).validate()
-    AlshParams(bits_per_table=64).validate()
+    AlshParams(bits_per_table=64, tables=1).validate()
+    AlshParams(bits_per_table=59, tables=32).validate()
     for bad in (
         AlshParams(m=-1),
         AlshParams(U=0.0),
         AlshParams(U=1.5),
-        AlshParams(bits_per_table=65),
+        AlshParams(bits_per_table=65, tables=1),
         AlshParams(tables=0),
+        AlshParams(bits_per_table=64, tables=2),
+        AlshParams(bits_per_table=60, tables=32),
     ):
         with pytest.raises(ConfigError):
             bad.validate()
@@ -110,7 +122,13 @@ def test_buckets_partition_every_table():
         float(np.linalg.norm(dense.vectors.astype(np.float64), axis=1).max())
     )
     np.testing.assert_allclose(np.linalg.norm(alsh.hyperplanes, axis=2), 1.0, rtol=1e-12)
-    for table in alsh.buckets:
+    assert alsh.keys.dtype == np.uint64 and alsh.ordinals.dtype == np.uint32
+    assert np.all(alsh.keys[1:] > alsh.keys[:-1])
+    assert alsh.indptr[0] == 0 and alsh.indptr[-1] == 4 * len(dense)
+    assert not any(a.flags.writeable for a in (alsh.keys, alsh.indptr, alsh.ordinals))
+    for ti, (table, keys) in enumerate(zip(bucket_dicts(alsh), alsh.buckets)):
+        np.testing.assert_array_equal(keys >> np.uint64(3), ti)  # the table's view of keys
+        assert len(keys) == len(table)
         members = np.sort(np.concatenate(list(table.values())))
         np.testing.assert_array_equal(members, np.arange(len(dense), dtype=np.uint64))
         for code, ords in table.items():
@@ -124,9 +142,8 @@ def test_build_is_seed_deterministic():
     b = build_alsh(dense, AlshParams(seed=4, tables=3))
     c = build_alsh(dense, AlshParams(seed=5, tables=3))
     assert np.array_equal(a.hyperplanes, b.hyperplanes)
-    for ta, tb in zip(a.buckets, b.buckets):
-        assert ta.keys() == tb.keys()
-        assert all(np.array_equal(ta[k], tb[k]) for k in ta)
+    for name in ("keys", "indptr", "ordinals"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
     assert not np.array_equal(a.hyperplanes, c.hyperplanes)
 
 
@@ -134,7 +151,8 @@ def test_build_empty_index():
     empty = vectors_index(np.zeros(0, dtype=METADATA_DTYPE), np.zeros((0, 4), dtype=np.float32))
     alsh = build_alsh(empty, AlshParams(tables=2, bits_per_table=4))
     assert alsh.max_norm == 1.0
-    assert all(len(t) == 0 for t in alsh.buckets)
+    assert [len(t) for t in alsh.buckets] == [0, 0]
+    assert alsh.indptr.tolist() == [0]
     assert search_approx(alsh, np.ones(4, dtype=np.float32)) == ([], 0)
 
 
@@ -190,7 +208,7 @@ def test_zero_query_rescores_the_code_zero_buckets():
     an exact search, so the hits are the lowest probed ordinals."""
     dense = dense_fixture(n=40, dim=6)
     alsh = build_alsh(dense, AlshParams(tables=4, bits_per_table=4))
-    probed = _distinct([table[0] for table in alsh.buckets if 0 in table])
+    probed = _distinct([table[0] for table in bucket_dicts(alsh) if 0 in table])
     assert probed.tolist() == [0, 7, 8, 16, 17, 19, 20, 21, 24, 25, 27, 38]
     hits, probes = search_approx(alsh, np.zeros(6), k_top=3)
     assert probes == 12
@@ -236,9 +254,8 @@ def test_sidecar_round_trip_is_bit_exact(tmp_path):
     assert loaded.max_norm == alsh.max_norm
     assert np.array_equal(loaded.hyperplanes, alsh.hyperplanes)
     assert np.array_equal(loaded.codes, alsh.codes)
-    for ta, tb in zip(alsh.buckets, loaded.buckets):
-        for name in ("codes", "indptr", "ordinals"):
-            assert np.array_equal(getattr(ta, name), getattr(tb, name)), name
+    for name in ("keys", "indptr", "ordinals"):
+        assert np.array_equal(getattr(loaded, name), getattr(alsh, name)), name
     path2 = tmp_path / "y.alsh"
     save_alsh(loaded, str(path2))
     assert path2.read_bytes() == (tmp_path / "x.alsh").read_bytes()
@@ -342,6 +359,27 @@ def test_load_rejects_parameters_a_build_rejects(tmp_path, at, value, needle):
     raw[at : at + value.nbytes] = value.tobytes()
     path.write_bytes(raw)
     with pytest.raises(FormatError, match=needle) as err:
+        load_alsh(str(path), dense)
+    assert err.value.offset == 8
+
+
+def test_bucket_keys_fit_a_u64_at_build_and_load(tmp_path):
+    """A bucket key is table << bits | code, so the code width plus the bit
+    length of the last table number may not pass 64, in a build or a header."""
+    dense = dense_fixture(n=16, dim=4)
+    for bits, tables in ((64, 2), (63, 3), (33, 2**31 + 1)):
+        with pytest.raises(ConfigError, match="do not fit a bucket key"):
+            build_alsh(dense, AlshParams(bits_per_table=bits, tables=tables))
+    widest = build_alsh(dense, AlshParams(bits_per_table=63, tables=2))
+    assert (widest.buckets[1] >> np.uint64(63) == 1).all()
+    path, raw = _saved(tmp_path, widest)
+    loaded = load_alsh(str(path), dense)
+    assert np.array_equal(loaded.keys, widest.keys)
+    q = quantized(4, 5)
+    assert search_approx(loaded, q, k_top=3) == search_approx(widest, q, k_top=3)
+    raw[20:24] = struct.pack("<I", 64)  # bits 64 beside 2 tables
+    path.write_bytes(raw)
+    with pytest.raises(FormatError, match="do not fit a bucket key") as err:
         load_alsh(str(path), dense)
     assert err.value.offset == 8
 
@@ -451,11 +489,12 @@ def _reference_search(params, hyperplanes, buckets, index, q, k_top, doc_id):
     dim=st.integers(1, 6),
     m=st.integers(0, 3),
     U=st.floats(0.05, 1.0),
-    bits=st.integers(0, 10) | st.sampled_from([16, 17, 32, 33, 64]),  # every code width
+    bits=st.integers(0, 10) | st.sampled_from([16, 17, 32, 33, 62, 64]),  # every code width
     tables=st.integers(1, 5),
     seed=st.integers(0, 2**16),
 )
 def test_flat_tables_match_dict_reference(docs, dim, m, U, bits, tables, seed):
+    assume(bits + (tables - 1).bit_length() <= 64)  # a (table, code) key fits a u64
     n = sum(docs)
     index = vectors_index(make_meta(docs), quantized((n, dim), seed))
     params = AlshParams(m=m, U=U, bits_per_table=bits, tables=tables, seed=seed)
@@ -464,7 +503,7 @@ def test_flat_tables_match_dict_reference(docs, dim, m, U, bits, tables, seed):
     assert alsh.max_norm == max_norm
     assert np.array_equal(alsh.hyperplanes, hyperplanes)
     assert len(alsh.buckets) == tables
-    for table, ref in zip(alsh.buckets, reference):
+    for table, ref in zip(bucket_dicts(alsh), reference):
         assert list(table) == sorted(ref)
         for code, ords in ref.items():
             assert table[code].dtype == np.uint32
@@ -494,7 +533,7 @@ def test_build_over_several_chunks_matches_dict_reference():
         alsh = build_alsh(index, params)
     max_norm, _, reference = _reference_build(index, params)
     assert alsh.max_norm == max_norm
-    for table, ref in zip(alsh.buckets, reference):
+    for table, ref in zip(bucket_dicts(alsh), reference):
         assert list(table) == sorted(ref)
         assert all(np.array_equal(table[code], ords) for code, ords in ref.items())
 

@@ -5,6 +5,7 @@ import json
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from phraseindex.alsh import load_alsh
@@ -126,11 +127,8 @@ def test_alsh_build_reports_bucket_sizes(ws, tmp_path):
     )
     assert rc == 0
     report = json.loads(out)
-    sizes = [
-        len(ords)
-        for table in load_alsh(out_path, load_index(ws["dense"])).buckets
-        for ords in table.values()
-    ]
+    codes = load_alsh(out_path, load_index(ws["dense"])).codes
+    sizes = [count for row in codes for count in np.unique(row, return_counts=True)[1]]
     assert report["buckets"] == len(sizes)
     assert report["max_bucket"] == max(sizes)
     assert report["mean_bucket"] == pytest.approx(sum(sizes) / len(sizes))
@@ -393,6 +391,16 @@ def test_non_numeric_word_vectors_exit_two(ws, tmp_path):
     assert rc == 2
     assert err.startswith("error:") and f"{wv}:2: " in err
     assert not out.exists()
+
+
+def test_non_utf8_word_vectors_exit_two(ws, tmp_path):
+    wv = tmp_path / "wv.txt"
+    wv.write_bytes(b"base 0 1 2\n0 1 \xff\n")
+    rc, out, err = run(
+        "query", "--index", ws["dense"], "--question", "q1", "--word-vectors", str(wv),
+    )
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and f"{wv}: not valid UTF-8" in err
 
 
 @pytest.mark.parametrize("flag, value", [("--max-span-len", "0"), ("--window", "-1")])

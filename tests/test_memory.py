@@ -119,7 +119,7 @@ def test_alsh_build_holds_codes_tables_and_the_hashing_budget():
     params = alsh_module.AlshParams()
     built, peak = traced_peak(lambda: alsh_module.build_alsh(index, params))
     codes = params.tables * len(index) * 2  # 12-bit codes are stored as uint16
-    tables = sum(t.codes.nbytes + t.indptr.nbytes + t.ordinals.nbytes for t in built.buckets)
+    tables = built.keys.nbytes + built.indptr.nbytes + built.ordinals.nbytes
     hashing = 4 * alsh_module._HASH_CHUNK_BYTES  # see _HASH_CHUNK_BYTES
     assert peak <= codes + tables + built.hyperplanes.nbytes + hashing
 

@@ -125,6 +125,16 @@ def test_malformed_files_raise_schema_errors(tmp_path, content, needle):
     assert needle in str(err.value)
 
 
+@pytest.mark.parametrize("content", [b"base 0 1 2\n0 1 \xff\n", b"base \xe90 1 2\n0 1 2\n"],
+                         ids=["value", "header"])
+def test_non_utf8_bytes_raise_schema_errors(tmp_path, content):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(content)
+    with pytest.raises(SchemaError, match="not valid UTF-8") as err:
+        read_word_vectors(str(path))
+    assert str(err.value).startswith(f"{path}: ")  # names the file
+
+
 @pytest.mark.parametrize(
     "value",
     ["nan", "inf", "-inf",
