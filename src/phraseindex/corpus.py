@@ -163,7 +163,7 @@ def load_squad(path: str) -> Corpus:
     try:
         with open(path, encoding="utf-8") as f:
             data = json.load(f)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
 
     articles = _require(data, "data", "$", list)

@@ -7,8 +7,13 @@ Text file format, one block per (channel, id):
 
 Document channels are base / sa_key / sa_query and use integer ids; question
 channels are base / score0..score3 and use the question id. A `base` block is
-treated as a document when its id parses as a nonnegative integer, otherwise
-as a question. score* blocks carry one float per position (dim 1).
+treated as a document when its id is a string of ASCII digits, otherwise as a
+question. score* blocks carry one float per position (dim 1).
+
+A block whose lines are the positions 0..count-1 in order, spelled plainly and
+each followed by dim values separated by single spaces, is parsed in one numpy
+pass. Any other block, and any block numpy refuses, is parsed line by line, so
+the accepted inputs, the values and the error texts are the line parser's.
 """
 
 from __future__ import annotations
@@ -57,7 +62,7 @@ class WordVectorTable:
 
 
 def _is_doc_id(raw: str) -> bool:
-    return raw.isdigit()
+    return raw.isascii() and raw.isdigit()  # str.isdigit also takes "²" and "٣"
 
 
 def read_word_vectors(path: str) -> WordVectorTable:
@@ -97,26 +102,28 @@ def _read_blocks(f, path: str, table: WordVectorTable) -> None:
         # Allocate only what the file can fill: a line is at least 2 (dim + 1) bytes.
         if count * 2 * (dim + 1) > size:
             raise SchemaError(f"{path}:{lineno}: truncated block for {channel} {ident}")
-        rows = np.zeros((count, dim), dtype=np.float32)
-        seen = np.zeros(count, dtype=bool)
-        for _ in range(count):
-            line = f.readline()
-            lineno += 1
-            if not line:
-                raise SchemaError(f"{path}:{lineno}: truncated block for {channel} {ident}")
-            fields = line.split()
-            if len(fields) != dim + 1:
-                raise SchemaError(
-                    f"{path}:{lineno}: expected {dim + 1} fields, got {len(fields)}"
-                )
-            try:
-                pos, values = int(fields[0]), [float(x) for x in fields[1:]]
-            except ValueError as exc:
-                raise SchemaError(f"{path}:{lineno}: {exc}") from None
-            if not 0 <= pos < count or seen[pos]:
-                raise SchemaError(f"{path}:{lineno}: bad or repeated position {pos}")
-            seen[pos] = True
-            rows[pos] = values
+        lines = [f.readline() for _ in range(count)]
+        rows = _parse_canonical_block(lines, dim)
+        if rows is None:  # line by line, naming the first bad line if there is one
+            rows = np.zeros((count, dim), dtype=np.float32)
+            seen = np.zeros(count, dtype=bool)
+            for lineno, line in enumerate(lines, header_line + 1):
+                if not line:
+                    raise SchemaError(f"{path}:{lineno}: truncated block for {channel} {ident}")
+                fields = line.split()
+                if len(fields) != dim + 1:
+                    raise SchemaError(
+                        f"{path}:{lineno}: expected {dim + 1} fields, got {len(fields)}"
+                    )
+                try:
+                    pos, values = int(fields[0]), [float(x) for x in fields[1:]]
+                except ValueError as exc:
+                    raise SchemaError(f"{path}:{lineno}: {exc}") from None
+                if not 0 <= pos < count or seen[pos]:
+                    raise SchemaError(f"{path}:{lineno}: bad or repeated position {pos}")
+                seen[pos] = True
+                rows[pos] = values
+        lineno = header_line + count
         if not np.isfinite(rows).all():  # nan, inf, or beyond float32 range
             pos = int(np.isfinite(rows).all(axis=1).argmin())
             raise SchemaError(
@@ -126,7 +133,25 @@ def _read_blocks(f, path: str, table: WordVectorTable) -> None:
         _insert_block(table, channel, ident, rows, f"{path}:{lineno}")
 
 
+def _parse_canonical_block(lines: list[str], dim: int) -> np.ndarray | None:
+    """A block's (count, dim) float32 rows in one numpy pass, or None unless its
+    lines are the positions 0..count-1 in order, each followed by dim values
+    that loadtxt parses. loadtxt reads a value as float() does and takes no
+    spelling that float() refuses."""
+    if not lines or not all(map(str.startswith, lines, map("{} ".format, range(len(lines))))):
+        return None  # loadtxt warns on no lines; other positions need the line parser
+    try:
+        block = np.loadtxt(lines, dtype=np.float64, comments=None, delimiter=" ", ndmin=2)
+    except ValueError:
+        return None
+    if block.shape != (len(lines), dim + 1):
+        return None
+    return block[:, 1:].astype(np.float32)  # rounds each float64 as the line parser does
+
+
 def _insert_block(table, channel, ident, rows, where):
+    if channel in ("sa_key", "sa_query") and not _is_doc_id(ident):
+        raise SchemaError(f"{where}: {channel} needs a document id, got {ident!r}")
     if channel in ("sa_key", "sa_query") or (channel == "base" and _is_doc_id(ident)):
         doc_id = int(ident)
         chan = table.documents.setdefault(doc_id, DocChannels(doc_id, base=None))

@@ -193,7 +193,7 @@ class _Handler(BaseHTTPRequestHandler):
             approx = request.get("approx", False)
             if not isinstance(approx, bool):
                 raise ValueError("'approx' must be a boolean")
-        except (ValueError, UnicodeDecodeError) as exc:
+        except (ValueError, UnicodeDecodeError, RecursionError) as exc:  # RecursionError: nesting
             self._reply(400, {"error": f"malformed request: {exc}"})
             return
         try:

@@ -403,6 +403,14 @@ def test_non_utf8_word_vectors_exit_two(ws, tmp_path):
     assert err.startswith("error:") and f"{wv}: not valid UTF-8" in err
 
 
+def test_deeply_nested_corpus_exits_two(tmp_path):
+    corpus = tmp_path / "deep.json"
+    corpus.write_text("[" * 100_000)
+    rc, out, err = run("index", "--corpus", str(corpus), "--out", str(tmp_path / "x.idx"))
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and f"{corpus}: not valid JSON" in err
+
+
 @pytest.mark.parametrize("flag, value", [("--max-span-len", "0"), ("--window", "-1")])
 def test_index_rejects_bad_span_parameters(ws, tmp_path, flag, value):
     out = tmp_path / "x.idx"

@@ -12,7 +12,11 @@ import numpy as np
 from phraseindex import alsh as alsh_module
 from phraseindex.candidates import CandidateSpan
 from phraseindex.corpus import Corpus, Document, QAExample
-from phraseindex.encode.wordvectors import toy_word_vector_table
+from phraseindex.encode.wordvectors import (
+    read_word_vectors,
+    toy_word_vector_table,
+    write_word_vectors,
+)
 from phraseindex.filtering import train_filter
 from phraseindex.index import (
     _SCORE_BLOCK_BYTES,
@@ -171,6 +175,18 @@ def test_loads_hold_no_file_image(tmp_path):
         _, peak, held = traced(lambda: load(str(path)))
         assert held >= 0.9 * size, name  # the returned arrays
         assert peak <= held + extra(size), name
+
+
+def test_word_vector_read_holds_no_file_image(tmp_path):
+    """read_word_vectors reads one block at a time: beyond the table it returns,
+    it holds one block's lines and their float64 parse, not the file."""
+    path = tmp_path / "wv.txt"
+    write_word_vectors(toy_word_vector_table(words_corpus(44, 60), dim=96), str(path))
+    assert path.stat().st_size >= 8 * MiB
+    table, peak = traced_peak(lambda: read_word_vectors(str(path)))
+    channels = [getattr(chan, name) for chan in table.documents.values()
+                for name in ("base", "sa_key", "sa_query")]
+    assert peak < sum(a.nbytes for a in channels) + MiB
 
 
 def test_dense_block_search_holds_one_score_block():

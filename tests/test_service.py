@@ -187,6 +187,12 @@ def test_malformed_bodies_are_400(base_url):
     assert post(url, {"question": "x", "approx": "yes"})[0] == 400
 
 
+def test_deeply_nested_body_is_400_and_the_server_still_answers(base_url):
+    status, body = post(base_url + "/query", None, raw=b"[" * 100_000)
+    assert status == 400 and "malformed" in body["error"]
+    assert post(base_url + "/query", {"question": "Who won Super Bowl 50?"})[0] == 200
+
+
 @pytest.mark.parametrize("field", ["doc_id", "top_k"])
 @pytest.mark.parametrize("flag", [True, False])
 def test_boolean_doc_id_and_top_k_are_400(base_url, field, flag):

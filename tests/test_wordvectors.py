@@ -1,9 +1,16 @@
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from phraseindex.encode import wordvectors
 from phraseindex.encode.wordvectors import (
+    DocChannels,
     QuestionChannels,
     WordVectorTable,
     read_word_vectors,
@@ -89,6 +96,17 @@ def test_id_namespace_rules(tmp_path):
     assert table.dim == 2
 
 
+def test_ids_of_non_ascii_digits_name_questions(tmp_path):
+    # "\u00b2" (superscript two) and "\u0663" (Arabic-Indic three) pass str.isdigit
+    path = tmp_path / "wv.txt"
+    path.write_text("base 3 1 2\n0 1 2\nbase \u00b2 1 2\n0 3 4\nbase \u0663 1 2\n0 5 6\n")
+    table = read_word_vectors(str(path))
+    assert list(table.documents) == [3]
+    assert list(table.questions) == ["\u00b2", "\u0663"]
+    np.testing.assert_array_equal(table.documents[3].base, [[1.0, 2.0]])
+    np.testing.assert_array_equal(table.questions["\u0663"].base, [[5.0, 6.0]])
+
+
 def test_positions_may_arrive_out_of_order(tmp_path):
     path = tmp_path / "wv.txt"
     path.write_text("base 0 2 1\n1 2.0\n0 1.0\n")
@@ -115,6 +133,9 @@ def test_positions_may_arrive_out_of_order(tmp_path):
         ("base 0 -1 4\n", "bad header"),
         ("base 0 2 -3\n0\n1\n", "bad header"),
         ("base 0 99999999999 99999\n0 1\n", "truncated"),
+        ("base 0 1 2\n0 1 2\nsa_key \u00b2 1 2\n0 1 2\n", "needs a document id"),
+        ("base 3 1 2\n0 1 2\nsa_key \u0663 1 2\n0 1 2\n", "needs a document id"),
+        ("base 0 1 2\n0 1 2\nsa_query q 1 2\n0 1 2\n", "needs a document id"),
     ],
 )
 def test_malformed_files_raise_schema_errors(tmp_path, content, needle):
@@ -169,3 +190,134 @@ def test_lookup_errors():
     assert table.question("q") is table.questions["q"]
     with pytest.raises(SchemaError):
         table.question("nope")
+
+
+# ------------------------------------------------- numpy pass against line parser
+
+
+def table_arrays(table: WordVectorTable) -> list:
+    """Every array of a table in insertion order, with all that makes two arrays
+    bit-identical: dtype, shape, strides and bytes."""
+    named = []
+    for doc_id, chan in table.documents.items():
+        named.extend((doc_id, name, getattr(chan, name)) for name in ("base", "sa_key", "sa_query"))
+    for qid, q in table.questions.items():
+        named.append((qid, "base", q.base))
+        named.extend((qid, k, s) for k, s in q.scores.items())
+    return [(key, name, None if a is None else (a.dtype.str, a.shape, a.strides, a.tobytes()))
+            for key, name, a in named]
+
+
+def read_each_way(path: str) -> tuple:
+    """(what read_word_vectors returns, what it returns with every block parsed
+    line by line, whether the numpy pass took each block it was given). What a
+    read returns is the table's arrays or the text of the error it raised."""
+    numpy_pass, taken = wordvectors._parse_canonical_block, []
+
+    def spied(lines, dim):
+        rows = numpy_pass(lines, dim)
+        taken.append(rows is not None)
+        return rows
+
+    def outcome():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # loadtxt would warn on a block of no lines
+            try:
+                return table_arrays(read_word_vectors(path))
+            except (SchemaError, RuntimeWarning) as exc:  # RuntimeWarning: float32 overflow
+                return f"{type(exc).__name__}: {exc}"
+
+    with mock.patch.object(wordvectors, "_parse_canonical_block", spied):
+        fast = outcome()
+    with mock.patch.object(wordvectors, "_parse_canonical_block", lambda lines, dim: None):
+        lines = outcome()
+    return fast, lines, taken
+
+
+@pytest.fixture(scope="module")
+def wv_path(tmp_path_factory) -> str:
+    return str(tmp_path_factory.mktemp("wv") / "wv.txt")
+
+
+finite32 = st.floats(width=32, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def random_tables(draw) -> WordVectorTable:
+    dim = draw(st.integers(1, 5))
+
+    def rows(n, width=dim):
+        return draw(hnp.arrays(np.float32, (n, width), elements=finite32))
+
+    table = WordVectorTable(dim=dim)
+    for doc_id in range(draw(st.integers(0, 3))):
+        m = draw(st.integers(0, 4))
+        sa = draw(st.booleans())
+        table.documents[doc_id] = DocChannels(
+            doc_id, rows(m), rows(m) if sa else None, rows(m) if sa else None
+        )
+    for j in range(draw(st.integers(0, 2))):
+        n = draw(st.integers(0, 4))
+        q = table.questions[f"q{j}"] = QuestionChannels(f"q{j}", rows(n))
+        q.scores = {k: rows(n, 1)[:, 0] for k in range(4) if draw(st.booleans())}
+    return table
+
+
+@settings(max_examples=150, deadline=None)
+@given(table=random_tables())
+def test_numpy_pass_matches_the_line_parser_on_written_tables(wv_path, table):
+    write_word_vectors(table, wv_path)
+    fast, lines, taken = read_each_way(wv_path)
+    assert fast == lines
+    headers = [line.split() for line in Path(wv_path).read_text().splitlines()
+               if not line[0].isdigit()]
+    assert taken == [int(count) > 0 for _, _, count, _ in headers]  # every block with rows
+
+
+# (spelling, whether loadtxt reads it): float() reads all of them
+SPELLED_VALUES = [
+    ("1E5", True), (".5", True), ("5.", True), ("-0", True), ("+0", True), ("-.5e-3", True),
+    ("4.9e-324", True), ("1e-45", True), ("7e-46", True), ("1.17549435e-38", True),
+    ("3.4028235e38", True), ("1e39", True), ("nan", True), ("-Infinity", True),
+    ("1_0", False), ("\u0661", False), ("0x10", False),
+]
+spelled_value = st.one_of(
+    st.sampled_from(SPELLED_VALUES),
+    st.tuples(
+        st.sampled_from([repr, "%.17g".__mod__, "%.9g".__mod__, "%E".__mod__]),
+        st.one_of(finite32, st.floats(-1e30, 1e30)),
+    ).map(lambda spell: (spell[0](spell[1]), True)),
+)
+
+
+@st.composite
+def spelled_files(draw) -> tuple[str, list[bool]]:
+    """A file of base blocks with hand-spelled values and positions, and for each
+    block whether it is plain enough that the numpy pass must take it."""
+    dim, text, plain_blocks = draw(st.integers(1, 4)), [], []
+    for doc_id in range(draw(st.integers(1, 3))):
+        count = draw(st.integers(0, 4))
+        order = draw(st.one_of(st.just(list(range(count))), st.permutations(range(count))))
+        text.append(f"base {doc_id} {count} {dim}\n")
+        plain = order == list(range(count))
+        for pos in order:
+            spelled_pos = draw(st.sampled_from([str(pos)] * 4 + [f"+{pos}", f"0{pos}", f"{pos}.0"]))
+            values = draw(st.lists(spelled_value, min_size=dim, max_size=dim))
+            sep = draw(st.sampled_from([" "] * 4 + ["  ", "\t"]))
+            end = draw(st.sampled_from([""] * 3 + [" ", "\t"]))
+            text.append(sep.join([spelled_pos] + [v for v, _ in values]) + end + "\n")
+            plain &= spelled_pos == str(pos) and sep == " " and end == ""
+            plain &= all(numpy_reads for _, numpy_reads in values)
+        plain_blocks.append(count > 0 and plain)
+    return "".join(text), plain_blocks
+
+
+@settings(max_examples=300, deadline=None)
+@given(spelled=spelled_files())
+def test_numpy_pass_matches_the_line_parser_on_spelled_values(wv_path, spelled):
+    text, plain_blocks = spelled
+    Path(wv_path).write_text(text)
+    fast, lines, taken = read_each_way(wv_path)
+    assert fast == lines  # the same table, or the same error
+    # zip stops at the block a read stopped at
+    assert all(took for took, plain in zip(taken, plain_blocks) if plain)
