@@ -99,7 +99,8 @@ def test_id_namespace_rules(tmp_path):
 def test_ids_of_non_ascii_digits_name_questions(tmp_path):
     # "\u00b2" (superscript two) and "\u0663" (Arabic-Indic three) pass str.isdigit
     path = tmp_path / "wv.txt"
-    path.write_text("base 3 1 2\n0 1 2\nbase \u00b2 1 2\n0 3 4\nbase \u0663 1 2\n0 5 6\n")
+    path.write_text("base 3 1 2\n0 1 2\nbase \u00b2 1 2\n0 3 4\nbase \u0663 1 2\n0 5 6\n",
+                    encoding="utf-8")
     table = read_word_vectors(str(path))
     assert list(table.documents) == [3]
     assert list(table.questions) == ["\u00b2", "\u0663"]
@@ -316,7 +317,7 @@ def spelled_files(draw) -> tuple[str, list[bool]]:
 @given(spelled=spelled_files())
 def test_numpy_pass_matches_the_line_parser_on_spelled_values(wv_path, spelled):
     text, plain_blocks = spelled
-    Path(wv_path).write_text(text)
+    Path(wv_path).write_text(text, encoding="utf-8")
     fast, lines, taken = read_each_way(wv_path)
     assert fast == lines  # the same table, or the same error
     # zip stops at the block a read stopped at
