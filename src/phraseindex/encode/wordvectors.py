@@ -14,12 +14,19 @@ A block whose lines are the positions 0..count-1 in order, spelled plainly and
 each followed by dim values separated by single spaces, is parsed in one numpy
 pass. Any other block, and any block numpy refuses, is parsed line by line, so
 the accepted inputs, the values and the error texts are the line parser's.
+
+A read parses the question blocks, and of a document block only its header and
+that its lines are all there. A document's blocks are parsed from the file when
+it is first looked up in `table.documents`, so a fault in their value lines (a
+field count, a position, a value not a number or not finite) raises its error
+there. The file must not change between the read and that lookup.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+from collections import UserDict, namedtuple
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, TextIO
 
@@ -52,7 +59,7 @@ class QuestionChannels:
 @dataclass
 class WordVectorTable:
     dim: int
-    documents: dict[int, DocChannels] = field(default_factory=dict)
+    documents: dict[int, DocChannels] = field(default_factory=dict)  # read: a _Documents
     questions: dict[str, QuestionChannels] = field(default_factory=dict)
 
     def question(self, question_id: str) -> QuestionChannels:
@@ -65,22 +72,60 @@ def _is_doc_id(raw: str) -> bool:
     return raw.isascii() and raw.isdigit()  # str.isdigit also takes "²" and "٣"
 
 
+# A document block not parsed yet: where its lines start (f.tell()), its header's
+# line and id as written, and its (count, dim).
+_Block = namedtuple("_Block", "start line ident shape")
+
+
+def _stamp(f) -> tuple:
+    st = os.fstat(f.fileno())
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
+
+
+class _Documents(UserDict):
+    """A read table's documents, as a dict[int, DocChannels] that parses a
+    document's blocks from the file on the document's first lookup."""
+
+    def __init__(self, path: str, stamp: tuple, docs: dict[int, DocChannels]):
+        self.data, self._path, self._stamp = docs, path, stamp  # docs not copied
+
+    def __getitem__(self, doc_id: int) -> DocChannels:
+        chan = self.data[doc_id]
+        if isinstance(chan.base, _Block):
+            chan = self.data[doc_id] = self._parse(chan)
+        return chan
+
+    def _parse(self, chan: DocChannels) -> DocChannels:
+        blocks = {name: b for name in DOC_CHANNELS if (b := getattr(chan, name)) is not None}
+        with open(self._path, encoding="utf-8") as f:
+            if _stamp(f) != self._stamp:
+                raise SchemaError(f"{self._path}: changed since it was read")
+            # In file order, so that the fault reported is the file's first.
+            for name, block in sorted(blocks.items(), key=lambda item: item[1].line):
+                f.seek(block.start)
+                blocks[name] = _parse_block(f, self._path, block.line, name, block.ident,
+                                            *block.shape)
+        return DocChannels(chan.doc_id, **blocks)
+
+
 def read_word_vectors(path: str) -> WordVectorTable:
-    """Parse a word-vector file, validating coverage, dimension agreement and
-    that every value is finite."""
+    """Read a word-vector file, validating coverage, dimension agreement and
+    that every value is finite (a document's values on its first lookup)."""
     table = WordVectorTable(dim=0)
     try:
         with open(path, encoding="utf-8") as f:
-            _read_blocks(f, path, table)
+            stamp = _stamp(f)
+            _read_blocks(f, path, table, stamp[2])
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path}: not valid UTF-8 ({exc})") from None
     _validate(table, path)
+    table.documents = _Documents(path, stamp, table.documents)
     return table
 
 
-def _read_blocks(f, path: str, table: WordVectorTable) -> None:
-    """Parse every block of an open word-vector file into table."""
-    size, lineno = os.fstat(f.fileno()).st_size, 0
+def _read_blocks(f, path: str, table: WordVectorTable, size: int) -> None:
+    """Read every block of an open word-vector file into table, documents' as _Block."""
+    lineno = 0
     while True:
         header = f.readline()
         lineno += 1
@@ -102,35 +147,44 @@ def _read_blocks(f, path: str, table: WordVectorTable) -> None:
         # Allocate only what the file can fill: a line is at least 2 (dim + 1) bytes.
         if count * 2 * (dim + 1) > size:
             raise SchemaError(f"{path}:{lineno}: truncated block for {channel} {ident}")
-        lines = [f.readline() for _ in range(count)]
-        rows = _parse_canonical_block(lines, dim)
-        if rows is None:  # line by line, naming the first bad line if there is one
-            rows = np.zeros((count, dim), dtype=np.float32)
-            seen = np.zeros(count, dtype=bool)
-            for lineno, line in enumerate(lines, header_line + 1):
-                if not line:
+        if channel in DOC_CHANNELS and _is_doc_id(ident):  # parsed on first lookup
+            rows = _Block(f.tell(), header_line, ident, (count, dim))
+            for lineno in range(header_line + 1, header_line + count + 1):
+                if not f.readline():
                     raise SchemaError(f"{path}:{lineno}: truncated block for {channel} {ident}")
-                fields = line.split()
-                if len(fields) != dim + 1:
-                    raise SchemaError(
-                        f"{path}:{lineno}: expected {dim + 1} fields, got {len(fields)}"
-                    )
-                try:
-                    pos, values = int(fields[0]), [float(x) for x in fields[1:]]
-                except ValueError as exc:
-                    raise SchemaError(f"{path}:{lineno}: {exc}") from None
-                if not 0 <= pos < count or seen[pos]:
-                    raise SchemaError(f"{path}:{lineno}: bad or repeated position {pos}")
-                seen[pos] = True
-                rows[pos] = values
+        else:
+            rows = _parse_block(f, path, header_line, channel, ident, count, dim)
         lineno = header_line + count
-        if not np.isfinite(rows).all():  # nan, inf, or beyond float32 range
-            pos = int(np.isfinite(rows).all(axis=1).argmin())
-            raise SchemaError(
-                f"{path}:{header_line}: {channel} {ident} has a non-finite value "
-                f"at position {pos}"
-            )
         _insert_block(table, channel, ident, rows, f"{path}:{lineno}")
+
+
+def _parse_block(f, path, header_line, channel, ident, count, dim) -> np.ndarray:
+    """The (count, dim) float32 rows of the block whose lines f reads next."""
+    lines = [f.readline() for _ in range(count)]
+    rows = _parse_canonical_block(lines, dim)
+    if rows is None:  # line by line, naming the first bad line if there is one
+        rows = np.zeros((count, dim), dtype=np.float32)
+        seen = np.zeros(count, dtype=bool)
+        for lineno, line in enumerate(lines, header_line + 1):
+            if not line:
+                raise SchemaError(f"{path}:{lineno}: truncated block for {channel} {ident}")
+            fields = line.split()
+            if len(fields) != dim + 1:
+                raise SchemaError(f"{path}:{lineno}: expected {dim + 1} fields, got {len(fields)}")
+            try:
+                pos, values = int(fields[0]), [float(x) for x in fields[1:]]
+            except ValueError as exc:
+                raise SchemaError(f"{path}:{lineno}: {exc}") from None
+            if not 0 <= pos < count or seen[pos]:
+                raise SchemaError(f"{path}:{lineno}: bad or repeated position {pos}")
+            seen[pos] = True
+            rows[pos] = values
+    if not np.isfinite(rows).all():  # nan, inf, or beyond float32 range
+        pos = int(np.isfinite(rows).all(axis=1).argmin())
+        raise SchemaError(
+            f"{path}:{header_line}: {channel} {ident} has a non-finite value at position {pos}"
+        )
+    return rows
 
 
 def _parse_canonical_block(lines: list[str], dim: int) -> np.ndarray | None:
@@ -189,14 +243,16 @@ def _validate(table: WordVectorTable, path: str):
                         f"{path}: document {doc_id} channel {name} dim "
                         f"{extra.shape[1]} != base dim {chan.base.shape[1]}"
                     )
-                if len(extra) != len(chan.base):
+                if extra.shape[0] != chan.base.shape[0]:
                     raise SchemaError(
                         f"{path}: document {doc_id} channel {name} covers "
-                        f"{len(extra)} positions, base covers {len(chan.base)}"
+                        f"{extra.shape[0]} positions, base covers {chan.base.shape[0]}"
                     )
     for qid, q in table.questions.items():
         if q.base is None:
             raise SchemaError(f"{path}: question {qid!r} has scores but no base")
+        if len(q.base) == 0:
+            raise SchemaError(f"{path}: question {qid!r} has no positions")
         dims.add(q.base.shape[1])
         for k, s in q.scores.items():
             if len(s) != len(q.base):

@@ -403,6 +403,46 @@ def test_non_utf8_word_vectors_exit_two(ws, tmp_path):
     assert err.startswith("error:") and f"{wv}: not valid UTF-8" in err
 
 
+def test_question_of_no_positions_exits_two(ws, tmp_path):
+    wv = tmp_path / "wv.txt"
+    wv.write_text("base q1 0 8\n" + "".join(f"score{k} q1 0 1\n" for k in range(4)))
+    rc, out, err = run(
+        "query", "--index", ws["dense"], "--question", "q1", "--word-vectors", str(wv),
+    )
+    assert rc == 2 and out == ""
+    assert err == f"error: {wv}: question 'q1' has no positions\n"
+
+
+@pytest.fixture
+def bad_document_value(ws, tmp_path):
+    """ws's word vectors with a value of document 0's first base line spoiled."""
+    lines = Path(ws["wv"]).read_text().splitlines(keepends=True)
+    assert lines[0].startswith("base 0 ") and lines[1].startswith("0 ")
+    fields = lines[1].split(" ")
+    lines[1] = " ".join([fields[0], "abc", *fields[2:]])
+    wv = tmp_path / "wv.txt"
+    wv.write_text("".join(lines))
+    return wv
+
+
+def test_bad_document_value_fails_the_dense_build(ws, tmp_path, bad_document_value):
+    out = tmp_path / "dense.idx"
+    rc, stdout, err = run(
+        "index", "--corpus", ws["dataset"], "--encoder", "dense_lstm_sa",
+        "--word-vectors", str(bad_document_value), "--out", str(out),
+    )
+    assert rc == 2 and stdout == ""
+    assert err.startswith(f"error: {bad_document_value}:2: could not convert string to float")
+    assert not out.exists()
+
+
+def test_bad_document_value_does_not_stop_a_dense_query(ws, bad_document_value):
+    args = ("query", "--index", ws["dense"], "--question", "q1", "--top", "2")
+    rc, out, _ = run(*args, "--word-vectors", str(bad_document_value))
+    assert rc == 0
+    assert (rc, out) == run(*args, "--word-vectors", ws["wv"])[:2]
+
+
 def test_deeply_nested_corpus_exits_two(tmp_path):
     corpus = tmp_path / "deep.json"
     corpus.write_text("[" * 100_000)

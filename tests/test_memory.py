@@ -178,14 +178,20 @@ def test_loads_hold_no_file_image(tmp_path):
 
 
 def test_word_vector_read_holds_no_file_image(tmp_path):
-    """read_word_vectors reads one block at a time: beyond the table it returns,
-    it holds one block's lines and their float64 parse, not the file."""
+    """read_word_vectors reads one block at a time, and a document's first
+    lookup reads only its own blocks: beyond the table, the read and the
+    lookups of every document hold one block's lines and their float64 parse,
+    not the file."""
     path = tmp_path / "wv.txt"
     write_word_vectors(toy_word_vector_table(words_corpus(44, 60), dim=96), str(path))
     assert path.stat().st_size >= 8 * MiB
-    table, peak = traced_peak(lambda: read_word_vectors(str(path)))
-    channels = [getattr(chan, name) for chan in table.documents.values()
-                for name in ("base", "sa_key", "sa_query")]
+
+    def read_and_look_up():
+        table = read_word_vectors(str(path))
+        return [table.documents[doc_id] for doc_id in table.documents]
+
+    docs, peak = traced_peak(read_and_look_up)
+    channels = [getattr(chan, name) for chan in docs for name in ("base", "sa_key", "sa_query")]
     assert peak < sum(a.nbytes for a in channels) + MiB
 
 

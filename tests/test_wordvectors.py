@@ -1,3 +1,4 @@
+import os
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -18,6 +19,8 @@ from phraseindex.encode.wordvectors import (
     write_word_vectors,
 )
 from phraseindex.errors import SchemaError
+from phraseindex.evaluation import evaluate
+from phraseindex.service import QueryEngine, question_encoder
 
 
 def tables_equal(a: WordVectorTable, b: WordVectorTable) -> bool:
@@ -42,6 +45,15 @@ def tables_equal(a: WordVectorTable, b: WordVectorTable) -> bool:
         if any(not np.array_equal(qa.scores[k], qb.scores[k]) for k in qa.scores):
             return False
     return True
+
+
+def read_and_look_up(path: str) -> WordVectorTable:
+    """read_word_vectors, then a lookup of every document, where the faults in
+    a document block's value lines surface."""
+    table = read_word_vectors(path)
+    for doc_id in table.documents:
+        table.documents[doc_id]
+    return table
 
 
 def test_toy_table_shapes(mini_corpus, toy_vectors):
@@ -137,13 +149,14 @@ def test_positions_may_arrive_out_of_order(tmp_path):
         ("base 0 1 2\n0 1 2\nsa_key \u00b2 1 2\n0 1 2\n", "needs a document id"),
         ("base 3 1 2\n0 1 2\nsa_key \u0663 1 2\n0 1 2\n", "needs a document id"),
         ("base 0 1 2\n0 1 2\nsa_query q 1 2\n0 1 2\n", "needs a document id"),
+        ("base q1 0 2\nscore0 q1 0 1\n", "question 'q1' has no positions"),
     ],
 )
 def test_malformed_files_raise_schema_errors(tmp_path, content, needle):
     path = tmp_path / "bad.txt"
     path.write_text(content)
     with pytest.raises(SchemaError) as err:
-        read_word_vectors(str(path))
+        read_and_look_up(str(path))
     assert needle in str(err.value)
 
 
@@ -153,7 +166,7 @@ def test_non_utf8_bytes_raise_schema_errors(tmp_path, content):
     path = tmp_path / "bad.txt"
     path.write_bytes(content)
     with pytest.raises(SchemaError, match="not valid UTF-8") as err:
-        read_word_vectors(str(path))
+        read_and_look_up(str(path))
     assert str(err.value).startswith(f"{path}: ")  # names the file
 
 
@@ -180,9 +193,106 @@ def test_non_numeric_fields_raise_schema_errors(tmp_path, line, needle):
     path = tmp_path / "bad.txt"
     path.write_text(f"base 0 1 2\n0 1 2\nbase 1 1 2\n{line}\n")
     with pytest.raises(SchemaError) as err:
-        read_word_vectors(str(path))
+        read_and_look_up(str(path))
     assert str(err.value).startswith(f"{path}:4: ")  # the file and the line
     assert needle in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "block, message",
+    [
+        ("base 1 1 2\n0 1\n", ":6: expected 3 fields, got 2"),
+        ("base 1 2 2\n0 1 2\n0 3 4\n", ":7: bad or repeated position 0"),
+        ("base 1 1 2\n0 1 abc\n", ":6: could not convert string to float: 'abc'"),
+        ("base 1 1 2\n0 1 2\nsa_key 1 1 2\n0 inf 2\n", ":7: sa_key 1 has a non-finite value"),
+        # two faults: the one reported is the file's first
+        ("sa_key 1 1 2\n0 1 x\nbase 1 1 2\n0 y 2\n", ":6: could not convert string to float: 'x'"),
+    ],
+)
+def test_faults_in_document_values_surface_at_first_lookup(tmp_path, block, message):
+    path = tmp_path / "wv.txt"
+    path.write_text(f"base 0 1 2\n0 1 2\nbase q 1 2\n0 5 6\n{block}")
+    table = read_word_vectors(str(path))  # headers, ids and coverage are checked here
+    assert list(table.documents) == [0, 1] and table.dim == 2
+    np.testing.assert_array_equal(table.questions["q"].base, [[5.0, 6.0]])
+    np.testing.assert_array_equal(table.documents[0].base, [[1.0, 2.0]])
+    for _ in range(2):  # a failed lookup stays failed
+        with pytest.raises(SchemaError) as err:
+            table.documents[1]
+        assert str(err.value).startswith(f"{path}{message}")
+
+
+def test_a_short_document_block_is_refused_at_read(tmp_path):
+    path = tmp_path / "wv.txt"
+    path.write_text("base 0 1 2\n0 1 2\nbase 1 3 2\n0 1 2\n")
+    with pytest.raises(SchemaError, match=r":5: truncated block for base 1$"):
+        read_word_vectors(str(path))
+
+
+def test_answering_questions_parses_no_document_block(tmp_path, toy_vectors, dense_index,
+                                                      mini_corpus):
+    path = str(tmp_path / "wv.txt")
+    write_word_vectors(toy_vectors, path)
+    table = read_word_vectors(path)
+    encode = question_encoder(dense_index, table)
+    engine = QueryEngine(dense_index, corpus=mini_corpus, word_vectors=table)
+    with mock.patch.object(wordvectors, "_parse_block", wraps=wordvectors._parse_block) as spy:
+        metrics = evaluate(dense_index, mini_corpus,
+                           lambda ex: encode(ex.question_tokens, ex.question_id))
+        answers, _ = engine.answer("q1", top_k=3)
+        assert metrics.count == len(mini_corpus.examples) and len(answers) == 3
+        assert spy.call_count == 0
+        assert tables_equal(table, toy_vectors)  # looks up every document
+        assert spy.call_count == 3 * len(mini_corpus.documents)
+
+
+def replace_file(path: Path):
+    """The same bytes under the same path, as a new file."""
+    fresh = path.with_suffix(".new")
+    fresh.write_bytes(path.read_bytes())
+    os.replace(fresh, path)
+
+
+def rewrite_file(path: Path):
+    """The same file, rewritten in place: same size, a new modification time."""
+    before = path.stat()
+    path.write_text(path.read_text().replace("0 1 2", "0 3 4"))
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns + 1_000_000_000))
+    assert path.stat().st_size == before.st_size and path.stat().st_ino == before.st_ino
+
+
+def extend_file(path: Path):
+    with path.open("a") as f:
+        f.write("base 2 1 2\n0 5 6\n")
+
+
+@pytest.mark.parametrize("change", [replace_file, rewrite_file, extend_file])
+def test_a_file_changed_after_the_read_is_refused_at_lookup(tmp_path, change):
+    path = tmp_path / "wv.txt"
+    path.write_text("base 0 1 2\n0 1 2\nbase 1 1 2\n0 1 2\nbase q 1 2\n0 5 6\n")
+    table = read_word_vectors(str(path))
+    table.documents[0]
+    change(path)
+    np.testing.assert_array_equal(table.documents[0].base, [[1.0, 2.0]])  # parsed before
+    with pytest.raises(SchemaError, match="changed since it was read") as err:
+        table.documents[1]
+    assert str(err.value).startswith(f"{path}: ")
+
+
+def test_read_documents_behave_as_a_dict(tmp_path, toy_vectors):
+    path = str(tmp_path / "wv.txt")
+    write_word_vectors(toy_vectors, path)
+    docs = read_word_vectors(path).documents
+    assert len(docs) == 2 and 0 in docs and 5 not in docs and list(docs) == [0, 1]
+    assert docs.setdefault(0, None) is docs[0] and docs.get(5) is None
+    chan = DocChannels(5, base=np.zeros((1, 8), dtype=np.float32))
+    assert docs.setdefault(5, chan) is chan and docs[5] is chan
+    docs[5] = chan = DocChannels(5, base=np.ones((1, 8), dtype=np.float32))
+    assert [d for d, _ in docs.items()] == [0, 1, 5] and list(docs.values())[-1] is chan
+    del docs[5]
+    assert dict(docs.items()).keys() == toy_vectors.documents.keys()
+    with pytest.raises(KeyError):
+        docs[5]
 
 
 def test_lookup_errors():
@@ -258,7 +368,7 @@ def random_tables(draw) -> WordVectorTable:
             doc_id, rows(m), rows(m) if sa else None, rows(m) if sa else None
         )
     for j in range(draw(st.integers(0, 2))):
-        n = draw(st.integers(0, 4))
+        n = draw(st.integers(1, 4))  # a question of no positions is refused
         q = table.questions[f"q{j}"] = QuestionChannels(f"q{j}", rows(n))
         q.scores = {k: rows(n, 1)[:, 0] for k in range(4) if draw(st.booleans())}
     return table
@@ -272,7 +382,12 @@ def test_numpy_pass_matches_the_line_parser_on_written_tables(wv_path, table):
     assert fast == lines
     headers = [line.split() for line in Path(wv_path).read_text().splitlines()
                if not line[0].isdigit()]
-    assert taken == [int(count) > 0 for _, _, count, _ in headers]  # every block with rows
+    # every block with rows: the read parses the question blocks, then
+    # table_arrays looks up the documents, which the writer puts first
+    has_rows = {True: [], False: []}
+    for _, ident, count, _ in headers:
+        has_rows[ident.isdigit()].append(int(count) > 0)
+    assert taken == has_rows[False] + has_rows[True]
 
 
 # (spelling, whether loadtxt reads it): float() reads all of them
