@@ -233,7 +233,14 @@ def cmd_stats(args) -> int:
             "dim": index.dim,
             "documents": int(len(index.doc_ids())),
             "total_words": index.total_words(),
+            "file_bytes": os.path.getsize(args.index),
         }
+        if index.kind == "dense":
+            start, end = index.tables
+            report["index"].update(start_table_rows=len(start), end_table_rows=len(end),
+                                   shared_table=end is start)
+        else:
+            report["index"]["postings"] = len(index.ordinals)
     if not report:
         raise ConfigError("stats needs --dataset and/or --index")
     print(json.dumps(report, indent=2))

@@ -117,7 +117,15 @@ def read_word_vectors(path: str) -> WordVectorTable:
             stamp = _stamp(f)
             _read_blocks(f, path, table, stamp[2])
     except UnicodeDecodeError as exc:
-        raise SchemaError(f"{path}: not valid UTF-8 ({exc})") from None
+        # The text layer's offset is within an 8 KiB decode chunk; the bytes' is the file's.
+        with open(path, "rb") as f:
+            raw = f.read()
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError as whole:
+            exc = whole
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise SchemaError(f"{path}: not valid UTF-8 at line {line} ({exc})") from None
     _validate(table, path)
     table.documents = _Documents(path, stamp, table.documents)
     return table

@@ -17,22 +17,25 @@ order is the candidate's identity everywhere (postings, hashes, filters).
 
 File format (all integers little-endian):
 
-    magic "PIQA" | version u32=3 | kind u8 (0 dense, 1 sparse) | dim u32
+    magic "PIQA" | version u32=4 | kind u8 (0 dense, 1 sparse) | dim u32
     | count u64 | count x (doc_id u32, s u16, e u16) | payload
 
 Dense payload: u64 start-table rows S, u64 end-table rows E, count x start
 index u32, count x end index u32, then the start table, S x (dim // 2)
 float32, and the end table, E x (dim - dim // 2) float32, both row-major.
-Row i of the vector block is start table row start[i] followed by end table
-row end[i]. When an index is built, a row shares its neighbour's table row
-when that half is bitwise equal, neighbours taken in (doc_id, s, e) order for
-the start half and in (doc_id, e, s) order for the end half, and table rows
-are numbered by first use in row order, so that each token's halves are
-stored about once. A load keeps the file's tables and indexes as they are,
-so a loaded file saves to the same bytes. Sparse payload: u64 term count T,
-u64 document count, T x (df u32, len u16, utf-8 term) with terms strictly
-increasing, then T x posting count u64, then every term's ordinals u64
-(strictly increasing within a term), then every weight f32, in term order.
+E = 2**64 - 1 marks a shared table: the end table is the start table, written
+once (dim even). Row i of the vector block is start table row start[i]
+followed by end table row end[i]. When an index is built, a row shares its
+neighbour's table row when that half is bitwise equal, neighbours taken in
+(doc_id, s, e) order for the start half and in (doc_id, e, s) order for the
+end half, and table rows are numbered by first use in row order, so that each
+token's halves are stored about once; the table is shared when the two come
+out bitwise equal, as an encoder's do. A load keeps the file's tables (one
+array when shared) and indexes as they are, so a loaded file saves to the same
+bytes. Sparse payload: u64 term count T, u64 document count, T x (df u32, len
+u16, utf-8 term) with terms strictly increasing, then T x posting count u64,
+then every term's ordinals u32 (strictly increasing within a term), then
+every weight f32, in term order.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ if TYPE_CHECKING:
     from .encode.wordvectors import WordVectorTable
 
 MAGIC = b"PIQA"
-VERSION = 3
+VERSION = 4
 KIND_DENSE = 0
 KIND_SPARSE = 1
 MAX_DOC_TOKENS = 65535  # u16 span endpoints
@@ -66,6 +69,7 @@ HEADER_DTYPE = np.dtype([("kind", "u1"), ("dim", "<u4"), ("count", "<u8")])
 SPARSE_DTYPE = np.dtype([("terms", "<u8"), ("documents", "<u8")])
 TERM_DTYPE = np.dtype([("df", "<u4"), ("length", "<u2")])
 TABLES_DTYPE = np.dtype([("start", "<u8"), ("end", "<u8")])
+SHARED = 2**64 - 1  # the end-table row count of a file whose end table is its start table
 
 
 @dataclass(frozen=True)
@@ -79,7 +83,8 @@ class PhraseIndex:
 
     Dense rows: a start and an end table with (2, count) u32 table indexes
     (module docstring), given as tables=(start, end, indexes) and kept as
-    they are. Sparse postings: a CSR triple (indptr, ordinals, weights).
+    they are; end is start (one array) when the table is shared. Sparse
+    postings: a CSR triple (indptr, ordinals u32, weights).
     """
 
     def __init__(
@@ -99,7 +104,8 @@ class PhraseIndex:
         if kind == "dense":
             if tables is None or np.shape(tables[2]) != (2, len(self.metadata)):
                 raise ValueError("dense index needs one vector row per metadata record")
-            self.tables = tuple(np.ascontiguousarray(t, dtype=np.float32) for t in tables[:2])
+            start, end = (np.ascontiguousarray(t, dtype=np.float32) for t in tables[:2])
+            self.tables = (start, start if tables[1] is tables[0] else end)
             self.table_ids = np.ascontiguousarray(tables[2], dtype="<u4")
             self.dim = sum(t.shape[1] for t in self.tables)
             if self.tables[0].shape[1] != self.dim // 2:
@@ -108,7 +114,7 @@ class PhraseIndex:
             if postings is None or idf is None:
                 raise ValueError("sparse index needs postings and a term table")
             self.indptr = np.asarray(postings[0], dtype=np.int64)
-            self.ordinals = np.asarray(postings[1], dtype=np.uint64)
+            self.ordinals = np.asarray(postings[1], dtype=np.uint32)
             self.weights = np.asarray(postings[2], dtype=np.float32)
             b = self.indptr.tolist()
             self.postings = {
@@ -239,6 +245,8 @@ def build_index(
     # rows [runs[i], runs[i + 1]), filled one document at a time.
     sizes = [span_count(len(doc), max_span_len) for doc in corpus.documents]
     runs = np.cumsum([0, *sizes]).tolist()
+    if runs[-1] >= 2**32:
+        raise BuildError(f"{runs[-1]} candidate spans; an index holds fewer than 2**32")
     metadata = np.empty(runs[-1], dtype=METADATA_DTYPE)
     for doc, lo, hi in zip(corpus.documents, runs, runs[1:]):
         rows = metadata[lo:hi]
@@ -265,7 +273,7 @@ def build_index(
         # One stable sort by term keeps each term's ordinals ascending.
         sizes, terms, weights = (np.concatenate(p) for p in zip(*parts))
         order = np.argsort(terms, kind="stable")
-        ordinals = np.repeat(np.arange(len(metadata), dtype=np.uint64), sizes)[order]
+        ordinals = np.repeat(np.arange(len(metadata), dtype=np.uint32), sizes)[order]
         weights = weights[order]
         indptr = np.r_[0, np.cumsum(np.bincount(terms, minlength=len(idf.vocab)))]
         return PhraseIndex("sparse", metadata, postings=(indptr, ordinals, weights), idf=idf)
@@ -682,12 +690,13 @@ def _group_half(table: np.ndarray, ids: np.ndarray, order: np.ndarray | None):
 def _half_tables(tables, start_ids, end_ids, metadata: np.ndarray) -> tuple:
     """(start table, end table, (2, count) u32 table indexes), grouped as a save
     writes them (module docstring), of rows whose start half is
-    tables[0][start_ids] and whose end half is tables[1][end_ids]."""
-    if len(metadata) >= 2**32:
-        raise ValueError("a dense index holds fewer than 2**32 rows (u32 table indexes)")
+    tables[0][start_ids] and whose end half is tables[1][end_ids]. The end
+    table is the start table when the two are bitwise equal."""
     start, start_ids = _group_half(tables[0], start_ids, None)
     by_end = np.argsort(_span_keys(metadata["doc_id"], metadata["e"], metadata["s"]))
     end, end_ids = _group_half(tables[1], end_ids, by_end.astype("<u4"))
+    if start.shape == end.shape and np.array_equal(start.view("<u4"), end.view("<u4")):
+        end = start
     return start, end, np.stack([start_ids, end_ids])
 
 
@@ -695,8 +704,9 @@ def save_index(index: PhraseIndex, path: str) -> None:
     kind = KIND_DENSE if index.kind == "dense" else KIND_SPARSE
     parts = [np.array((kind, index.dim, len(index)), HEADER_DTYPE), index.metadata]
     if index.kind == "dense":
-        sizes = tuple(len(table) for table in index.tables)
-        parts += [np.array(sizes, TABLES_DTYPE), index.table_ids, *index.tables]
+        shared = index.tables[1] is index.tables[0]
+        sizes = (len(index.tables[0]), SHARED if shared else len(index.tables[1]))
+        parts += [np.array(sizes, TABLES_DTYPE), index.table_ids, *index.tables[: 2 - shared]]
     else:
         idf = index.idf
         raws = [term.encode("utf-8") for term in idf.vocab]
@@ -705,17 +715,20 @@ def save_index(index: PhraseIndex, path: str) -> None:
             np.array((len(raws), idf.num_documents), SPARSE_DTYPE),
             b"".join(head.tobytes() + raw for head, raw in zip(heads, raws)),
             np.diff(index.indptr).astype("<u8"),
-            np.asarray(index.ordinals, "<u8"),
+            np.asarray(index.ordinals, "<u4"),
             np.asarray(index.weights, "<f4"),
         ]
     _write(path, MAGIC, VERSION, parts)
 
 
-def _first_bad(*checks: tuple[np.ndarray, str]) -> tuple[int, str] | None:
-    """Position of the first True in the first mask holding one, with its message."""
-    for bad, problem in checks:
+def _first_bad(*checks: tuple) -> tuple[int, str] | None:
+    """Position of the first True in the first mask holding one, with its message.
+    A check is (function making the mask, message): one mask is alive at a time."""
+    for mask, problem in checks:
+        bad = mask()
         if bad.any():
             return int(bad.argmax()), problem
+        del bad
     return None
 
 
@@ -727,13 +740,18 @@ def _read_dense(r: _Reader, count: int, dim: int) -> tuple:
     """
     sizes_at = r.pos
     sizes = r.record(TABLES_DTYPE, "table sizes")
+    shared = sizes[1] == SHARED
+    if shared and dim % 2:  # the halves are dim // 2 and dim - dim // 2 wide
+        raise FormatError(f"{r.path}: shared table with an odd dim {dim}", offset=sizes_at + 8)
+    sizes = (sizes[0], sizes[0]) if shared else sizes
     ids_at = r.pos
     ids = r.array("<u4", 2 * count, "table indexes").reshape(2, count)
     for h, (half, rows) in enumerate(zip(TABLES_DTYPE.names, sizes)):
         top = np.maximum.accumulate(ids[h])
         found = _first_bad(
-            (ids[h] >= rows, f"is past the {half} table's {rows} rows"),
-            (np.r_[ids[h, :1] != 0, ids[h, 1:] > top[:-1] + 1], "is not in first-use order"),
+            (lambda: ids[h] >= rows, f"is past the {half} table's {rows} rows"),
+            (lambda: np.r_[ids[h, :1] != 0, ids[h, 1:] > top[:-1] + 1],
+             "is not in first-use order"),
         )
         if found:
             i, problem = found
@@ -744,11 +762,11 @@ def _read_dense(r: _Reader, count: int, dim: int) -> tuple:
             at = sizes_at + 8 * h
             raise FormatError(f"{r.path}: {half} table has {rows} rows for {used} used", offset=at)
     del top
-    widths = (dim // 2, dim - dim // 2)
-    if r.pos + 4 * sum(rows * width for rows, width in zip(sizes, widths)) > r.size:
+    stored = list(zip(TABLES_DTYPE.names, sizes, (dim // 2, dim - dim // 2)))[: 2 - shared]
+    if r.pos + 4 * sum(rows * width for _, rows, width in stored) > r.size:
         raise FormatError(f"{r.path}: truncated while reading the tables", offset=r.pos)
     tables = []
-    for half, rows, width in zip(TABLES_DTYPE.names, sizes, widths):
+    for half, rows, width in stored:
         at = r.pos
         table = r.array("<f4", rows * width, f"the {half} table").reshape(rows, width)
         for a, b in _chunks(rows, width):
@@ -759,7 +777,7 @@ def _read_dense(r: _Reader, count: int, dim: int) -> tuple:
                     f"{r.path}: {half} table row {row} is not finite", offset=at + 4 * width * row
                 )
         tables.append(table)
-    return (*tables, ids)
+    return tables[0], tables[-1], ids
 
 
 def load_index(path: str) -> PhraseIndex:
@@ -778,8 +796,9 @@ def load_index(path: str) -> PhraseIndex:
         metadata = r.array(METADATA_DTYPE, count, "metadata")
         key = _span_keys(metadata["doc_id"], metadata["s"], metadata["e"])
         found = _first_bad(
-            (metadata["s"] > metadata["e"], "starts after it ends"),
-            (np.r_[False, key[1:] <= key[:-1]], "is not after the one before in (doc_id, s, e)"),
+            (lambda: metadata["s"] > metadata["e"], "starts after it ends"),
+            (lambda: np.r_[False, key[1:] <= key[:-1]],
+             "is not after the one before in (doc_id, s, e)"),
         )
         del key  # O(count): free before the payload's own O(count) checks
         if found:
@@ -817,21 +836,26 @@ def load_index(path: str) -> PhraseIndex:
             at = r.pos - 8 * num_terms
             raise FormatError(f"{path}: posting counts add up past 2**64", offset=at)
         ords_at = r.pos
-        ords = r.array("<u8", indptr[-1], "ordinals")
+        ords = r.array("<u4", indptr[-1], "ordinals")
         ws = r.array("<f4", indptr[-1], "weights")
         indptr = indptr.astype(np.int64)
-        falling = np.r_[False, ords[1:] <= ords[:-1]]
-        falling[indptr[:-1][np.diff(indptr) > 0]] = False  # each term starts its own run
+
+        def falling():
+            out = np.zeros(len(ords), dtype=bool)
+            np.less_equal(ords[1:], ords[:-1], out=out[1:])
+            out[indptr[:-1][np.diff(indptr) > 0]] = False  # each term starts its own run
+            return out
+
         found = _first_bad(
-            (ords >= count, "reference an ordinal beyond the index"),
+            (lambda: ords >= count, "reference an ordinal beyond the index"),
             (falling, "are not strictly increasing"),
-            (~np.isfinite(ws), "hold a non-finite weight"),
+            (lambda: ~np.isfinite(ws), "hold a non-finite weight"),
         )
         if found:
             term_id = int(np.searchsorted(indptr, found[0], side="right")) - 1
             raise FormatError(
                 f"{path}: postings of term {term_id} {found[1]}",
-                offset=ords_at + 8 * int(indptr[term_id]),
+                offset=ords_at + 4 * int(indptr[term_id]),
             )
         r.finish()
         idf = IdfTable(df=df, num_documents=num_docs)

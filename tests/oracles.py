@@ -165,11 +165,13 @@ def per_span_dense_build(corpus, encoder, word_vectors, max_span_len=7):
 
 
 def dense_payload_bytes(vectors: np.ndarray, metadata: np.ndarray) -> bytes:
-    """A version 3 dense payload, built one row at a time from the format text.
+    """A version 4 dense payload, built one row at a time from the format text.
 
     A row joins its neighbour's table row when that half's bytes are equal,
     neighbours in (doc_id, s, e) order for the start half and (doc_id, e, s)
-    for the end half; table rows are numbered by first use in row order.
+    for the end half; table rows are numbered by first use in row order. When
+    the halves are equally wide and the two tables' bytes are equal, the end
+    table's row count is 2**64 - 1 and the table is written once.
     """
     rows = np.ascontiguousarray(vectors, dtype="<f4")
     half = rows.shape[1] // 2
@@ -194,6 +196,8 @@ def dense_payload_bytes(vectors: np.ndarray, metadata: np.ndarray) -> bytes:
         sizes.append(len(table))
         indexes.append(np.array([label_of[run_of[i]] for i in range(len(rows))], "<u4"))
         tables.append(b"".join(table))
+    if 2 * half == rows.shape[1] and sizes[0] == sizes[1] and tables[0] == tables[1]:
+        sizes, tables = [sizes[0], 2**64 - 1], tables[:1]
     head = np.array(sizes, "<u8").tobytes()
     return head + b"".join(ids.tobytes() for ids in indexes) + b"".join(tables)
 

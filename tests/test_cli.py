@@ -12,7 +12,8 @@ from phraseindex.alsh import load_alsh
 from phraseindex.cli import main
 from phraseindex.corpus import load_squad
 from phraseindex.encode.wordvectors import read_word_vectors
-from phraseindex.index import load_index
+from phraseindex.filtering import apply_filter, load_filter
+from phraseindex.index import load_index, save_index
 from phraseindex.service import QueryEngine
 
 DATA = Path(__file__).parent / "data" / "mini_squad.json"
@@ -226,6 +227,30 @@ def test_stats_reports_both_blocks(ws):
     assert report["corpus"]["examples"] == 4
     assert report["index"]["candidates"] == 504
     assert report["index"]["total_words"] == report["corpus"]["tokens"] == 78
+
+
+def test_stats_reports_the_index_layout(ws, tmp_path):
+    """An encoder-built dense index shares its word table; a filtered one keeps
+    a start and an end table; a sparse one counts its postings."""
+    dense = load_index(ws["dense"])
+    filt = load_filter(ws["filter"])
+    filtered = apply_filter(dense, filt, float(np.median(filt.score(dense.vectors))))[0]
+    save_index(filtered, str(tmp_path / "filtered.idx"))
+    reports = {}
+    for name, path in [("dense", ws["dense"]), ("filtered", str(tmp_path / "filtered.idx")),
+                       ("sparse", ws["sparse"])]:
+        rc, out, _ = run("stats", "--index", path)
+        assert rc == 0
+        reports[name] = json.loads(out)["index"]
+        assert reports[name]["file_bytes"] == Path(path).stat().st_size
+    tokens = reports["dense"]["total_words"]
+    assert reports["dense"]["start_table_rows"] == reports["dense"]["end_table_rows"] == tokens
+    assert reports["dense"]["shared_table"] is True
+    assert reports["filtered"]["shared_table"] is False
+    assert (reports["filtered"]["start_table_rows"], reports["filtered"]["end_table_rows"]) == (
+        len(filtered.tables[0]), len(filtered.tables[1]))
+    assert reports["sparse"]["postings"] == len(load_index(ws["sparse"]).ordinals)
+    assert "shared_table" not in reports["sparse"] and "postings" not in reports["dense"]
 
 
 def test_mistyped_dataset_field_exits_two(tmp_path):

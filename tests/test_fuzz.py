@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from phraseindex.alsh import AlshParams, build_alsh, load_alsh, save_alsh
 from phraseindex.errors import FormatError
-from phraseindex.filtering import load_filter, save_filter, train_filter
+from phraseindex.filtering import apply_filter, load_filter, save_filter, train_filter
 from phraseindex.index import load_index, save_index
 
 pytestmark = pytest.mark.filterwarnings(
@@ -20,17 +20,23 @@ pytestmark = pytest.mark.filterwarnings(
 
 @pytest.fixture(scope="module")
 def formats(tmp_path_factory, mini_corpus, sparse_index, dense_index):
-    """Bytes and loader of a sparse .idx, a dense .idx, an .alsh and an .flt
-    built from mini_squad.json, plus a scratch path to write mutations to."""
+    """Bytes and loader of a sparse .idx, a dense .idx (one shared table), a
+    filtered dense .idx (two tables), an .alsh and an .flt built from
+    mini_squad.json, plus a scratch path to write mutations to."""
     root = tmp_path_factory.mktemp("fuzz")
     save_index(sparse_index, str(root / "sparse.idx"))
     save_index(dense_index, str(root / "dense.idx"))
     alsh = build_alsh(dense_index, AlshParams(bits_per_table=6, tables=4, seed=9))
     save_alsh(alsh, str(root / "dense.alsh"))
-    save_filter(train_filter(dense_index, mini_corpus, epochs=5), str(root / "dense.flt"))
+    filt = train_filter(dense_index, mini_corpus, epochs=5)
+    save_filter(filt, str(root / "dense.flt"))
+    filtered = apply_filter(dense_index, filt, float(np.median(filt.score(dense_index.vectors))))[0]
+    assert filtered.tables[1] is not filtered.tables[0]
+    save_index(filtered, str(root / "filtered.idx"))
     loaders = {
         "sparse.idx": load_index,
         "dense.idx": load_index,
+        "filtered.idx": load_index,
         "dense.alsh": lambda path: load_alsh(path, dense_index),
         "dense.flt": load_filter,
     }
@@ -57,7 +63,9 @@ def test_dense_file_with_indexes_no_save_would_write_re_saves_verbatim(formats, 
     assert (tmp_path / "again.idx").read_bytes() == bytes(raw)
 
 
-@pytest.mark.parametrize("name", ["sparse.idx", "dense.idx", "dense.alsh", "dense.flt"])
+@pytest.mark.parametrize(
+    "name", ["sparse.idx", "dense.idx", "filtered.idx", "dense.alsh", "dense.flt"]
+)
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_mutated_file_loads_or_raises_format_error(formats, name, data):
@@ -75,7 +83,7 @@ def test_mutated_file_loads_or_raises_format_error(formats, name, data):
         loaded = load(str(path))
     except FormatError:
         return
-    save = {"dense.idx": save_index, "dense.alsh": save_alsh}.get(name)
+    save = {"dense.idx": save_index, "filtered.idx": save_index, "dense.alsh": save_alsh}.get(name)
     if save:
         save(loaded, str(path))
         assert path.read_bytes() == bytes(mutated[:cut])

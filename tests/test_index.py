@@ -119,6 +119,19 @@ def test_build_rejects_oversized_document():
         build_index(corpus)
 
 
+@pytest.mark.parametrize("encoder", ["tfidf", "lstm_sa"])
+def test_build_rejects_2_to_the_32_candidates_before_allocating(
+    monkeypatch, mini_corpus, toy_vectors, encoder
+):
+    """Ordinals and table indexes are u32. The count is checked before the
+    metadata is made, so the spans are never enumerated."""
+    assert len(mini_corpus.documents) == 2
+    monkeypatch.setattr(index_module, "span_count", lambda n, m: 2**31)
+    monkeypatch.setattr(index_module, "span_bounds", mock.Mock(side_effect=AssertionError))
+    with pytest.raises(BuildError, match="4294967296 candidate spans"):
+        build_index(mini_corpus, encoder, word_vectors=toy_vectors)
+
+
 def test_dense_build_matches_composition(mini_corpus, toy_vectors):
     index = build_index(mini_corpus, encoder="lstm_sa", word_vectors=toy_vectors)
     assert index.kind == "dense"
@@ -521,7 +534,7 @@ def _reference_tfidf_postings(corpus, max_span_len, window, include_phrase):
 def _assert_same_postings(got, expected):
     assert got.keys() == expected.keys()
     for t, (ords, ws) in expected.items():
-        assert got[t][0].dtype == np.uint64 and got[t][1].dtype == np.float32
+        assert got[t][0].dtype == np.uint32 and got[t][1].dtype == np.float32
         assert np.array_equal(got[t][0], ords) and np.array_equal(got[t][1], ws)
 
 
@@ -750,7 +763,7 @@ def test_load_rejects_unusable_postings(tmp_path, sparse_index, case, needle):
         load_index(str(path))
     assert f"term {term_id} " in str(err.value)
     # The offset is the term's first ordinal.
-    assert struct.unpack_from("<Q", raw, err.value.offset)[0] == int(ords[0])
+    assert struct.unpack_from("<I", raw, err.value.offset)[0] == int(ords[0])
 
 
 def _term_records(raw, count):

@@ -153,11 +153,11 @@ def test_loads_hold_no_file_image(tmp_path):
     """Each section is read into the array that keeps it, so beyond what a load
     returns it holds only its checks' temporaries: O(count) keys of the
     metadata, plus, for a dense index, its table indexes (8 bytes a row) and
-    one chunk of table rows, for a sparse index, bool masks over the
-    postings (about 4 bytes a posting, a quarter of its file), and, for an
+    one chunk of table rows, for a sparse index, one bool mask over the
+    postings at a time (a byte a posting, an eighth of its file), and, for an
     aLSH sidecar, the sort that derives one table's buckets from its codes."""
     dense = synthetic_dense_index(33_000, 64)
-    sparse = build_index(random_words_corpus(40, 200, 300, seed=3), "tfidf")
+    sparse = build_index(random_words_corpus(46, 200, 300, seed=3), "tfidf")
     # 128 tables of u16 codes, 64 bytes a row, so that the sidecar too passes 8 MiB.
     alsh = alsh_module.build_alsh(dense, alsh_module.AlshParams(tables=128))
     save_index(dense, str(tmp_path / "dense.idx"))

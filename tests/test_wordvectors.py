@@ -170,6 +170,21 @@ def test_non_utf8_bytes_raise_schema_errors(tmp_path, content):
     assert str(err.value).startswith(f"{path}: ")  # names the file
 
 
+def test_non_utf8_byte_past_the_first_decode_chunk_gives_its_file_offset_and_line(tmp_path):
+    """The text layer decodes 8 KiB at a time; the error names the byte's
+    offset within the file, and its line."""
+    lines = ["base 0 2000 2", *(f"{i} 1.5 2.5" for i in range(1999)), "1999 1.5 2."]
+    raw = "\n".join(lines).encode() + b"\xff\n"
+    at = raw.index(b"\xff")
+    assert at > 8192  # past the first decode chunk
+    path = tmp_path / "bad.txt"
+    path.write_bytes(raw)
+    with pytest.raises(SchemaError, match="not valid UTF-8") as err:
+        read_word_vectors(str(path))
+    assert str(err.value).startswith(f"{path}: not valid UTF-8 at line {len(lines)} ")
+    assert f"byte 0xff in position {at}:" in str(err.value)
+
+
 @pytest.mark.parametrize(
     "value",
     ["nan", "inf", "-inf",
