@@ -148,6 +148,7 @@ def hits_and_bits(index, queries, k, doc_id):
             for row in search_exact(index, queries, k, doc_id=doc_id)]
 
 
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")  # 3e38 halves
 @settings(max_examples=150, deadline=None)
 @given(index=token_blocks(), data=st.data())
 def test_table_is_shared_exactly_when_the_halves_tables_are_bit_equal(workdir, index, data):
