@@ -70,14 +70,15 @@ def encoder_built(num_docs=80, doc_len=60):
 
 def test_encoder_built_dense_save_and_load_hold_their_bounds(tmp_path):
     """Most halves of an encoder-built block are shared: a save writes the
-    tables the index holds, and a load holds the file's tables and indexes,
-    not the block."""
+    table the index holds, and a load holds the file's one table and its
+    indexes, not the block."""
     index = encoder_built()
     path = str(tmp_path / "dense.idx")
     _, peak = traced_peak(lambda: save_index(index, path))
     assert peak < MiB
     loaded, peak, held = traced(lambda: load_index(path))
-    arrays = (*loaded.tables, loaded.table_ids, loaded.metadata)
+    assert loaded.tables[1] is loaded.tables[0]
+    arrays = (loaded.tables[0], loaded.table_ids, loaded.metadata)
     assert held <= sum(a.nbytes for a in arrays) + MiB
     assert peak <= held + MiB
     assert loaded.vectors.tobytes() == index.vectors.tobytes()
