@@ -1,27 +1,26 @@
-"""Approximate maximum-inner-product search via asymmetric LSH.
+"""Approximate maximum-inner-product search via asymmetric LSH over word-table rows.
 
-Sign-ALSH construction: data vectors are shrunk into the unit ball and
-augmented with norm-correction terms, queries are normalized and padded
-with zeros, and both sides are hashed by sign bits of shared random
-hyperplanes. Bucket collisions propose candidates; the proposals are then
-re-scored exactly against the original vectors, so approximation can only
-lose recall, never corrupt scores.
+A dense index scores span i as q_s . start[i] + q_e . end[i] (index.py), so
+the rows of its half tables are hashed, not the spans: a shared table once,
+unshared start and end tables each, scaled by their own largest row norm.
+Sign-ALSH: rows are shrunk into the unit ball and augmented with norm terms,
+each question half is normalized and padded with zeros, and both sides are
+hashed by sign bits of shared random hyperplanes as wide as the wider half
+(plus m). A search re-scores exactly every span whose start row shares a
+bucket with q_s or whose end row shares one with q_e, so approximation can
+only lose recall, never corrupt scores.
 
-The index holds each candidate's code in every table, the layout of the
-file, and derives the buckets of all tables from the codes when it is built
-or loaded: as in an inverted-file index, one CSR keyed by (table, code), the
-keys ``table << bits | code`` in ascending order, bounds into one ordinal
-array, and the ordinals of each bucket in ascending order. A query's T
-lookups are one binary search.
+The index holds each hashed row's code in every table, as the file does, and
+derives the buckets (AlshIndex) from them when it is built or loaded.
 
 File format (all integers little-endian):
 
-    magic "PQAH" | version u32=3 | m u32 | U f64 | bits u32 | tables u32
-    | seed i64 | max_norm f64 | augmented dim u32 | rows u64
-    | tables x bits x augmented dim float64 hyperplanes
-    | tables x rows codes, table by table in candidate order, each below
-      2**bits, in the narrowest unsigned integer that holds bits bits
-      (u16 at the default 12)
+    magic "PQAH" | version u32=4 | m u32 | U f64 | bits u32 | tables u32
+    | seed i64 | augmented dim u32 | start-table rows S u64
+    | end-table rows E u64 (2**64 - 1: the index shares one table)
+    | max norm f64 of each hashed table | tables x bits x augmented dim
+    float64 hyperplanes | tables x hashed rows (S, or S + E) codes, each below
+    2**bits, in the narrowest unsigned integer that holds bits bits (u16 at 12)
 """
 
 from __future__ import annotations
@@ -31,13 +30,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, FormatError
-from .index import PhraseIndex, SearchHit, _half_products, _Reader, _row_scores, _top_k, _write
+from .index import SHARED, PhraseIndex, SearchHit, _half_products, _Reader, _row_scores
+from .index import _top_k, _write
 
 MAGIC = b"PQAH"
-VERSION = 3
+VERSION = 4
 HEADER_DTYPE = np.dtype([("m", "<u4"), ("U", "<f8"), ("bits", "<u4"), ("tables", "<u4"),
-                         ("seed", "<i8"), ("max_norm", "<f8"), ("aug_dim", "<u4"),
-                         ("rows", "<u8")])
+                         ("seed", "<i8"), ("aug_dim", "<u4"), ("start_rows", "<u8"),
+                         ("end_rows", "<u8")])
 
 
 @dataclass(frozen=True)
@@ -75,41 +75,52 @@ def _code_dtype(bits: int) -> np.dtype:
 @dataclass
 class AlshIndex:
     params: AlshParams
-    max_norm: float
-    hyperplanes: np.ndarray  # (T, b, dim + m) float64, unit rows
-    codes: np.ndarray  # (T, count) hash codes of every candidate, in _code_dtype(b)
+    max_norms: np.ndarray  # (H,) float64, each hashed table's largest row norm (1.0 if none)
+    hyperplanes: np.ndarray  # (T, b, dim - dim // 2 + m) float64, unit rows
+    codes: np.ndarray  # (T, hashed rows) hash codes of every hashed row, in _code_dtype(b)
     backing: PhraseIndex
-    # The buckets of every table, read-only: bucket i holds the u32 ordinals
-    # ordinals[indptr[i]:indptr[i + 1]], ascending, and is keyed by keys[i]
+    # The buckets of every table, read-only: bucket i holds the u32 hashed rows
+    # rows[indptr[i]:indptr[i + 1]], ascending, and is keyed by keys[i]
     # (u64, table << b | code, strictly increasing).
     keys: np.ndarray = field(init=False)
     indptr: np.ndarray = field(init=False)
-    ordinals: np.ndarray = field(init=False)
+    rows: np.ndarray = field(init=False)
+    # Per half h (start, end), read-only: the spans whose half-h table row is
+    # hashed row r are spans[h, span_ptr[h, r]:span_ptr[h, r + 1]] (u32, ascending).
+    span_ptr: np.ndarray = field(init=False)
+    spans: np.ndarray = field(init=False)
 
     def __post_init__(self):
         # A stable argsort of a table's codes groups its buckets in code order,
-        # each bucket's ordinals ascending. The first pass sorts and counts the
+        # each bucket's rows ascending. The first pass sorts and counts the
         # buckets, so that the second writes the keys and bounds in place and
         # no more than one table's temporaries are live beside the result.
         t, n = self.codes.shape
-        ordinals = np.empty((t, n), dtype=np.uint32)
+        rows = np.empty((t, n), dtype=np.uint32)
         first = np.empty(n, dtype=bool)
         counts = []
-        for row, order in zip(self.codes, ordinals):
+        for row, order in zip(self.codes, rows):
             order[:] = np.argsort(row, kind="stable")
             counts.append(int(np.count_nonzero(_mark_runs(row.take(order), first))))
         self.keys = np.empty(sum(counts), dtype=np.uint64)
         self.indptr = np.full(len(self.keys) + 1, t * n, dtype=np.int64)
         table_keys = _table_keys(t, self.params.bits_per_table)
         stops = np.cumsum(counts)
-        for table, (row, order, stop) in enumerate(zip(self.codes, ordinals, stops)):
+        for table, (row, order, stop) in enumerate(zip(self.codes, rows, stops)):
             sorted_codes = row.take(order)
             starts = np.flatnonzero(_mark_runs(sorted_codes, first))
             at = slice(stop - len(starts), stop)
             np.bitwise_or(sorted_codes[starts], table_keys[table], out=self.keys[at])
             np.add(starts, table * n, out=self.indptr[at])
-        self.ordinals = ordinals.reshape(t * n)
-        for arr in (self.keys, self.indptr, self.ordinals):
+        self.rows = rows.reshape(t * n)
+        # The row -> span CSRs. An end table's rows are hashed after the start
+        # table's unless it is shared; a canonical start half's argsort is the identity.
+        ids = self.backing.table_ids
+        self.spans = np.argsort(ids, axis=1, kind="stable").astype(np.uint32)
+        self.span_ptr = np.zeros((2, n + 1), dtype=np.int64)
+        for h, offset in enumerate((0, n - len(self.backing.tables[1]))):
+            np.cumsum(np.bincount(ids[h], minlength=n - offset), out=self.span_ptr[h, offset + 1 :])
+        for arr in (self.keys, self.indptr, self.rows, self.span_ptr, self.spans):
             arr.flags.writeable = False
 
     @property
@@ -163,51 +174,54 @@ def _pack_codes(projections: np.ndarray, bits: int) -> np.ndarray:
 # Budget of each temporary of build_alsh's hashing: the rows of a chunk are
 # cast to float64, scaled, augmented and projected on all t x b hyperplanes,
 # and _pack_codes takes a uint64 copy of the projection, so a chunk holds
-# _HASH_CHUNK_BYTES // (8 max(dim + m, t b)) rows and at most four such
+# _HASH_CHUNK_BYTES // (8 max(aug_dim, t b)) rows and at most four such
 # temporaries are live at once. Freed temporaries below malloc's mmap
 # threshold stay resident, so small chunks keep the heap's high-water mark small.
 _HASH_CHUNK_BYTES = 2 << 20
 
 
 def build_alsh(index: PhraseIndex, params: AlshParams = AlshParams()) -> AlshIndex:
-    """Hash every stored vector of a dense index into T bucket tables."""
+    """Hash the rows of a dense index's distinct half tables into T bucket tables."""
     if index.kind != "dense":
         raise ValueError("aLSH requires a dense index")
     params.validate()
-    n = len(index)
     t, b, m = params.tables, params.bits_per_table, params.m
-    aug_dim = index.dim + m
-
-    step = max(1, _HASH_CHUNK_BYTES // (8 * max(aug_dim, t * b)))
-    chunks = [(start, min(n, start + step)) for start in range(0, n, step)]
-    # Row norms do not depend on the chunking.
-    chunk_norms = (
-        np.linalg.norm(index.rows(slice(lo, hi)).astype(np.float64), axis=1) for lo, hi in chunks
-    )
-    top = np.max([norms.max() for norms in chunk_norms], initial=0.0)
-    max_norm = float(top) if top > 0 else 1.0
+    hashed = index.tables[: 2 - (index.tables[1] is index.tables[0])]
+    aug_dim = index.dim - index.dim // 2 + m
 
     rng = np.random.Generator(np.random.Philox(key=params.seed))
     hyperplanes = rng.normal(size=(t, b, aug_dim))
     hyperplanes /= np.linalg.norm(hyperplanes, axis=2, keepdims=True)
 
-    codes = np.empty((t, n), dtype=_code_dtype(b))
+    codes = np.empty((t, sum(len(table) for table in hashed)), dtype=_code_dtype(b))
+    max_norms = np.ones(len(hashed))
     flat = hyperplanes.reshape(t * b, aug_dim)
-    scale = params.U / max_norm
-    for start, stop in chunks:
-        scaled = index.rows(slice(start, stop)).astype(np.float64)
-        scaled *= scale
-        aug = np.concatenate([scaled, _norm_terms((scaled * scaled).sum(axis=1), m)], axis=1)
-        proj = aug @ flat.T
-        codes[:, start:stop] = _pack_codes(proj.reshape(stop - start, t, b), b).T
-    return AlshIndex(params, max_norm, hyperplanes, codes, index)
+    step = max(1, _HASH_CHUNK_BYTES // (8 * max(aug_dim, t * b)))
+    base = 0
+    for h, table in enumerate(hashed):
+        width = table.shape[1]
+        chunks = [(a, min(len(table), a + step)) for a in range(0, len(table), step)]
+        # Row norms do not depend on the chunking.
+        top = max((np.linalg.norm(table[a:z].astype(np.float64), axis=1).max()
+                   for a, z in chunks), default=0.0)
+        max_norms[h] = top or 1.0
+        for a, z in chunks:
+            # [row, zeros to the wider half's width, norm terms]
+            aug = np.zeros((z - a, aug_dim))
+            aug[:, :width] = table[a:z]
+            aug[:, :width] *= params.U / max_norms[h]
+            aug[:, aug_dim - m :] = _norm_terms(np.square(aug[:, :width]).sum(axis=1), m)
+            codes[:, base + a : base + z] = _pack_codes((aug @ flat.T).reshape(z - a, t, b), b).T
+        base += len(table)
+    return AlshIndex(params, max_norms, hyperplanes, codes, index)
 
 
-def _distinct(parts: list[np.ndarray]) -> np.ndarray:
-    """Sorted distinct ordinals of the buckets as int64: np.unique of their concatenation."""
-    ordinals = np.concatenate(parts, dtype=np.int64)
-    ordinals.sort()
-    return ordinals[_mark_runs(ordinals, np.empty(len(ordinals), dtype=bool))]
+def _gather(values: np.ndarray, ptr: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """The CSR runs values[ptr[i]:ptr[i + 1]] of every i in at, concatenated."""
+    starts = ptr[at]
+    lengths = ptr[at + 1] - starts
+    shift = np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+    return values[shift + np.arange(len(shift))]
 
 
 def search_approx(
@@ -216,10 +230,11 @@ def search_approx(
     k_top: int = 1,
     doc_id: int | None = None,
 ) -> tuple[list[SearchHit], int]:
-    """Gather the query's bucket from every table, re-score exactly.
+    """Probe every table with each question half, re-score the spans exactly.
 
-    Returns the hits plus the probe count (candidates re-scored after
-    deduplication and any document restriction).
+    Returns the hits plus the probe count: the spans re-scored, each span
+    whose start row shares a bucket with q_s or whose end row shares one
+    with q_e, within doc_id's spans when one is given.
     """
     if k_top < 1:
         raise ValueError("k_top must be >= 1")
@@ -227,19 +242,21 @@ def search_approx(
     q = np.asarray(query, dtype=np.float64)
     if q.ndim != 1 or q.shape[0] != index.dim:
         raise ValueError(f"query dim {q.shape} does not match index dim {index.dim}")
-    q_aug = preprocess_query(q, alsh.params.m)
 
     t, b, aug_dim = alsh.hyperplanes.shape
-    codes = _pack_codes((alsh.hyperplanes.reshape(t * b, aug_dim) @ q_aug).reshape(t, b), b)
-    keys = codes | _table_keys(t, b)
+    q_aug = np.zeros((2, aug_dim))
+    for row, half in zip(q_aug, np.hsplit(q, [index.dim // 2])):
+        row[: len(half) + alsh.params.m] = preprocess_query(half, alsh.params.m)
+    projections = q_aug @ alsh.hyperplanes.reshape(t * b, aug_dim).T
+    keys = _pack_codes(projections.reshape(2, t, b), b) | _table_keys(t, b)
     left = alsh.keys.searchsorted(keys)
-    found = left[left < alsh.keys.searchsorted(keys, "right")]
-    # The buckets' runs, after an empty one for a query that matches no bucket.
-    runs = zip(alsh.indptr[found].tolist(), alsh.indptr[found + 1].tolist())
-    gathered = _distinct([alsh.ordinals[:0], *(alsh.ordinals[a:z] for a, z in runs)])
-    if doc_id is not None:
-        lo, hi = index.doc_range(doc_id)
-        gathered = gathered[(gathered >= lo) & (gathered < hi)]
+    found = left < alsh.keys.searchsorted(keys, "right")
+    probed = np.zeros(len(index), dtype=bool)
+    for h in range(2):  # q_s's buckets to start rows, q_e's to end rows, to their spans
+        rows = _gather(alsh.rows, alsh.indptr, left[h][found[h]])
+        probed[_gather(alsh.spans[h], alsh.span_ptr[h], rows)] = True
+    lo, hi = (0, len(index)) if doc_id is None else index.doc_range(doc_id)
+    gathered = np.flatnonzero(probed[lo:hi]) + lo
     if len(gathered) == 0:
         return [], 0
 
@@ -247,17 +264,17 @@ def search_approx(
     halves = np.hsplit(q.astype(np.float32)[None], [index.dim // 2])
     scores = _row_scores(_half_products(index, halves, index.table_ids[:, gathered]))[:, 0]
     picked = _top_k(scores, min(k_top, len(gathered)))
-    hits = [
-        SearchHit(index.span(int(gathered[i])), float(scores[i])) for i in picked
-    ]
+    hits = [SearchHit(index.span(int(gathered[i])), float(scores[i])) for i in picked]
     return hits, int(len(gathered))
 
 
 def save_alsh(alsh: AlshIndex, path: str) -> None:
-    p, aug_dim, rows = alsh.params, alsh.hyperplanes.shape[2], alsh.codes.shape[1]
-    header = (p.m, p.U, p.bits_per_table, p.tables, p.seed, alsh.max_norm, aug_dim, rows)
+    p, aug_dim, tables = alsh.params, alsh.hyperplanes.shape[2], alsh.backing.tables
+    sizes = (len(tables[0]), SHARED if len(alsh.max_norms) == 1 else len(tables[1]))
+    header = (p.m, p.U, p.bits_per_table, p.tables, p.seed, aug_dim, *sizes)
     parts = [
         np.array(header, HEADER_DTYPE),
+        np.ascontiguousarray(alsh.max_norms, "<f8"),
         np.ascontiguousarray(alsh.hyperplanes, "<f8"),
         np.ascontiguousarray(alsh.codes, _code_dtype(p.bits_per_table)),
     ]
@@ -266,27 +283,33 @@ def save_alsh(alsh: AlshIndex, path: str) -> None:
 
 def load_alsh(path: str, backing: PhraseIndex) -> AlshIndex:
     with _Reader(path, MAGIC, VERSION) as r:
-        m, U, bits, tables, seed, max_norm, aug_dim, rows = r.record(HEADER_DTYPE, "header")
+        m, U, bits, tables, seed, aug_dim, *sizes = r.record(HEADER_DTYPE, "header")
         params = AlshParams(m=m, U=U, bits_per_table=bits, tables=tables, seed=seed)
         try:
             params.validate()
         except ConfigError as err:
             raise FormatError(f"{path}: {err}", offset=8) from None
-        if not 0 < max_norm < np.inf:  # false for NaN too
-            raise FormatError(f"{path}: max_norm {max_norm} is not finite and positive", offset=36)
-        if backing.kind != "dense" or aug_dim != backing.dim + m:
-            raise FormatError(
-                f"{path}: augmented dim {aug_dim} does not fit backing index "
-                f"(dim {backing.dim} + m {m})",
-                offset=44,
-            )
-        if rows != len(backing):
-            raise FormatError(
-                f"{path}: {rows} rows do not match the backing index's {len(backing)}", offset=48
-            )
+        if backing.kind != "dense" or aug_dim != backing.dim - backing.dim // 2 + m:
+            raise FormatError(f"{path}: augmented dim {aug_dim} does not fit backing index (its "
+                              f"wider half {backing.dim - backing.dim // 2} + m {m})", offset=36)
+        shared = backing.tables[1] is backing.tables[0]
+        expected = (len(backing.tables[0]), SHARED if shared else len(backing.tables[1]))
+        for half, got, want, at in zip(("start", "end"), sizes, expected, (40, 48)):
+            if got != want:
+                got, want = (f"has {n} rows" if n != SHARED else "is the start table"
+                             for n in (got, want))
+                raise FormatError(f"{path}: the {half} table {got}; the backing index's {want}",
+                                  offset=at)
+        hashed = [rows for rows in expected if rows != SHARED]
+        max_norms = r.array("<f8", len(hashed), "max norms")
+        for i, norm in enumerate(max_norms.tolist()):
+            if not 0 < norm < np.inf:  # false for NaN too
+                at = r.pos - max_norms.nbytes + 8 * i
+                raise FormatError(f"{path}: max_norm {norm} is not finite and positive", offset=at)
         planes = r.array("<f8", tables * bits * aug_dim, "hyperplanes")
         if not np.isfinite(planes).all():
             raise FormatError(f"{path}: hyperplanes are not finite", offset=r.pos - planes.nbytes)
+        rows = sum(hashed)
         codes = r.array(_code_dtype(bits), tables * rows, "codes")
         wide = np.flatnonzero(codes > (1 << bits) - 1)
         if len(wide):
@@ -297,6 +320,6 @@ def load_alsh(path: str, backing: PhraseIndex) -> AlshIndex:
             )
         r.finish()
         return AlshIndex(
-            params, max_norm, planes.reshape(tables, bits, aug_dim),
+            params, max_norms, planes.reshape(tables, bits, aug_dim),
             codes.reshape(tables, rows), backing,
         )

@@ -177,13 +177,18 @@ def cmd_alsh_build(args) -> int:
     out = _alsh_sidecar(args.index, args.out)
     save_alsh(alsh, out)
     sizes = np.diff(alsh.indptr)
+    p50, p90 = np.percentile(sizes, [50, 90]).tolist() if len(sizes) else (0.0, 0.0)
     print(
         json.dumps(
             {
                 "tables": params.tables,
+                "hashed_rows": alsh.codes.shape[1],
+                "shared_table": len(alsh.max_norms) == 1,
                 "buckets": len(sizes),
                 "max_bucket": int(sizes.max(initial=0)),
                 "mean_bucket": float(sizes.mean()) if len(sizes) else 0.0,
+                "p50_bucket": p50,
+                "p90_bucket": p90,
                 "out": out,
             }
         )
@@ -339,11 +344,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("alsh-build", help="hash a dense index into an aLSH sidecar")
     p.add_argument("--index", required=True)
-    p.add_argument("--m", type=int, default=2)
-    p.add_argument("--U", type=float, default=0.75)
-    p.add_argument("--bits", type=_positive(int), default=12)
-    p.add_argument("--tables", type=_positive(int), default=32)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--m", type=int, default=AlshParams.m)  # the dataclass defaults
+    p.add_argument("--U", type=float, default=AlshParams.U)
+    p.add_argument("--bits", type=_positive(int), default=AlshParams.bits_per_table)
+    p.add_argument("--tables", type=_positive(int), default=AlshParams.tables)
+    p.add_argument("--seed", type=int, default=AlshParams.seed)
     p.add_argument("--out", help="sidecar path (default: INDEX.alsh)")
     p.set_defaults(func=cmd_alsh_build)
 

@@ -59,6 +59,60 @@ def preprocess_data(x: np.ndarray, max_norm: float, U: float = 0.75, m: int = 2)
     return np.concatenate([scaled, _norm_terms(np.dot(scaled, scaled), m)])
 
 
+def alsh_row_code(alsh, vector: np.ndarray) -> list[int]:
+    """One augmented vector's code in each table: bit j of table t is set when
+    hyperplane j of table t has a positive product with the vector zero-padded
+    to the hyperplanes' width before its last m columns (the norm terms)."""
+    t, b, aug_dim = alsh.hyperplanes.shape
+    m = alsh.params.m
+    head, terms = vector[: len(vector) - m], vector[len(vector) - m :]
+    padded = np.concatenate([head, np.zeros(aug_dim - len(vector)), terms])
+    return [
+        sum(1 << j for j in range(b) if float(alsh.hyperplanes[ti, j] @ padded) > 0)
+        for ti in range(t)
+    ]
+
+
+def alsh_probe_search(alsh, query, k_top: int, doc_id=None) -> tuple[list, int]:
+    """search_approx one table row and one span at a time: ((span, score) hits, probes).
+
+    Each hashed table (the start table, plus the end table unless the index
+    shares one) is scaled by its largest row norm. A span is probed when its
+    start row's code equals q_s's in some table, or its end row's code equals
+    q_e's; its score is the float32 sum of its halves' float32 products, and
+    hits rank by score descending, then ordinal ascending.
+    """
+    index = alsh.backing
+    m, U = alsh.params.m, alsh.params.U
+    shared = index.tables[1] is index.tables[0]
+    codes = []  # per half, each table row's codes
+    for table in index.tables[: 2 - shared]:
+        norms = [float(np.linalg.norm(row.astype(np.float64))) for row in table]
+        top = max(norms, default=0.0) or 1.0
+        codes.append([alsh_row_code(alsh, preprocess_data(row, top, U, m)) for row in table])
+    codes.append(codes[-1])
+    q = np.asarray(query, dtype=np.float64)
+    halves = np.hsplit(q, [index.dim // 2])
+    asked = [alsh_row_code(alsh, np.concatenate([half, np.zeros(m)])) for half in halves]
+    lo, hi = (0, len(index)) if doc_id is None else index.doc_range(doc_id)
+    probed = [
+        i for i in range(lo, hi)
+        if any(
+            any(a == c for a, c in zip(asked[h], codes[h][int(index.table_ids[h, i])]))
+            for h in (0, 1)
+        )
+    ]
+    scored = []
+    for i in probed:
+        parts = [
+            np.float32(half @ table[int(index.table_ids[h, i])].astype(np.float64))
+            for h, (half, table) in enumerate(zip(halves, index.tables))
+        ]
+        scored.append((-float(parts[0] + parts[1]), i))
+    scored.sort()
+    return [(index.span(i), -neg) for neg, i in scored[:k_top]], len(probed)
+
+
 def csr_postings(postings: dict, num_terms: int) -> tuple:
     """The CSR triple (indptr, ordinals, weights) of a term id -> (ordinals, weights) dict."""
     empty = (np.empty(0, np.uint64), np.empty(0, np.float32))

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from phraseindex import alsh as alsh_module
 from phraseindex.alsh import (
     AlshParams,
-    _distinct,
     _norm_terms,
     _pack_codes,
     build_alsh,
@@ -19,9 +18,9 @@ from phraseindex.alsh import (
     search_approx,
 )
 from phraseindex.errors import ConfigError, FormatError
-from phraseindex.index import METADATA_DTYPE, _top_k, search_exact
+from phraseindex.index import METADATA_DTYPE, SHARED, search_exact
 
-from .oracles import preprocess_data, vectors_index
+from .oracles import alsh_probe_search, preprocess_data, vectors_index
 from .test_index import make_meta, quantized, sparse_fixture
 
 
@@ -29,13 +28,38 @@ def dense_fixture(n=120, dim=12, seed=77):
     return vectors_index(make_meta([n]), quantized((n, dim), seed))
 
 
+def shared_fixture(docs=(9, 6), half=3, seed=5):
+    """An index shaped as an encoder builds one: span (s, e) of a document with
+    words W is [W[s], W[e]], spans of up to 3 words, and no two words alike
+    (column 0 counts them), so the start and end tables are one shared table."""
+    meta, rows, base = [], [], 0
+    words = quantized((sum(docs), half), seed)
+    words[:, 0] = np.arange(len(words)) / 16
+    for doc_id, n in enumerate(docs):
+        for s in range(n):
+            for e in range(s, min(s + 3, n)):
+                meta.append((doc_id, s, e))
+                rows.append(np.concatenate([words[base + s], words[base + e]]))
+        base += n
+    vectors = np.array(rows, dtype=np.float32).reshape(len(rows), 2 * half)
+    index = vectors_index(np.array(meta, dtype=METADATA_DTYPE), vectors)
+    assert index.tables[1] is index.tables[0]
+    return index
+
+
 def bucket_dicts(alsh):
-    """The index's buckets as one code -> ordinals dict per table, read off its keys."""
+    """The index's buckets as one code -> hashed rows dict per table, read off its keys."""
     b = alsh.params.bits_per_table
     tables = [{} for _ in range(alsh.params.tables)]
     for i, key in enumerate(alsh.keys.tolist()):
-        tables[key >> b][key & ((1 << b) - 1)] = alsh.ordinals[alsh.indptr[i] : alsh.indptr[i + 1]]
+        tables[key >> b][key & ((1 << b) - 1)] = alsh.rows[alsh.indptr[i] : alsh.indptr[i + 1]]
     return tables
+
+
+def table_norms(index):
+    """Each hashed table's largest row norm: the start table, then the end table unless shared."""
+    hashed = index.tables[: 2 - (index.tables[1] is index.tables[0])]
+    return [float(np.linalg.norm(t.astype(np.float64), axis=1).max()) for t in hashed]
 
 
 # ------------------------------------------------------------- preprocessing
@@ -118,19 +142,20 @@ def test_build_requires_dense_index():
 def test_buckets_partition_every_table():
     dense = dense_fixture()
     alsh = build_alsh(dense, AlshParams(bits_per_table=3, tables=4, seed=9))
-    assert alsh.max_norm == pytest.approx(
-        float(np.linalg.norm(dense.vectors.astype(np.float64), axis=1).max())
-    )
+    hashed = len(dense.tables[0]) + len(dense.tables[1])  # two tables: both are hashed
+    assert alsh.codes.shape == (4, hashed)
+    assert alsh.max_norms.tolist() == table_norms(dense)
     np.testing.assert_allclose(np.linalg.norm(alsh.hyperplanes, axis=2), 1.0, rtol=1e-12)
-    assert alsh.keys.dtype == np.uint64 and alsh.ordinals.dtype == np.uint32
+    assert alsh.keys.dtype == np.uint64 and alsh.rows.dtype == np.uint32
     assert np.all(alsh.keys[1:] > alsh.keys[:-1])
-    assert alsh.indptr[0] == 0 and alsh.indptr[-1] == 4 * len(dense)
-    assert not any(a.flags.writeable for a in (alsh.keys, alsh.indptr, alsh.ordinals))
+    assert alsh.indptr[0] == 0 and alsh.indptr[-1] == 4 * hashed
+    derived = (alsh.keys, alsh.indptr, alsh.rows, alsh.span_ptr, alsh.spans)
+    assert not any(a.flags.writeable for a in derived)
     for ti, (table, keys) in enumerate(zip(bucket_dicts(alsh), alsh.buckets)):
         np.testing.assert_array_equal(keys >> np.uint64(3), ti)  # the table's view of keys
         assert len(keys) == len(table)
         members = np.sort(np.concatenate(list(table.values())))
-        np.testing.assert_array_equal(members, np.arange(len(dense), dtype=np.uint64))
+        np.testing.assert_array_equal(members, np.arange(hashed, dtype=np.uint64))
         for code, ords in table.items():
             assert 0 <= code < 2**3
             assert np.all(np.diff(ords.astype(np.int64)) > 0)  # ascending, unique
@@ -142,7 +167,7 @@ def test_build_is_seed_deterministic():
     b = build_alsh(dense, AlshParams(seed=4, tables=3))
     c = build_alsh(dense, AlshParams(seed=5, tables=3))
     assert np.array_equal(a.hyperplanes, b.hyperplanes)
-    for name in ("keys", "indptr", "ordinals"):
+    for name in ("keys", "indptr", "rows"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
     assert not np.array_equal(a.hyperplanes, c.hyperplanes)
 
@@ -150,7 +175,7 @@ def test_build_is_seed_deterministic():
 def test_build_empty_index():
     empty = vectors_index(np.zeros(0, dtype=METADATA_DTYPE), np.zeros((0, 4), dtype=np.float32))
     alsh = build_alsh(empty, AlshParams(tables=2, bits_per_table=4))
-    assert alsh.max_norm == 1.0
+    assert alsh.max_norms.tolist() == [1.0]  # an empty start and end table are one table
     assert [len(t) for t in alsh.buckets] == [0, 0]
     assert alsh.indptr.tolist() == [0]
     assert search_approx(alsh, np.ones(4, dtype=np.float32)) == ([], 0)
@@ -204,15 +229,20 @@ def test_search_validation():
 
 
 def test_zero_query_rescores_the_code_zero_buckets():
-    """A zero question probes bucket 0 of every table; each probe scores 0, as in
-    an exact search, so the hits are the lowest probed ordinals."""
+    """Both halves of a zero question probe bucket 0 of every table: the spans
+    whose start row or end row (numbered after the start table's) is in one.
+    Each probe scores 0, as in an exact search, so the hits are the lowest
+    probed ordinals."""
     dense = dense_fixture(n=40, dim=6)
     alsh = build_alsh(dense, AlshParams(tables=4, bits_per_table=4))
-    probed = _distinct([table[0] for table in bucket_dicts(alsh) if 0 in table])
-    assert probed.tolist() == [0, 7, 8, 16, 17, 19, 20, 21, 24, 25, 27, 38]
+    rows = np.unique(np.concatenate([table[0] for table in bucket_dicts(alsh) if 0 in table]))
+    start, end = dense.table_ids.astype(np.int64)
+    end += len(dense.tables[0])
+    probed = np.flatnonzero(np.isin(start, rows) | np.isin(end, rows))
+    assert probed.tolist() == [2, 3, 7, 10, 12, 14, 15, 17, 19, 21, 24, 25, 28, 30, 33, 35, 37]
     hits, probes = search_approx(alsh, np.zeros(6), k_top=3)
-    assert probes == 12
-    assert [(h.span.s, h.score) for h in hits] == [(0, 0.0), (7, 0.0), (8, 0.0)]
+    assert probes == 17
+    assert [(h.span.s, h.score) for h in hits] == [(2, 0.0), (3, 0.0), (7, 0.0)]
 
 
 def _recall_at_1(alsh, dense, queries):
@@ -245,22 +275,23 @@ def test_more_tables_do_not_lose_recall():
 
 
 def test_sidecar_round_trip_is_bit_exact(tmp_path):
-    dense = dense_fixture(n=64, dim=8, seed=17)
-    alsh = build_alsh(dense, AlshParams(bits_per_table=4, tables=3, seed=11))
-    path = str(tmp_path / "x.alsh")
-    save_alsh(alsh, path)
-    loaded = load_alsh(path, dense)
-    assert loaded.params == alsh.params
-    assert loaded.max_norm == alsh.max_norm
-    assert np.array_equal(loaded.hyperplanes, alsh.hyperplanes)
-    assert np.array_equal(loaded.codes, alsh.codes)
-    for name in ("keys", "indptr", "ordinals"):
-        assert np.array_equal(getattr(loaded, name), getattr(alsh, name)), name
-    path2 = tmp_path / "y.alsh"
-    save_alsh(loaded, str(path2))
-    assert path2.read_bytes() == (tmp_path / "x.alsh").read_bytes()
-    q = quantized(8, 3)
-    assert search_approx(loaded, q, k_top=5) == search_approx(alsh, q, k_top=5)
+    """Over two tables (an odd dim) and over one shared table."""
+    for dense in (dense_fixture(n=64, dim=7, seed=17), shared_fixture()):
+        alsh = build_alsh(dense, AlshParams(bits_per_table=4, tables=3, seed=11))
+        path = str(tmp_path / "x.alsh")
+        save_alsh(alsh, path)
+        loaded = load_alsh(path, dense)
+        assert loaded.params == alsh.params
+        assert np.array_equal(loaded.max_norms, alsh.max_norms)
+        assert np.array_equal(loaded.hyperplanes, alsh.hyperplanes)
+        assert np.array_equal(loaded.codes, alsh.codes)
+        for name in ("keys", "indptr", "rows", "span_ptr", "spans"):
+            assert np.array_equal(getattr(loaded, name), getattr(alsh, name)), name
+        path2 = tmp_path / "y.alsh"
+        save_alsh(loaded, str(path2))
+        assert path2.read_bytes() == (tmp_path / "x.alsh").read_bytes()
+        q = quantized(dense.dim, 3)
+        assert search_approx(loaded, q, k_top=5) == search_approx(alsh, q, k_top=5)
 
 
 def _saved(tmp_path, alsh):
@@ -298,9 +329,11 @@ def test_load_rejects_a_backing_index_of_another_size(tmp_path):
     dense = dense_fixture(n=16, dim=4)
     path, _ = _saved(tmp_path, build_alsh(dense, AlshParams(tables=1, bits_per_table=2)))
     shrunk = vectors_index(make_meta([4]), dense.vectors[:4])
-    with pytest.raises(FormatError, match="16 rows do not match the backing index's 4") as err:
+    rows = len(dense.tables[0])
+    with pytest.raises(FormatError, match=f"start table has {rows} rows; the backing index's "
+                                          "has 4 rows") as err:
         load_alsh(str(path), shrunk)
-    assert err.value.offset == 48
+    assert err.value.offset == 40
 
 
 @pytest.mark.parametrize("keep", [0, 2, 6, 20, 45, 80])
@@ -327,12 +360,17 @@ def test_load_rejects_trailing_data(tmp_path):
         # Table 1's code of row 5: the last 16 bytes are its codes, u8 at 3 bits.
         pytest.param(-16 + 5, np.uint8(8), "code 8 of table 1 is wider than 3 bits",
                      id="code too wide"),
-        pytest.param(48, np.uint64(15), "15 rows do not match the backing index's 16",
+        pytest.param(48, np.uint64(15), "end table has 15 rows; the backing index's has 16 rows",
                      id="rows mismatch"),
+        pytest.param(40, np.uint64(17), "start table has 17 rows; the backing index's has 16",
+                     id="start rows mismatch"),
+        pytest.param(48, np.uint64(SHARED), "end table is the start table; the backing index's "
+                     "has 16 rows", id="shared, backing unshared"),
     ],
 )
 def test_load_rejects_malformed_table(tmp_path, at, value, message):
     dense = dense_fixture(n=16, dim=4)
+    assert len(dense.tables[0]) == len(dense.tables[1]) == 16
     path, raw = _saved(tmp_path, build_alsh(dense, AlshParams(tables=2, bits_per_table=3)))
     at %= len(raw)
     raw[at : at + value.nbytes] = value.tobytes()
@@ -340,6 +378,20 @@ def test_load_rejects_malformed_table(tmp_path, at, value, message):
     with pytest.raises(FormatError, match=message) as err:
         load_alsh(str(path), dense)
     assert err.value.offset == at
+
+
+def test_load_rejects_two_tables_over_a_shared_one(tmp_path):
+    """A sidecar over one shared table, its end-table count set to the start
+    table's, does not match the layout of the index it was built from."""
+    shared = shared_fixture()
+    path, raw = _saved(tmp_path, build_alsh(shared, AlshParams(tables=2, bits_per_table=3)))
+    rows = len(shared.tables[0])
+    raw[48:56] = np.uint64(rows).tobytes()
+    path.write_bytes(raw)
+    with pytest.raises(FormatError, match=f"end table has {rows} rows; the backing index's is "
+                                          "the start table") as err:
+        load_alsh(str(path), shared)
+    assert err.value.offset == 48
 
 
 @pytest.mark.parametrize(
@@ -382,7 +434,7 @@ def test_bucket_keys_fill_a_u64_and_no_more(tmp_path):
     assert search_approx(loaded, q, k_top=3) == search_approx(widest, q, k_top=3)
 
 
-@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("version", [1, 2, 3])
 def test_load_rejects_old_versions(tmp_path, version):
     dense = dense_fixture(n=16, dim=4)
     path, raw = _saved(tmp_path, build_alsh(dense, AlshParams(tables=1, bits_per_table=2)))
@@ -407,7 +459,7 @@ def test_load_rejects_old_versions(tmp_path, version):
 def test_load_rejects_unusable_floats(tmp_path, field, value, needle):
     dense = dense_fixture(n=16, dim=4)
     path, raw = _saved(tmp_path, build_alsh(dense, AlshParams(tables=2, bits_per_table=2)))
-    at = 36 if field == "max_norm" else 56  # the field, or the first hyperplane
+    at = 64 if field == "max_norm" else 72  # the end table's norm, or the first hyperplane
     where = at if field == "max_norm" else at + 8 * 5  # a value inside the block
     struct.pack_into("<d", raw, where, value)
     path.write_bytes(raw)
@@ -420,65 +472,37 @@ def test_load_rejects_unusable_floats(tmp_path, field, value, needle):
 
 
 def _reference_build(index, params):
-    """The per-bucket dict build the flat tables replaced: (max_norm, planes, dicts)."""
-    n = len(index)
+    """The per-bucket dict build over the hashed table rows: (max_norms, planes, dicts).
+
+    Each hashed table (the start table, then the end table unless the index
+    shares one) is scaled by its own largest row norm and hashed in one block,
+    its rows zero-padded to the hyperplanes' width before the norm terms; a
+    bucket holds hashed rows, numbered start table first."""
     t, b, m = params.tables, params.bits_per_table, params.m
-    aug_dim = index.dim + m
-    norms = np.linalg.norm(index.vectors.astype(np.float64), axis=1) if n else np.zeros(0)
-    max_norm = float(norms.max()) if n and norms.max() > 0 else 1.0
+    aug_dim = index.dim - index.dim // 2 + m
     rng = np.random.Generator(np.random.Philox(key=params.seed))
     hyperplanes = rng.normal(size=(t, b, aug_dim))
     if b:
         hyperplanes /= np.linalg.norm(hyperplanes, axis=2, keepdims=True)
-    codes = np.zeros((t, n), dtype=np.uint64)
-    if b and n:
-        flat = hyperplanes.reshape(t * b, aug_dim)
-        scale = params.U / max_norm
-        step = max(1, (1 << 21) // max(1, aug_dim))
-        for start in range(0, n, step):
-            stop = min(n, start + step)
-            scaled = index.vectors[start:stop].astype(np.float64) * scale
-            aug = np.concatenate(
-                [scaled, _norm_terms((scaled * scaled).sum(axis=1), m)], axis=1
-            )
-            proj = aug @ flat.T
-            for ti in range(t):
-                codes[ti, start:stop] = _pack_codes(proj[:, ti * b : (ti + 1) * b], b)
+    flat = hyperplanes.reshape(t * b, aug_dim)
+    max_norms, codes = [], [np.zeros((t, 0), dtype=np.uint64)]
+    for table in index.tables[: 2 - (index.tables[1] is index.tables[0])]:
+        norms = np.linalg.norm(table.astype(np.float64), axis=1)
+        max_norms.append(float(norms.max()) if len(table) and norms.max() > 0 else 1.0)
+        scaled = table.astype(np.float64) * (params.U / max_norms[-1])
+        pad = np.zeros((len(table), aug_dim - m - table.shape[1]))
+        aug = np.concatenate([scaled, pad, _norm_terms((scaled * scaled).sum(axis=1), m)], axis=1)
+        proj = aug @ flat.T
+        codes.append(np.array([_pack_codes(proj[:, ti * b : (ti + 1) * b], b) for ti in range(t)]))
+    codes = np.concatenate(codes, axis=1)
     buckets = []
     for ti in range(t):
         table = {}
-        if n:
-            order = np.argsort(codes[ti], kind="stable")
-            sorted_codes = codes[ti][order]
-            bounds = np.flatnonzero(np.r_[True, sorted_codes[1:] != sorted_codes[:-1]])
-            for i, lo in enumerate(bounds):
-                hi = bounds[i + 1] if i + 1 < len(bounds) else n
-                table[int(sorted_codes[lo])] = order[lo:hi].astype(np.uint64)
+        order = np.argsort(codes[ti], kind="stable")
+        for code in np.unique(codes[ti]).tolist():
+            table[code] = order[codes[ti][order] == code].astype(np.uint64)
         buckets.append(table)
-    return max_norm, hyperplanes, buckets
-
-
-def _reference_search(params, hyperplanes, buckets, index, q, k_top, doc_id):
-    """One code and one dict lookup per table, as before the batched codes."""
-    q_aug = preprocess_query(q, params.m)
-    parts = []
-    b = params.bits_per_table
-    for ti in range(params.tables):
-        code = int(_pack_codes(hyperplanes[ti] @ q_aug, b)) if b else 0
-        hit = buckets[ti].get(code)
-        if hit is not None:
-            parts.append(hit)
-    if not parts:
-        return [], 0
-    gathered = np.unique(np.concatenate(parts)).astype(np.int64)
-    if doc_id is not None:
-        lo, hi = index.doc_range(doc_id)
-        gathered = gathered[(gathered >= lo) & (gathered < hi)]
-    if len(gathered) == 0:
-        return [], 0
-    scores = np.ascontiguousarray(index.vectors[gathered]) @ q.astype(np.float32)
-    picked = _top_k(scores, min(k_top, len(gathered)))
-    return [(index.span(int(gathered[i])), float(scores[i])) for i in picked], len(gathered)
+    return max_norms, hyperplanes, buckets
 
 
 @settings(max_examples=60, deadline=None)
@@ -497,57 +521,73 @@ def test_flat_tables_match_dict_reference(docs, dim, m, U, bits, tables, seed):
     index = vectors_index(make_meta(docs), quantized((n, dim), seed))
     params = AlshParams(m=m, U=U, bits_per_table=bits, tables=tables, seed=seed)
     alsh = build_alsh(index, params)
-    max_norm, hyperplanes, reference = _reference_build(index, params)
-    assert alsh.max_norm == max_norm
+    max_norms, hyperplanes, reference = _reference_build(index, params)
+    assert alsh.max_norms.tolist() == max_norms
     assert np.array_equal(alsh.hyperplanes, hyperplanes)
     assert len(alsh.buckets) == tables
     for table, ref in zip(bucket_dicts(alsh), reference):
         assert list(table) == sorted(ref)
-        for code, ords in ref.items():
+        for code, rows in ref.items():
             assert table[code].dtype == np.uint32
-            np.testing.assert_array_equal(table[code], ords)
+            np.testing.assert_array_equal(table[code], rows)
     for qseed in range(3):
         q = quantized(dim, seed + 1 + qseed)
-        if not q.any():
-            continue
         for doc_id in (None, qseed % len(docs)):
             hits, probes = search_approx(alsh, q, k_top=3, doc_id=doc_id)
-            expected = _reference_search(params, hyperplanes, reference, index, q, 3, doc_id)
+            expected = alsh_probe_search(alsh, q, 3, doc_id)
             assert ([(h.span, h.score) for h in hits], probes) == expected
 
 
 def test_build_over_several_chunks_matches_dict_reference():
     """A patched budget makes the build hash in chunks of 15 rows; the largest is last.
 
-    The reference hashes all 40 rows in one chunk, so the codes cannot depend
-    on the chunking."""
+    The reference hashes each table's 40 rows in one chunk, so the codes cannot
+    depend on the chunking."""
     dim = 8
     vectors = quantized((40, dim), 12)
     vectors[-1] *= 2
     index = vectors_index(make_meta([40]), vectors)
     params = AlshParams(bits_per_table=3, tables=2, seed=6)
-    budget = 15 * 8 * (dim + params.m)  # 15 rows of the augmented float64 block
+    budget = 15 * 8 * (dim // 2 + params.m)  # 15 rows of the augmented float64 block
     with mock.patch.object(alsh_module, "_HASH_CHUNK_BYTES", budget):
         alsh = build_alsh(index, params)
-    max_norm, _, reference = _reference_build(index, params)
-    assert alsh.max_norm == max_norm
+    max_norms, _, reference = _reference_build(index, params)
+    assert alsh.max_norms.tolist() == max_norms
     for table, ref in zip(bucket_dicts(alsh), reference):
         assert list(table) == sorted(ref)
-        assert all(np.array_equal(table[code], ords) for code, ords in ref.items())
+        assert all(np.array_equal(table[code], rows) for code, rows in ref.items())
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.lists(st.integers(0, 60), min_size=1, max_size=12, unique=True),
-                min_size=1, max_size=8))
-def test_distinct_matches_np_unique_of_the_buckets(buckets):
-    """Buckets as the tables hold them: ascending, non-empty, read-only u32 runs
-    that share ordinals with each other."""
-    parts = []
-    for bucket in buckets:
-        part = np.array(sorted(bucket), dtype=np.uint32)
-        part.flags.writeable = False
-        parts.append(part)
-    got = _distinct(parts)
-    expected = np.unique(np.concatenate(parts)).astype(np.int64)
-    assert got.dtype == np.int64
-    assert got.tolist() == expected.tolist()
+@settings(max_examples=60, deadline=None)
+@given(
+    docs=st.lists(st.integers(0, 9), min_size=1, max_size=3),
+    kind=st.sampled_from(["shared", "filtered", "unshared"]),
+    dim=st.integers(1, 7),
+    bits=st.integers(0, 8),
+    tables=st.integers(1, 4),
+    k_top=st.integers(1, 6),
+    seed=st.integers(0, 2**16),
+)
+def test_search_approx_matches_the_probe_oracle(docs, kind, dim, bits, tables, k_top, seed):
+    """Probes, hits and score bits equal the one-span-at-a-time oracle's on an
+    encoder-shaped index (one shared table), a filtered one and random rows of
+    dims 1-7 (two tables); with zero bits every span is probed, as search_exact
+    scores them."""
+    if kind == "unshared":
+        index = vectors_index(make_meta(docs), quantized((sum(docs), dim), seed))
+    else:
+        index = shared_fixture(docs, half=1 + dim // 2, seed=seed)
+        if kind == "filtered":
+            keep = quantized(len(index), seed + 1) > 0
+            index = vectors_index(index.metadata[keep], index.vectors[keep])
+    alsh = build_alsh(index, AlshParams(bits_per_table=bits, tables=tables, seed=seed))
+    for qseed in range(2):
+        q = quantized(index.dim, seed + 7 + qseed)
+        for doc_id in (None, qseed % len(docs)):
+            hits, probes = search_approx(alsh, q, k_top=k_top, doc_id=doc_id)
+            got = [(h.span, h.score) for h in hits]
+            assert (got, probes) == alsh_probe_search(alsh, q, k_top, doc_id)
+            assert len(hits) <= probes <= len(index)
+            if bits == 0:
+                exact = search_exact(index, q, k_top=k_top, doc_id=doc_id)
+                assert got == [(h.span, h.score) for h in exact]

@@ -8,7 +8,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from phraseindex.alsh import load_alsh
+from phraseindex.alsh import AlshParams, load_alsh
 from phraseindex.cli import main
 from phraseindex.corpus import load_squad
 from phraseindex.encode.wordvectors import read_word_vectors
@@ -128,12 +128,26 @@ def test_alsh_build_reports_bucket_sizes(ws, tmp_path):
     )
     assert rc == 0
     report = json.loads(out)
-    codes = load_alsh(out_path, load_index(ws["dense"])).codes
+    index = load_index(ws["dense"])
+    codes = load_alsh(out_path, index).codes
     sizes = [count for row in codes for count in np.unique(row, return_counts=True)[1]]
     assert report["buckets"] == len(sizes)
     assert report["max_bucket"] == max(sizes)
     assert report["mean_bucket"] == pytest.approx(sum(sizes) / len(sizes))
-    assert sum(sizes) == 3 * 504  # every candidate once per table
+    assert report["p50_bucket"] == np.percentile(sizes, 50)
+    assert report["p90_bucket"] == np.percentile(sizes, 90)
+    # An encoder-built index shares one table: each of its rows once per table.
+    assert report["shared_table"] is True and index.tables[1] is index.tables[0]
+    assert report["hashed_rows"] == len(index.tables[0]) < len(index) == 504
+    assert sum(sizes) == 3 * report["hashed_rows"]
+
+
+def test_alsh_build_defaults_are_alsh_params_defaults(ws, tmp_path):
+    out_path = str(tmp_path / "side.alsh")
+    rc, out, _ = run("alsh-build", "--index", ws["dense"], "--out", out_path)
+    assert rc == 0
+    assert json.loads(out)["tables"] == AlshParams().tables
+    assert load_alsh(out_path, load_index(ws["dense"])).params == AlshParams()
 
 
 def test_eval_sparse_writes_metrics(ws, tmp_path):

@@ -21,8 +21,8 @@ pytestmark = pytest.mark.filterwarnings(
 @pytest.fixture(scope="module")
 def formats(tmp_path_factory, mini_corpus, sparse_index, dense_index):
     """Bytes and loader of a sparse .idx, a dense .idx (one shared table), a
-    filtered dense .idx (two tables), an .alsh and an .flt built from
-    mini_squad.json, plus a scratch path to write mutations to."""
+    filtered dense .idx (two tables), an .alsh over each dense index and an
+    .flt built from mini_squad.json, plus a scratch path to write mutations to."""
     root = tmp_path_factory.mktemp("fuzz")
     save_index(sparse_index, str(root / "sparse.idx"))
     save_index(dense_index, str(root / "dense.idx"))
@@ -33,11 +33,14 @@ def formats(tmp_path_factory, mini_corpus, sparse_index, dense_index):
     filtered = apply_filter(dense_index, filt, float(np.median(filt.score(dense_index.vectors))))[0]
     assert filtered.tables[1] is not filtered.tables[0]
     save_index(filtered, str(root / "filtered.idx"))
+    alsh = build_alsh(filtered, AlshParams(bits_per_table=6, tables=4, seed=9))
+    save_alsh(alsh, str(root / "filtered.alsh"))
     loaders = {
         "sparse.idx": load_index,
         "dense.idx": load_index,
         "filtered.idx": load_index,
         "dense.alsh": lambda path: load_alsh(path, dense_index),
+        "filtered.alsh": lambda path: load_alsh(path, filtered),
         "dense.flt": load_filter,
     }
     files = {name: ((root / name).read_bytes(), load) for name, load in loaders.items()}
@@ -64,7 +67,7 @@ def test_dense_file_with_indexes_no_save_would_write_re_saves_verbatim(formats, 
 
 
 @pytest.mark.parametrize(
-    "name", ["sparse.idx", "dense.idx", "filtered.idx", "dense.alsh", "dense.flt"]
+    "name", ["sparse.idx", "dense.idx", "filtered.idx", "dense.alsh", "filtered.alsh", "dense.flt"]
 )
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
@@ -83,7 +86,8 @@ def test_mutated_file_loads_or_raises_format_error(formats, name, data):
         loaded = load(str(path))
     except FormatError:
         return
-    save = {"dense.idx": save_index, "filtered.idx": save_index, "dense.alsh": save_alsh}.get(name)
+    save = {"dense.idx": save_index, "filtered.idx": save_index, "dense.alsh": save_alsh,
+            "filtered.alsh": save_alsh}.get(name)
     if save:
         save(loaded, str(path))
         assert path.read_bytes() == bytes(mutated[:cut])

@@ -123,8 +123,10 @@ def test_alsh_build_holds_codes_tables_and_the_hashing_budget():
     index = synthetic_dense_index(20_000, 128)
     params = alsh_module.AlshParams()
     built, peak = traced_peak(lambda: alsh_module.build_alsh(index, params))
-    codes = params.tables * len(index) * 2  # 12-bit codes are stored as uint16
-    tables = built.keys.nbytes + built.indptr.nbytes + built.ordinals.nbytes
+    # 12-bit codes are stored as uint16, one a table and row of the two hashed tables.
+    codes = params.tables * (len(index.tables[0]) + len(index.tables[1])) * 2
+    derived = (built.keys, built.indptr, built.rows, built.span_ptr, built.spans)
+    tables = sum(a.nbytes for a in derived)
     hashing = 4 * alsh_module._HASH_CHUNK_BYTES  # see _HASH_CHUNK_BYTES
     assert peak <= codes + tables + built.hyperplanes.nbytes + hashing
 
