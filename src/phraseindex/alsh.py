@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import ConfigError, FormatError
 from .index import SHARED, PhraseIndex, SearchHit, _half_products, _Reader, _row_scores
-from .index import _top_k, _write
+from .index import _table_sizes, _top_k, _write
 
 MAGIC = b"PQAH"
 VERSION = 4
@@ -269,8 +269,7 @@ def search_approx(
 
 
 def save_alsh(alsh: AlshIndex, path: str) -> None:
-    p, aug_dim, tables = alsh.params, alsh.hyperplanes.shape[2], alsh.backing.tables
-    sizes = (len(tables[0]), SHARED if len(alsh.max_norms) == 1 else len(tables[1]))
+    p, aug_dim, sizes = alsh.params, alsh.hyperplanes.shape[2], _table_sizes(alsh.backing)
     header = (p.m, p.U, p.bits_per_table, p.tables, p.seed, aug_dim, *sizes)
     parts = [
         np.array(header, HEADER_DTYPE),
@@ -292,8 +291,7 @@ def load_alsh(path: str, backing: PhraseIndex) -> AlshIndex:
         if backing.kind != "dense" or aug_dim != backing.dim - backing.dim // 2 + m:
             raise FormatError(f"{path}: augmented dim {aug_dim} does not fit backing index (its "
                               f"wider half {backing.dim - backing.dim // 2} + m {m})", offset=36)
-        shared = backing.tables[1] is backing.tables[0]
-        expected = (len(backing.tables[0]), SHARED if shared else len(backing.tables[1]))
+        expected = _table_sizes(backing)
         for half, got, want, at in zip(("start", "end"), sizes, expected, (40, 48)):
             if got != want:
                 got, want = (f"has {n} rows" if n != SHARED else "is the start table"

@@ -10,6 +10,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import math
 import os
 import signal
 import sys
@@ -46,12 +47,14 @@ def _load_word_vectors(path: str | None):
 
 
 def _positive(cast):
-    """argparse type: a cast value above zero; any other value is a usage error."""
+    """argparse type: a finite cast value above zero; any other value is a usage error."""
 
     def parse(text: str):
         value = cast(text)
         if not value > 0:  # NaN too
             raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+        if value == math.inf:
+            raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
         return value
 
     parse.__name__ = cast.__name__  # argparse names it in "invalid int value"

@@ -1,23 +1,29 @@
-"""SQuAD-format corpus ingestion: tokenization and gold-answer alignment.
+r"""SQuAD-format corpus ingestion: tokenization and gold-answer alignment.
 
-The tokenizer is deliberately simple and is the single source of token
-indices for the whole engine: split on Unicode whitespace, peel leading and
-trailing punctuation characters off each chunk as their own tokens, lowercase.
-Character offsets always index the original text, so spans can be rendered
-back with their original casing and punctuation.
+The tokenizer is the single source of token indices for the whole engine. One
+regex pass, r"\S+", cuts text into chunks at whitespace (re's \s is exactly
+str.isspace); punctuation characters peel off a chunk's ends as tokens of their
+own, unless both ends are alphanumeric (no alphanumeric character is punctuation;
+the tests check both facts on every code point); tokens are lowercased. Offsets
+index the original text, so spans render with their original casing and punctuation.
 """
 
 from __future__ import annotations
 
+import bisect
 import json
+import operator
+import re
 import string
 import unicodedata
 from dataclasses import dataclass, field
 
 from .candidates import CandidateSpan
 from .errors import SchemaError
+from .evaluation import normalize_answer
 
 _ASCII_PUNCT = set(string.punctuation)
+_CHUNK = re.compile(r"\S+")
 
 
 def _is_punct(ch: str) -> bool:
@@ -31,34 +37,20 @@ def tokenize(text: str) -> tuple[list[str], list[tuple[int, int]]]:
     chunk become single-character tokens of their own. Deterministic, and
     empty input yields empty lists.
     """
-    tokens: list[str] = []
     offsets: list[tuple[int, int]] = []
-    i, n = 0, len(text)
-    while i < n:
-        if text[i].isspace():
-            i += 1
-            continue
-        j = i
-        while j < n and not text[j].isspace():
-            j += 1
-        # Chunk is text[i:j]; peel punctuation off both ends.
-        lo, hi = i, j
-        while lo < hi and _is_punct(text[lo]):
-            tokens.append(text[lo].lower())
-            offsets.append((lo, lo + 1))
-            lo += 1
-        trailing: list[tuple[int, int]] = []
-        while hi > lo and _is_punct(text[hi - 1]):
-            trailing.append((hi - 1, hi))
-            hi -= 1
-        if lo < hi:
-            tokens.append(text[lo:hi].lower())
+    for chunk in _CHUNK.finditer(text):
+        lo, hi = a, b = chunk.span()  # [a, b) becomes the middle between the peeled ends
+        if text[lo].isalnum() and text[hi - 1].isalnum():
             offsets.append((lo, hi))
-        for a, b in reversed(trailing):
-            tokens.append(text[a].lower())
-            offsets.append((a, b))
-        i = j
-    return tokens, offsets
+            continue
+        while a < b and _is_punct(text[a]):
+            a += 1
+        while b > a and _is_punct(text[b - 1]):
+            b -= 1
+        offsets += [(i, i + 1) for i in range(lo, a)]
+        offsets += [(a, b)] if a < b else []
+        offsets += [(i, i + 1) for i in range(b, hi)]
+    return [text[a:b].lower() for a, b in offsets], offsets
 
 
 @dataclass(frozen=True)
@@ -121,20 +113,16 @@ def align_answer(
     """Minimal token span covering chars [answer_start, answer_start+len).
 
     Returns None when the char range intersects no token (e.g. it falls
-    entirely in whitespace); callers count such failures.
+    entirely in whitespace); callers count such failures. The offsets are
+    ordered and disjoint, so the tokens overlapping the range are one run.
     """
     if answer_start < 0 or answer_start >= len(doc.raw_text):
         return None
     answer_end = answer_start + len(answer_text)  # exclusive
-    s = e = None
-    for i, (a, b) in enumerate(doc.char_offsets):
-        if b > answer_start and a < answer_end:
-            if s is None:
-                s = i
-            e = i
-    if s is None:
-        return None
-    return CandidateSpan(doc.doc_id, s, e)
+    # The first token ending past answer_start, and the last starting before answer_end.
+    s = bisect.bisect_right(doc.char_offsets, answer_start, key=operator.itemgetter(1))
+    e = bisect.bisect_left(doc.char_offsets, answer_end, key=operator.itemgetter(0)) - 1
+    return CandidateSpan(doc.doc_id, s, e) if s <= e else None
 
 
 _JSON_TYPES = {list: "an array", str: "a string", int: "an integer"}
@@ -158,8 +146,6 @@ def load_squad(path: str) -> Corpus:
     answer strings, so that spans are usable as exact training labels. The
     raw answer strings are always kept for string-level evaluation.
     """
-    from .evaluation import normalize_answer  # deferred: evaluation builds on corpus types
-
     try:
         with open(path, encoding="utf-8") as f:
             data = json.load(f)
@@ -190,26 +176,17 @@ def load_squad(path: str) -> Corpus:
                 qid = _require(qa, "id", qpath, str)
                 answers = _require(qa, "answers", qpath, list)
                 q_tokens, _ = tokenize(question)
-                gold_answers: list[str] = []
-                gold_spans: list[CandidateSpan] = []
-                gold_norms: set[str] = set()
                 for ni, ans in enumerate(answers):
-                    text = _require(ans, "text", f"{qpath}.answers[{ni}]", str)
+                    _require(ans, "text", f"{qpath}.answers[{ni}]", str)
                     _require(ans, "answer_start", f"{qpath}.answers[{ni}]", int)
-                    gold_answers.append(text)
-                    gold_norms.add(" ".join(normalize_answer(text)))
-                seen: set[CandidateSpan] = set()
+                gold_answers = [ans["text"] for ans in answers]
+                golds = {tuple(normalize_answer(text)) for text in gold_answers}  # normalized
+                gold_spans: list[CandidateSpan] = []
                 for ans in answers:
                     span = align_answer(doc, ans["text"], ans["answer_start"])
-                    if span is None:
+                    if span is None or tuple(normalize_answer(doc.span_text(span))) not in golds:
                         failures += 1
-                        continue
-                    norm = " ".join(normalize_answer(doc.span_text(span)))
-                    if norm not in gold_norms:
-                        failures += 1
-                        continue
-                    if span not in seen:
-                        seen.add(span)
+                    elif span not in gold_spans:
                         gold_spans.append(span)
                 examples.append(
                     QAExample(qid, q_tokens, doc_id, gold_answers, gold_spans)

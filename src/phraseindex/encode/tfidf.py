@@ -60,9 +60,6 @@ class IdfTable:
     def idf(self, term: str) -> float:
         return math.log((self.num_documents + 1) / (self.df.get(term, 0) + 1)) + 1.0
 
-    def term_id(self, term: str) -> int | None:
-        return self._term_ids.get(term)
-
     def ids(self, tokens: list[str]) -> np.ndarray:
         """Term id of each token, int64, -1 for a term with no id."""
         return np.array([self._term_ids.get(t, -1) for t in tokens], dtype=np.int64)

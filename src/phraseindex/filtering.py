@@ -16,12 +16,11 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .errors import FormatError, TrainingError
+from .errors import ConfigError, FormatError, TrainingError
 from .index import _SCORE_BLOCK_BYTES, PhraseIndex, _half_tables, _Reader, _span_keys, _write
 
 if TYPE_CHECKING:
     from .corpus import Corpus
-    from .evaluation import Metrics
 
 MAGIC = b"PQAF"
 VERSION = 1
@@ -189,12 +188,15 @@ def apply_filter(
     if index.kind != "dense":
         raise ValueError("apply_filter needs a dense index")
     words = index.total_words() if total_words is None else total_words
-    keep = _index_scores(filt, index) >= threshold
+    filtered = _subset(index, _index_scores(filt, index) >= threshold)
+    return filtered, len(filtered) / words if words else 0.0
+
+
+def _subset(index: PhraseIndex, keep: np.ndarray) -> PhraseIndex:
+    """The dense index of the rows where keep is True, its tables regrouped."""
     metadata = index.metadata[keep]
-    ids = index.table_ids[:, keep]
-    filtered = PhraseIndex("dense", metadata, tables=_half_tables(index.tables, *ids, metadata))
-    ratio = len(filtered) / words if words else 0.0
-    return filtered, ratio
+    tables = _half_tables(index.tables, *index.table_ids[:, keep], metadata)
+    return PhraseIndex("dense", metadata, tables=tables)
 
 
 def sweep_thresholds(
@@ -216,22 +218,22 @@ def sweep_thresholds(
 
     if num_points < 1:
         raise ValueError("num_points must be >= 1")
-    scores = np.sort(_index_scores(filt, index))
+    scores = _index_scores(filt, index)  # every row scored once; each point is a cut of them
+    ladder = np.sort(scores)
     total_words = index.total_words()
     thresholds = [-math.inf]
     n = len(scores)
     for i in range(1, num_points):
         drop_fraction = i / num_points
-        thresholds.append(float(scores[min(n - 1, int(drop_fraction * n))]))
+        thresholds.append(float(ladder[min(n - 1, int(drop_fraction * n))]))
 
     points: list[CurvePoint] = []
     for threshold in thresholds:
-        filtered, ratio = apply_filter(index, filt, threshold, total_words=total_words)
+        keep = scores >= threshold
+        ratio = int(keep.sum()) / total_words if total_words else 0.0
         if points and ratio >= points[-1].vectors_per_word:
-            continue
-        metrics: "Metrics" = evaluate(
-            filtered, corpus, encode_question, allow_missing_docs=True
-        )
+            continue  # built and evaluated only when kept
+        metrics = evaluate(_subset(index, keep), corpus, encode_question, allow_missing_docs=True)
         points.append(CurvePoint(threshold, ratio, metrics.f1, metrics.em))
     curve = TradeoffCurve(points)
     if csv_path:
@@ -275,8 +277,14 @@ def storage_estimate(
     """Bytes per document word and in total for a dense index configuration."""
     if min(dim, bytes_per_value, vectors_per_word, total_words) <= 0:
         raise ValueError("all storage parameters must be positive")
-    per_word = dim * bytes_per_value * vectors_per_word
-    return StorageEstimate(bytes_per_word=per_word, total_bytes=per_word * total_words)
+    try:
+        per_word = dim * bytes_per_value * vectors_per_word
+        total = per_word * total_words
+    except OverflowError:  # an int dim past the float range
+        total = math.inf
+    if not math.isfinite(total):
+        raise ConfigError("the storage estimate overflows: more bytes than a float holds")
+    return StorageEstimate(bytes_per_word=per_word, total_bytes=total)
 
 
 def save_filter(filt: PerceptronFilter, path: str) -> None:

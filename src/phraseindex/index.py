@@ -116,11 +116,6 @@ class PhraseIndex:
             self.indptr = np.asarray(postings[0], dtype=np.int64)
             self.ordinals = np.asarray(postings[1], dtype=np.uint32)
             self.weights = np.asarray(postings[2], dtype=np.float32)
-            b = self.indptr.tolist()
-            self.postings = {
-                t: (self.ordinals[b[t] : b[t + 1]], self.weights[b[t] : b[t + 1]])
-                for t in np.flatnonzero(np.diff(self.indptr)).tolist()
-            }
             self.dim = 0
 
     def __len__(self) -> int:
@@ -148,13 +143,24 @@ class PhraseIndex:
             vectors[a:b] = self.rows(slice(a, b))
         return vectors
 
+    @functools.cached_property
+    def postings(self) -> dict:
+        """A sparse index's term id -> (ordinals, weights) CSR views, built on first access."""
+        b = self.indptr.tolist()
+        return {
+            t: (self.ordinals[b[t] : b[t + 1]], self.weights[b[t] : b[t + 1]])
+            for t in np.flatnonzero(np.diff(self.indptr)).tolist()
+        }
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, PhraseIndex) or self.kind != other.kind:
             return NotImplemented if not isinstance(other, PhraseIndex) else False
         if not np.array_equal(self.metadata, other.metadata):
             return False
-        if self.kind == "dense":
-            return np.array_equal(self.vectors, other.vectors)
+        if self.kind == "dense":  # by row chunks, so that neither side builds its vectors
+            chunks = [slice(a, b) for a, b in _chunks(len(self), self.dim)]
+            same = (np.array_equal(self.rows(c), other.rows(c)) for c in chunks)
+            return self.dim == other.dim and all(same)
         if self.idf.df != other.idf.df or self.idf.num_documents != other.idf.num_documents:
             return False
         csr = ("indptr", "ordinals", "weights")
@@ -700,13 +706,19 @@ def _half_tables(tables, start_ids, end_ids, metadata: np.ndarray) -> tuple:
     return start, end, np.stack([start_ids, end_ids])
 
 
+def _table_sizes(index: PhraseIndex) -> tuple[int, int]:
+    """A dense index's (start rows, end rows), end SHARED when the end table is the start table."""
+    start, end = index.tables
+    return len(start), SHARED if end is start else len(end)
+
+
 def save_index(index: PhraseIndex, path: str) -> None:
     kind = KIND_DENSE if index.kind == "dense" else KIND_SPARSE
     parts = [np.array((kind, index.dim, len(index)), HEADER_DTYPE), index.metadata]
     if index.kind == "dense":
-        shared = index.tables[1] is index.tables[0]
-        sizes = (len(index.tables[0]), SHARED if shared else len(index.tables[1]))
-        parts += [np.array(sizes, TABLES_DTYPE), index.table_ids, *index.tables[: 2 - shared]]
+        sizes = _table_sizes(index)
+        stored = index.tables[: 2 - (sizes[1] == SHARED)]
+        parts += [np.array(sizes, TABLES_DTYPE), index.table_ids, *stored]
     else:
         idf = index.idf
         raws = [term.encode("utf-8") for term in idf.vocab]

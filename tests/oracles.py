@@ -13,11 +13,62 @@ import numpy as np
 from phraseindex import filtering
 from phraseindex.alsh import _norm_terms
 from phraseindex.candidates import CandidateSpan
+from phraseindex.corpus import _is_punct
 from phraseindex.encode.dense import LSTM_SA, sa_all, softmax
 from phraseindex.encode.tfidf import SparseVector
 from phraseindex.errors import ConfigError
+from phraseindex.evaluation import evaluate
 from phraseindex.filtering import PerceptronFilter
 from phraseindex.index import METADATA_DTYPE, PhraseIndex, SearchHit, _half_tables, _top_k
+
+
+def tokenize(text: str) -> tuple[list[str], list[tuple[int, int]]]:
+    """corpus.tokenize one character at a time: chunks end at str.isspace, and
+    every chunk is peeled, its leading then its trailing punctuation."""
+    tokens: list[str] = []
+    offsets: list[tuple[int, int]] = []
+    i, n = 0, len(text)
+    while i < n:
+        if text[i].isspace():
+            i += 1
+            continue
+        j = i
+        while j < n and not text[j].isspace():
+            j += 1
+        # Chunk is text[i:j]; peel punctuation off both ends.
+        lo, hi = i, j
+        while lo < hi and _is_punct(text[lo]):
+            tokens.append(text[lo].lower())
+            offsets.append((lo, lo + 1))
+            lo += 1
+        trailing: list[tuple[int, int]] = []
+        while hi > lo and _is_punct(text[hi - 1]):
+            trailing.append((hi - 1, hi))
+            hi -= 1
+        if lo < hi:
+            tokens.append(text[lo:hi].lower())
+            offsets.append((lo, hi))
+        for a, b in reversed(trailing):
+            tokens.append(text[a].lower())
+            offsets.append((a, b))
+        i = j
+    return tokens, offsets
+
+
+def align_answer(doc, answer_text: str, answer_start: int) -> CandidateSpan | None:
+    """corpus.align_answer by a scan of every token's offsets."""
+    if answer_start < 0 or answer_start >= len(doc.raw_text):
+        return None
+    answer_end = answer_start + len(answer_text)  # exclusive
+    s = e = None
+    for i, (a, b) in enumerate(doc.char_offsets):
+        if b > answer_start and a < answer_end:
+            if s is None:
+                s = i
+            e = i
+    if s is None:
+        return None
+    return CandidateSpan(doc.doc_id, s, e)
 
 
 def enumerate_spans(doc_len: int, max_span_len: int) -> list[tuple[int, int]]:
@@ -140,8 +191,8 @@ def tfidf_bag_encode(tokens, idf) -> SparseVector:
     id skipped, L2-normalised by w @ w."""
     by_term = {}
     for term, count in Counter(tokens).items():
-        tid = idf.term_id(term)
-        if tid is not None:
+        tid = int(idf.ids([term])[0])
+        if tid >= 0:
             by_term[tid] = count * idf.idf(term)
     ids = np.array(sorted(by_term), dtype=np.int64)
     w = np.array([by_term[t] for t in ids.tolist()], dtype=np.float64)
@@ -264,6 +315,25 @@ def gold_label_mask(index, corpus) -> np.ndarray:
         if tuple(index.span(ordinal)) in gold:
             labels[ordinal] = 1.0
     return labels
+
+
+def sweep_points(index, filt, corpus, encode_question, num_points: int) -> list:
+    """sweep_thresholds' curve points, each threshold's index built by apply_filter:
+    every row is scored again, and an index built, for every threshold."""
+    scores = np.sort(filtering._index_scores(filt, index))
+    total_words = index.total_words()
+    n = len(scores)
+    thresholds = [-math.inf]
+    for i in range(1, num_points):
+        thresholds.append(float(scores[min(n - 1, int(i / num_points * n))]))
+    points = []
+    for threshold in thresholds:
+        filtered, ratio = filtering.apply_filter(index, filt, threshold, total_words=total_words)
+        if points and ratio >= points[-1].vectors_per_word:
+            continue
+        metrics = evaluate(filtered, corpus, encode_question, allow_missing_docs=True)
+        points.append(filtering.CurvePoint(threshold, ratio, metrics.f1, metrics.em))
+    return points
 
 
 def train_filter_float64(index, corpus, epochs=100, learning_rate=0.5, seed=0):

@@ -301,6 +301,26 @@ def test_storage_custom_configuration():
     assert json.loads(out)["bytes_per_word_text"] == "2 B"
 
 
+@pytest.mark.parametrize(
+    "argv", [["--words", "inf"], ["--vectors-per-word", "1e400"], ["--bytes-per-value", "Infinity"]]
+)
+def test_storage_refuses_non_finite_values(argv):
+    rc, out, err = run("storage", *argv)
+    assert rc == 1 and out == ""
+    assert err.strip().splitlines()[-1].endswith(
+        f"error: argument {argv[0]}: must be finite, got '{argv[1]}'"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv", [["--words", "1e308", "--vectors-per-word", "1e10"], ["--dim", "1" + "0" * 400]]
+)
+def test_storage_estimate_that_overflows_exits_two(argv):
+    rc, out, err = run("storage", *argv)
+    assert rc == 2 and out == ""
+    assert err == "error: the storage estimate overflows: more bytes than a float holds\n"
+
+
 def test_context_only_changes_the_index(ws, tmp_path):
     ablated = tmp_path / "ablate.idx"
     rc, _, _ = run(

@@ -1,12 +1,16 @@
 import json
+import re
+import sys
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from phraseindex.candidates import CandidateSpan
-from phraseindex.corpus import Document, align_answer, load_squad, tokenize
+from phraseindex.corpus import Document, _is_punct, align_answer, load_squad, tokenize
 from phraseindex.errors import SchemaError
+
+from . import oracles
 
 
 def make_doc(text: str, doc_id: int = 0) -> Document:
@@ -197,3 +201,39 @@ def test_load_squad_counts_alignment_failures(tmp_path):
     assert corpus.alignment_failures == 1
     assert corpus.examples[0].gold_spans == []
     assert corpus.examples[0].gold_answers == ["delta"]
+
+
+# Whitespace, punctuation (ASCII and not), letters whose lowercase differs in
+# length or by context, digits, and marks that are neither alphanumeric nor punctuation.
+_TRICKY = st.text(
+    alphabet=st.sampled_from(" \t\n\x0b\x1c\x85\xa0\u2028\u3000.,'\"-!¿«»…_aZ9²éİΣς$+\u0301"),
+    max_size=60,
+)
+
+
+@given(st.one_of(st.text(), _TRICKY))
+def test_tokenize_matches_character_loop_oracle(text):
+    assert tokenize(text) == oracles.tokenize(text)
+
+
+@given(st.one_of(st.text(max_size=40), _TRICKY))
+def test_align_answer_matches_scan_oracle(text):
+    doc = make_doc(text, doc_id=3)
+    for start in range(-2, len(text) + 2):
+        for length in range(0, len(text) - start + 3):
+            answer = "x" * length  # only its length is read
+            assert align_answer(doc, answer, start) == oracles.align_answer(doc, answer, start)
+
+
+_EVERY_CODE_POINT = "".join(map(chr, range(sys.maxunicode + 1)))
+
+
+def test_regex_whitespace_is_str_isspace_on_every_code_point():
+    # tokenize chunks text with r"\S+"; the character loop split on str.isspace.
+    by_regex = [m.start() for m in re.finditer(r"\s", _EVERY_CODE_POINT)]
+    assert by_regex == [i for i, ch in enumerate(_EVERY_CODE_POINT) if ch.isspace()]
+
+
+def test_no_alphanumeric_code_point_is_punctuation():
+    # tokenize keeps a chunk with alphanumeric ends whole, without peeling it.
+    assert [ch for ch in _EVERY_CODE_POINT if ch.isalnum() and _is_punct(ch)] == []

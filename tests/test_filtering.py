@@ -26,7 +26,7 @@ from phraseindex.filtering import (
 )
 from phraseindex.index import METADATA_DTYPE, search_exact
 
-from .oracles import gold_label_mask, train_filter_float64, vectors_index
+from .oracles import gold_label_mask, sweep_points, train_filter_float64, vectors_index
 from .test_index import make_meta, quantized, sparse_fixture
 from .toyset import one_hot_setup
 
@@ -305,6 +305,29 @@ def test_sweep_single_point_is_identity_only():
     assert curve.points[0].threshold == -math.inf
     with pytest.raises(ValueError):
         sweep_thresholds(index, ladder_filter(len(index)), corpus, encode, num_points=0)
+
+
+@pytest.mark.parametrize("num_points", [1, 3, 5, 8])
+@pytest.mark.parametrize("kind", ["trained", "golds_first", "ties"])
+def test_sweep_matches_a_per_threshold_apply_filter_loop(kind, num_points):
+    """The curve is the one an apply_filter per threshold gives, with the rows
+    scored once; ties make thresholds that drop no further row."""
+    corpus, index, encode, ordinal_of = one_hot_setup()
+    if kind == "trained":
+        filt = train_filter(index, corpus, epochs=60)
+    elif kind == "golds_first":
+        weights = np.full(len(index), 1.0, dtype=np.float32)
+        for ex in corpus.examples:
+            gold = ex.gold_spans[0]
+            weights[ordinal_of[(gold.s, gold.e)]] = -1.0
+        filt = PerceptronFilter(weights=weights, bias=0.0)
+    else:
+        filt = ladder_filter(len(index))
+    expected = sweep_points(index, filt, corpus, encode, num_points)
+    with mock.patch.object(filtering, "_index_scores", wraps=filtering._index_scores) as spy:
+        curve = sweep_thresholds(index, filt, corpus, encode, num_points=num_points)
+    assert spy.call_count == 1
+    assert curve.points == expected
 
 
 # ------------------------------------------------------------------- storage

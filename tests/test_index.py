@@ -187,6 +187,30 @@ def test_build_is_deterministic(tmp_path, mini_corpus, toy_vectors):
         assert Path(pa).read_bytes() == Path(pb).read_bytes()
 
 
+def test_equality_and_construction_build_no_derived_state(mini_corpus, toy_vectors):
+    """A dense == compares rows chunk by chunk and keeps no vector block; a sparse
+    index builds its postings dict on first access only."""
+    for kwargs in (dict(encoder="tfidf"), dict(encoder="lstm_sa", word_vectors=toy_vectors)):
+        a, b = build_index(mini_corpus, **kwargs), build_index(mini_corpus, **kwargs)
+        assert a == b
+        assert "vectors" not in a.__dict__ and "vectors" not in b.__dict__
+        assert "postings" not in a.__dict__ and "postings" not in b.__dict__
+    sparse = build_index(mini_corpus, encoder="tfidf")
+    t = int(np.flatnonzero(np.diff(sparse.indptr))[0])
+    ordinals, weights = sparse.postings.get(t)
+    run = slice(sparse.indptr[t], sparse.indptr[t + 1])
+    assert ordinals.tolist() == sparse.ordinals[run].tolist()
+    assert weights.tolist() == sparse.weights[run].tolist()
+    assert sparse.postings is sparse.postings
+    rows = quantized((5, 4), seed=3)
+    changed = rows.copy()
+    changed[4, 3] += 0.0625
+    assert vectors_index(make_meta([5]), rows) != vectors_index(make_meta([5]), changed)
+    assert vectors_index(make_meta([5]), rows) == vectors_index(make_meta([5]), rows.copy())
+    empty = make_meta([0])
+    assert vectors_index(empty, np.zeros((0, 4))) != vectors_index(empty, np.zeros((0, 2)))
+
+
 # ---------------------------------------------------------------- exact search
 
 

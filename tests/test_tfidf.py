@@ -22,9 +22,6 @@ class FixedIdf:
     def idf(self, term: str) -> float:
         return self.values[term]
 
-    def term_id(self, term: str):
-        return self._ids.get(term)
-
     @property
     def idf_by_id(self) -> np.ndarray:
         return np.array([self.values[t] for t in sorted(self.values)])
@@ -109,9 +106,7 @@ def test_idf_table_formula():
 def test_idf_table_ids_are_sorted_vocab_positions():
     table = IdfTable(df={"zebra": 1, "apple": 1, "mango": 1}, num_documents=3)
     assert table.vocab == ["apple", "mango", "zebra"]
-    assert table.term_id("apple") == 0
-    assert table.term_id("zebra") == 2
-    assert table.term_id("missing") is None
+    assert table.ids(["apple", "zebra", "missing"]).tolist() == [0, 2, -1]
 
 
 @given(
