@@ -1,26 +1,25 @@
 """Approximate maximum-inner-product search via asymmetric LSH over word-table rows.
 
-A dense index scores span i as q_s . start[i] + q_e . end[i] (index.py), so
-the rows of its half tables are hashed, not the spans: a shared table once,
-unshared start and end tables each, scaled by their own largest row norm.
-Sign-ALSH: rows are shrunk into the unit ball and augmented with norm terms,
-each question half is normalized and padded with zeros, and both sides are
-hashed by sign bits of shared random hyperplanes as wide as the wider half
-(plus m). A search re-scores exactly every span whose start row shares a
-bucket with q_s or whose end row shares one with q_e, so approximation can
-only lose recall, never corrupt scores.
+A dense index scores span i as q_s . start[i] + q_e . end[i] (index.py), its
+two halves indexing one word table, so the table's rows are hashed, not the
+spans, scaled by the table's largest row norm. Sign-ALSH: rows are shrunk
+into the unit ball and augmented with norm terms, each question half is
+normalized and padded with zeros, and both sides are hashed by sign bits of
+shared random hyperplanes as wide as a table row (plus m). A search re-scores
+exactly every span whose start row shares a bucket with q_s or whose end row
+shares one with q_e, so approximation can only lose recall, never corrupt
+scores.
 
-The index holds each hashed row's code in every table, as the file does, and
-derives the buckets (AlshIndex) from them when it is built or loaded.
+The index holds each table row's code in every hash table, as the file does,
+and derives the buckets (AlshIndex) from them when it is built or loaded.
 
 File format (all integers little-endian):
 
-    magic "PQAH" | version u32=4 | m u32 | U f64 | bits u32 | tables u32
-    | seed i64 | augmented dim u32 | start-table rows S u64
-    | end-table rows E u64 (2**64 - 1: the index shares one table)
-    | max norm f64 of each hashed table | tables x bits x augmented dim
-    float64 hyperplanes | tables x hashed rows (S, or S + E) codes, each below
-    2**bits, in the narrowest unsigned integer that holds bits bits (u16 at 12)
+    magic "PQAH" | version u32=5 | m u32 | U f64 | bits u32 | tables u32
+    | seed i64 | augmented dim u32 | word-table rows R u64 | max norm f64
+    | tables x bits x augmented dim float64 hyperplanes | tables x R codes,
+    each below 2**bits, in the narrowest unsigned integer that holds bits
+    bits (u16 at 12)
 """
 
 from __future__ import annotations
@@ -30,14 +29,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, FormatError
-from .index import SHARED, PhraseIndex, SearchHit, _half_products, _Reader, _row_scores
-from .index import _table_sizes, _top_k, _write
+from .index import PhraseIndex, SearchHit, _half_products, _Reader, _row_scores, _top_k, _write
 
 MAGIC = b"PQAH"
-VERSION = 4
+VERSION = 5
 HEADER_DTYPE = np.dtype([("m", "<u4"), ("U", "<f8"), ("bits", "<u4"), ("tables", "<u4"),
-                         ("seed", "<i8"), ("aug_dim", "<u4"), ("start_rows", "<u8"),
-                         ("end_rows", "<u8")])
+                         ("seed", "<i8"), ("aug_dim", "<u4"), ("rows", "<u8"),
+                         ("max_norm", "<f8")])
 
 
 @dataclass(frozen=True)
@@ -75,18 +73,18 @@ def _code_dtype(bits: int) -> np.dtype:
 @dataclass
 class AlshIndex:
     params: AlshParams
-    max_norms: np.ndarray  # (H,) float64, each hashed table's largest row norm (1.0 if none)
+    max_norm: float  # the word table's largest row norm (1.0 if none)
     hyperplanes: np.ndarray  # (T, b, dim - dim // 2 + m) float64, unit rows
-    codes: np.ndarray  # (T, hashed rows) hash codes of every hashed row, in _code_dtype(b)
+    codes: np.ndarray  # (T, table rows) hash codes of every table row, in _code_dtype(b)
     backing: PhraseIndex
-    # The buckets of every table, read-only: bucket i holds the u32 hashed rows
+    # The buckets of every table, read-only: bucket i holds the u32 table rows
     # rows[indptr[i]:indptr[i + 1]], ascending, and is keyed by keys[i]
     # (u64, table << b | code, strictly increasing).
     keys: np.ndarray = field(init=False)
     indptr: np.ndarray = field(init=False)
     rows: np.ndarray = field(init=False)
     # Per half h (start, end), read-only: the spans whose half-h table row is
-    # hashed row r are spans[h, span_ptr[h, r]:span_ptr[h, r + 1]] (u32, ascending).
+    # r are spans[h, span_ptr[h, r]:span_ptr[h, r + 1]] (u32, ascending).
     span_ptr: np.ndarray = field(init=False)
     spans: np.ndarray = field(init=False)
 
@@ -113,13 +111,12 @@ class AlshIndex:
             np.bitwise_or(sorted_codes[starts], table_keys[table], out=self.keys[at])
             np.add(starts, table * n, out=self.indptr[at])
         self.rows = rows.reshape(t * n)
-        # The row -> span CSRs. An end table's rows are hashed after the start
-        # table's unless it is shared; a canonical start half's argsort is the identity.
+        # The row -> span CSRs; a canonical start half's argsort is the identity.
         ids = self.backing.table_ids
         self.spans = np.argsort(ids, axis=1, kind="stable").astype(np.uint32)
         self.span_ptr = np.zeros((2, n + 1), dtype=np.int64)
-        for h, offset in enumerate((0, n - len(self.backing.tables[1]))):
-            np.cumsum(np.bincount(ids[h], minlength=n - offset), out=self.span_ptr[h, offset + 1 :])
+        for half, ptr in zip(ids, self.span_ptr):
+            np.cumsum(np.bincount(half, minlength=n), out=ptr[1:])
         for arr in (self.keys, self.indptr, self.rows, self.span_ptr, self.spans):
             arr.flags.writeable = False
 
@@ -181,39 +178,33 @@ _HASH_CHUNK_BYTES = 2 << 20
 
 
 def build_alsh(index: PhraseIndex, params: AlshParams = AlshParams()) -> AlshIndex:
-    """Hash the rows of a dense index's distinct half tables into T bucket tables."""
+    """Hash the rows of a dense index's word table into T bucket tables."""
     if index.kind != "dense":
         raise ValueError("aLSH requires a dense index")
     params.validate()
     t, b, m = params.tables, params.bits_per_table, params.m
-    hashed = index.tables[: 2 - (index.tables[1] is index.tables[0])]
-    aug_dim = index.dim - index.dim // 2 + m
+    table = index.table
+    aug_dim = table.shape[1] + m
 
     rng = np.random.Generator(np.random.Philox(key=params.seed))
     hyperplanes = rng.normal(size=(t, b, aug_dim))
     hyperplanes /= np.linalg.norm(hyperplanes, axis=2, keepdims=True)
 
-    codes = np.empty((t, sum(len(table) for table in hashed)), dtype=_code_dtype(b))
-    max_norms = np.ones(len(hashed))
+    codes = np.empty((t, len(table)), dtype=_code_dtype(b))
     flat = hyperplanes.reshape(t * b, aug_dim)
     step = max(1, _HASH_CHUNK_BYTES // (8 * max(aug_dim, t * b)))
-    base = 0
-    for h, table in enumerate(hashed):
-        width = table.shape[1]
-        chunks = [(a, min(len(table), a + step)) for a in range(0, len(table), step)]
-        # Row norms do not depend on the chunking.
-        top = max((np.linalg.norm(table[a:z].astype(np.float64), axis=1).max()
-                   for a, z in chunks), default=0.0)
-        max_norms[h] = top or 1.0
-        for a, z in chunks:
-            # [row, zeros to the wider half's width, norm terms]
-            aug = np.zeros((z - a, aug_dim))
-            aug[:, :width] = table[a:z]
-            aug[:, :width] *= params.U / max_norms[h]
-            aug[:, aug_dim - m :] = _norm_terms(np.square(aug[:, :width]).sum(axis=1), m)
-            codes[:, base + a : base + z] = _pack_codes((aug @ flat.T).reshape(z - a, t, b), b).T
-        base += len(table)
-    return AlshIndex(params, max_norms, hyperplanes, codes, index)
+    chunks = [(a, min(len(table), a + step)) for a in range(0, len(table), step)]
+    # Row norms do not depend on the chunking.
+    top = max((np.linalg.norm(table[a:z].astype(np.float64), axis=1).max()
+               for a, z in chunks), default=0.0)
+    max_norm = float(top) or 1.0
+    for a, z in chunks:
+        # [row x U / max norm, norm terms]
+        scaled = table[a:z].astype(np.float64)
+        scaled *= params.U / max_norm
+        aug = np.hstack([scaled, _norm_terms(np.square(scaled).sum(axis=1), m)])
+        codes[:, a:z] = _pack_codes((aug @ flat.T).reshape(z - a, t, b), b).T
+    return AlshIndex(params, max_norm, hyperplanes, codes, index)
 
 
 def _gather(values: np.ndarray, ptr: np.ndarray, at: np.ndarray) -> np.ndarray:
@@ -269,11 +260,11 @@ def search_approx(
 
 
 def save_alsh(alsh: AlshIndex, path: str) -> None:
-    p, aug_dim, sizes = alsh.params, alsh.hyperplanes.shape[2], _table_sizes(alsh.backing)
-    header = (p.m, p.U, p.bits_per_table, p.tables, p.seed, aug_dim, *sizes)
+    p, aug_dim = alsh.params, alsh.hyperplanes.shape[2]
+    header = (p.m, p.U, p.bits_per_table, p.tables, p.seed, aug_dim, len(alsh.backing.table),
+              alsh.max_norm)
     parts = [
         np.array(header, HEADER_DTYPE),
-        np.ascontiguousarray(alsh.max_norms, "<f8"),
         np.ascontiguousarray(alsh.hyperplanes, "<f8"),
         np.ascontiguousarray(alsh.codes, _code_dtype(p.bits_per_table)),
     ]
@@ -282,7 +273,7 @@ def save_alsh(alsh: AlshIndex, path: str) -> None:
 
 def load_alsh(path: str, backing: PhraseIndex) -> AlshIndex:
     with _Reader(path, MAGIC, VERSION) as r:
-        m, U, bits, tables, seed, aug_dim, *sizes = r.record(HEADER_DTYPE, "header")
+        m, U, bits, tables, seed, aug_dim, rows, max_norm = r.record(HEADER_DTYPE, "header")
         params = AlshParams(m=m, U=U, bits_per_table=bits, tables=tables, seed=seed)
         try:
             params.validate()
@@ -291,23 +282,14 @@ def load_alsh(path: str, backing: PhraseIndex) -> AlshIndex:
         if backing.kind != "dense" or aug_dim != backing.dim - backing.dim // 2 + m:
             raise FormatError(f"{path}: augmented dim {aug_dim} does not fit backing index (its "
                               f"wider half {backing.dim - backing.dim // 2} + m {m})", offset=36)
-        expected = _table_sizes(backing)
-        for half, got, want, at in zip(("start", "end"), sizes, expected, (40, 48)):
-            if got != want:
-                got, want = (f"has {n} rows" if n != SHARED else "is the start table"
-                             for n in (got, want))
-                raise FormatError(f"{path}: the {half} table {got}; the backing index's {want}",
-                                  offset=at)
-        hashed = [rows for rows in expected if rows != SHARED]
-        max_norms = r.array("<f8", len(hashed), "max norms")
-        for i, norm in enumerate(max_norms.tolist()):
-            if not 0 < norm < np.inf:  # false for NaN too
-                at = r.pos - max_norms.nbytes + 8 * i
-                raise FormatError(f"{path}: max_norm {norm} is not finite and positive", offset=at)
+        if rows != len(backing.table):
+            raise FormatError(f"{path}: {rows} hashed rows; the backing index's table has "
+                              f"{len(backing.table)}", offset=40)
+        if not 0 < max_norm < np.inf:  # false for NaN too
+            raise FormatError(f"{path}: max_norm {max_norm} is not finite and positive", offset=48)
         planes = r.array("<f8", tables * bits * aug_dim, "hyperplanes")
         if not np.isfinite(planes).all():
             raise FormatError(f"{path}: hyperplanes are not finite", offset=r.pos - planes.nbytes)
-        rows = sum(hashed)
         codes = r.array(_code_dtype(bits), tables * rows, "codes")
         wide = np.flatnonzero(codes > (1 << bits) - 1)
         if len(wide):
@@ -318,6 +300,6 @@ def load_alsh(path: str, backing: PhraseIndex) -> AlshIndex:
             )
         r.finish()
         return AlshIndex(
-            params, max_norms, planes.reshape(tables, bits, aug_dim),
+            params, max_norm, planes.reshape(tables, bits, aug_dim),
             codes.reshape(tables, rows), backing,
         )

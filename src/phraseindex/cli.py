@@ -42,6 +42,14 @@ def _alsh_sidecar(index_path: str, override: str | None) -> str:
     return override if override else index_path + ".alsh"
 
 
+def _load_dense(path: str, command: str):
+    """The index at path, which command needs to be dense: a sparse one is a ConfigError."""
+    index = load_index(path)
+    if index.kind != "dense":
+        raise ConfigError(f"{command} needs a dense index; {path} is {index.kind}")
+    return index
+
+
 def _load_word_vectors(path: str | None):
     return read_word_vectors(path) if path else None
 
@@ -143,9 +151,7 @@ def cmd_eval(args) -> int:
 
 def cmd_bench(args) -> int:
     if args.index:
-        index = load_index(args.index)
-        if index.kind != "dense":
-            raise ConfigError(f"bench scans a dense index; {args.index} is {index.kind}")
+        index = _load_dense(args.index, "bench")
     else:
         index = synthetic_dense_index(args.candidates, args.dim, seed=args.seed)
     result = bench_scan(index, num_queries=args.queries, seed=args.seed)
@@ -154,7 +160,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    index = load_index(args.index)
+    index = _load_dense(args.index, "sweep")
     filt = load_filter(args.filter)
     corpus = load_squad(args.dataset)
     encode = question_encoder(index, _load_word_vectors(args.word_vectors))
@@ -172,7 +178,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_alsh_build(args) -> int:
-    index = load_index(args.index)
+    index = _load_dense(args.index, "alsh-build")
     params = AlshParams(
         m=args.m, U=args.U, bits_per_table=args.bits, tables=args.tables, seed=args.seed
     )
@@ -186,7 +192,6 @@ def cmd_alsh_build(args) -> int:
             {
                 "tables": params.tables,
                 "hashed_rows": alsh.codes.shape[1],
-                "shared_table": len(alsh.max_norms) == 1,
                 "buckets": len(sizes),
                 "max_bucket": int(sizes.max(initial=0)),
                 "mean_bucket": float(sizes.mean()) if len(sizes) else 0.0,
@@ -200,7 +205,7 @@ def cmd_alsh_build(args) -> int:
 
 
 def cmd_train_filter(args) -> int:
-    index = load_index(args.index)
+    index = _load_dense(args.index, "train-filter")
     corpus = load_squad(args.dataset)
     filt = train_filter(
         index, corpus, epochs=args.epochs, learning_rate=args.lr, seed=args.seed
@@ -244,9 +249,7 @@ def cmd_stats(args) -> int:
             "file_bytes": os.path.getsize(args.index),
         }
         if index.kind == "dense":
-            start, end = index.tables
-            report["index"].update(start_table_rows=len(start), end_table_rows=len(end),
-                                   shared_table=end is start)
+            report["index"]["table_rows"] = len(index.table)
         else:
             report["index"]["postings"] = len(index.ordinals)
     if not report:

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from .errors import ConfigError, FormatError, TrainingError
-from .index import _SCORE_BLOCK_BYTES, PhraseIndex, _half_tables, _Reader, _span_keys, _write
+from .index import _SCORE_BLOCK_BYTES, PhraseIndex, _grouped, _Reader, _span_keys, _write
 
 if TYPE_CHECKING:
     from .corpus import Corpus
@@ -53,7 +53,7 @@ def _score_step(dim: int) -> int:
 
 
 def _index_scores(filt: PerceptronFilter, index: PhraseIndex) -> np.ndarray:
-    """filt.score of a dense index's rows, gathered from its tables one score block at a time."""
+    """filt.score of a dense index's rows, gathered from its table one score block at a time."""
     step = _score_step(index.dim)
     blocks = (filt.score(index.rows(slice(a, a + step))) for a in range(0, len(index), step))
     return np.concatenate([np.empty(0), *blocks])
@@ -116,11 +116,12 @@ def train_filter(
     its document. Positives are upweighted by the negative/positive ratio of
     the training split. A seeded 10% held-out split picks the best epoch.
 
-    Training reads the index's half-row tables in place, with held-out rows
+    Training reads the index's word table in place, with held-out rows
     weighted 0. A row's score is its start half's product plus its end half's,
-    so an epoch takes each table's products with its half of the weights and
-    gathers them; the gradient of a half is the per-table-row sums of the
-    residuals (bincount) times that table.
+    so an epoch takes the table's products with each half of the weights (a
+    start half reading the first dim // 2 columns) and gathers them; the
+    gradient of a half is the per-table-row sums of the residuals (bincount)
+    times the table's columns for that half.
     """
     if index.kind != "dense":
         raise ValueError("train_filter needs a dense index")
@@ -148,8 +149,9 @@ def train_filter(
         held = train  # fewer than 10 rows: the loss is the training loss
     y_held, w_held = labels[held], class_weight[held]
 
-    (start_table, end_table), (start_ids, end_ids) = index.tables, index.table_ids.astype(np.intp)
-    half = start_table.shape[1]
+    half = dim // 2
+    start_table, end_table = index.table[:, :half], index.table
+    start_ids, end_ids = index.table_ids.astype(np.intp)
     weights = np.zeros(dim)
     bias = 0.0
     z = np.zeros(n)  # every row's score under the zero filter
@@ -177,26 +179,22 @@ def apply_filter(
     index: PhraseIndex,
     filt: PerceptronFilter,
     threshold: float,
-    total_words: int | None = None,
 ) -> tuple[PhraseIndex, float]:
     """Drop candidates scoring below threshold; rows are physically removed.
 
-    total_words defaults to the word count implied by the input index's
-    metadata, which is exact when the input is unfiltered. Returns the
-    smaller index and its vectors-per-word ratio.
+    Returns the smaller index and its vectors-per-word ratio over the input
+    index's words (total_words), exact when the input is unfiltered.
     """
     if index.kind != "dense":
         raise ValueError("apply_filter needs a dense index")
-    words = index.total_words() if total_words is None else total_words
+    words = index.total_words()
     filtered = _subset(index, _index_scores(filt, index) >= threshold)
     return filtered, len(filtered) / words if words else 0.0
 
 
 def _subset(index: PhraseIndex, keep: np.ndarray) -> PhraseIndex:
-    """The dense index of the rows where keep is True, its tables regrouped."""
-    metadata = index.metadata[keep]
-    tables = _half_tables(index.tables, *index.table_ids[:, keep], metadata)
-    return PhraseIndex("dense", metadata, tables=tables)
+    """The dense index of the rows where keep is True, its table regrouped."""
+    return _grouped(index.metadata[keep], index.dim, index.table, index.table_ids[:, keep])
 
 
 def sweep_thresholds(

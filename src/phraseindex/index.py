@@ -1,13 +1,15 @@
 """Immutable phrase index: build, exact inner-product search, persistence.
 
 A dense index row is [start half; end half]: an encoder-built row is
-[words[s], words[e]]. The index holds the distinct halves once, in a start
-table (count_s x dim // 2 float32) and an end table (count_e x (dim - dim // 2)),
-plus a (2, count) u32 array of each row's start and end table index, the
-layout of the file. A search scores a block of rows in two steps: the
-question halves' products with the table rows the block uses, then a
-gather-add of the two partial scores. PhraseIndex.vectors, the expanded
-(count, dim) block, is built on first access and kept; no search reads it.
+[words[s], words[e]]. The index holds the distinct halves once, in one word
+table (R x (dim - dim // 2) float32) that both halves index, plus a (2, count)
+u32 array of each row's start and end table index, the layout of the file.
+Row i of the vector block is table[start[i], :dim // 2] followed by
+table[end[i]]: a start half reads the first dim // 2 columns of its table row.
+A search scores a block of rows in two steps: the question halves' products
+with the table rows the block uses, then a gather-add of the two partial
+scores. PhraseIndex.vectors, the expanded (count, dim) block, is built on
+first access and kept; no search reads it.
 
 A sparse index stores its postings in CSR form, term id t owning the
 candidate ordinals and weights ``ordinals[indptr[t]:indptr[t + 1]]``, plus
@@ -17,24 +19,22 @@ order is the candidate's identity everywhere (postings, hashes, filters).
 
 File format (all integers little-endian):
 
-    magic "PIQA" | version u32=4 | kind u8 (0 dense, 1 sparse) | dim u32
+    magic "PIQA" | version u32=5 | kind u8 (0 dense, 1 sparse) | dim u32
     | count u64 | count x (doc_id u32, s u16, e u16) | payload
 
-Dense payload: u64 start-table rows S, u64 end-table rows E, count x start
-index u32, count x end index u32, then the start table, S x (dim // 2)
-float32, and the end table, E x (dim - dim // 2) float32, both row-major.
-E = 2**64 - 1 marks a shared table: the end table is the start table, written
-once (dim even). Row i of the vector block is start table row start[i]
-followed by end table row end[i]. When an index is built, a row shares its
-neighbour's table row when that half is bitwise equal, neighbours taken in
-(doc_id, s, e) order for the start half and in (doc_id, e, s) order for the
-end half, and table rows are numbered by first use in row order, so that each
-token's halves are stored about once; the table is shared when the two come
-out bitwise equal, as an encoder's do. A load keeps the file's tables (one
-array when shared) and indexes as they are, so a loaded file saves to the same
-bytes. Sparse payload: u64 term count T, u64 document count, T x (df u32, len
-u16, utf-8 term) with terms strictly increasing, then T x posting count u64,
-then every term's ordinals u32 (strictly increasing within a term), then
+Dense payload: u64 table rows R, count x start index u32, count x end index
+u32, then the table, R x (dim - dim // 2) float32, row-major. When an index
+is built, every half of every row is one use: a start use is worth its start
+half padded with +0.0 to the table's width (an odd dim), an end use its end
+half. Uses are ordered stably by (doc_id, token), the token being s for a
+start use and e for an end use, start uses before end uses of a token;
+bitwise-equal neighbours share a table row, which holds their value. Table
+rows are numbered by first use in half-major order, every start index before
+every end index, so each token's halves are stored about once. A load keeps
+the file's table and indexes as they are, so a loaded file saves to the same
+bytes. Sparse payload: u64 term count T, u64 document count, T x (df u32,
+len u16, utf-8 term) with terms strictly increasing, then T x posting count
+u64, then every term's ordinals u32 (strictly increasing within a term), then
 every weight f32, in term order.
 """
 
@@ -59,7 +59,7 @@ if TYPE_CHECKING:
     from .encode.wordvectors import WordVectorTable
 
 MAGIC = b"PIQA"
-VERSION = 4
+VERSION = 5
 KIND_DENSE = 0
 KIND_SPARSE = 1
 MAX_DOC_TOKENS = 65535  # u16 span endpoints
@@ -68,8 +68,6 @@ METADATA_DTYPE = np.dtype([("doc_id", "<u4"), ("s", "<u2"), ("e", "<u2")])
 HEADER_DTYPE = np.dtype([("kind", "u1"), ("dim", "<u4"), ("count", "<u8")])
 SPARSE_DTYPE = np.dtype([("terms", "<u8"), ("documents", "<u8")])
 TERM_DTYPE = np.dtype([("df", "<u4"), ("length", "<u2")])
-TABLES_DTYPE = np.dtype([("start", "<u8"), ("end", "<u8")])
-SHARED = 2**64 - 1  # the end-table row count of a file whose end table is its start table
 
 
 @dataclass(frozen=True)
@@ -81,10 +79,9 @@ class SearchHit:
 class PhraseIndex:
     """Read-only candidate store; safe for concurrent searches.
 
-    Dense rows: a start and an end table with (2, count) u32 table indexes
-    (module docstring), given as tables=(start, end, indexes) and kept as
-    they are; end is start (one array) when the table is shared. Sparse
-    postings: a CSR triple (indptr, ordinals u32, weights).
+    Dense rows: a dim-wide index's word table and (2, count) u32 table
+    indexes (module docstring), kept as they are. Sparse postings: a CSR
+    triple (indptr, ordinals u32, weights).
     """
 
     def __init__(
@@ -92,7 +89,9 @@ class PhraseIndex:
         kind: str,
         metadata: np.ndarray,
         *,
-        tables: tuple | None = None,
+        dim: int = 0,
+        table: np.ndarray | None = None,
+        table_ids: np.ndarray | None = None,
         postings: tuple | None = None,
         idf: IdfTable | None = None,
     ):
@@ -101,40 +100,38 @@ class PhraseIndex:
         self.kind = kind
         self.metadata = np.ascontiguousarray(metadata, dtype=METADATA_DTYPE)
         self.idf = idf
+        self.dim = dim
         if kind == "dense":
-            if tables is None or np.shape(tables[2]) != (2, len(self.metadata)):
+            if table is None or np.shape(table_ids) != (2, len(self.metadata)):
                 raise ValueError("dense index needs one vector row per metadata record")
-            start, end = (np.ascontiguousarray(t, dtype=np.float32) for t in tables[:2])
-            self.tables = (start, start if tables[1] is tables[0] else end)
-            self.table_ids = np.ascontiguousarray(tables[2], dtype="<u4")
-            self.dim = sum(t.shape[1] for t in self.tables)
-            if self.tables[0].shape[1] != self.dim // 2:
-                raise ValueError("the start table holds the first dim // 2 columns of a row")
+            self.table = np.ascontiguousarray(table, dtype=np.float32)
+            self.table_ids = np.ascontiguousarray(table_ids, dtype="<u4")
+            if self.table.shape[1:] != (dim - dim // 2,):
+                raise ValueError("a table row holds the last dim - dim // 2 columns of a row")
         else:
             if postings is None or idf is None:
                 raise ValueError("sparse index needs postings and a term table")
             self.indptr = np.asarray(postings[0], dtype=np.int64)
             self.ordinals = np.asarray(postings[1], dtype=np.uint32)
             self.weights = np.asarray(postings[2], dtype=np.float32)
-            self.dim = 0
 
     def __len__(self) -> int:
         return len(self.metadata)
 
     def rows(self, at) -> np.ndarray:
-        """Rows of the vector block, (n, dim) float32, gathered from the tables:
+        """Rows of the vector block, (n, dim) float32, gathered from the table:
         at is a slice or an array of ordinals."""
         ids = self.table_ids[:, at]
         out = np.empty((ids.shape[1], self.dim), dtype=np.float32)
-        half = self.tables[0].shape[1]
-        out[:, :half] = np.take(self.tables[0], ids[0], axis=0)
-        out[:, half:] = np.take(self.tables[1], ids[1], axis=0)
+        half = self.dim // 2
+        out[:, :half] = np.take(self.table[:, :half], ids[0], axis=0)
+        out[:, half:] = np.take(self.table, ids[1], axis=0)
         return out
 
     @functools.cached_property
     def vectors(self) -> np.ndarray | None:
         """The (count, dim) float32 vector block of a dense index, None for a
-        sparse one. It is built from the tables on first access and kept, so it
+        sparse one. It is built from the table on first access and kept, so it
         is one array that stays writable; searches do not read it."""
         if self.kind != "dense":
             return None
@@ -205,8 +202,9 @@ class PhraseIndex:
     def total_words(self) -> int:
         """Document words covered by the metadata (max end+1 per doc).
 
-        Exact for unfiltered indexes; for filtered ones it is a lower
-        bound, so storage reports should pass the true count explicitly.
+        Exact for unfiltered indexes; for filtered ones it is a lower bound,
+        so apply_filter and sweep_thresholds take a ratio over the words of
+        the index they filter.
         """
         return int((self.doc_ends()[1] + 1).sum())
 
@@ -288,7 +286,7 @@ def build_index(
         raise BuildError(f"encoder {encoder!r} needs a word-vector table")
     # A row is [words[s], words[e]], words being [base, sa] for lstm_sa ([base]
     # for lstm), cast once to float32: every document's words go into one table
-    # that both halves index, and grouping turns it into the start and end tables.
+    # that both halves index, and grouping turns it into the word table.
     width = (2 if encoder == LSTM_SA else 1) * word_vectors.dim
     words_of_docs = [np.empty((0, width), dtype=np.float32)]
     token_ids = np.empty((2, len(metadata)), dtype="<u4")
@@ -316,8 +314,7 @@ def build_index(
         base += len(doc)
     words = np.concatenate(words_of_docs, dtype=np.float32)
     del words_of_docs
-    tables = _half_tables((words, words), *token_ids, metadata)
-    return PhraseIndex("dense", metadata, tables=tables)
+    return _grouped(metadata, 2 * width, words, token_ids)
 
 
 def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
@@ -433,14 +430,16 @@ def _search_dense_block(
 
 def _half_products(index: PhraseIndex, halves: list, ids: np.ndarray) -> list:
     """Each half's (products, at) for m queries split at dim // 2 (np.hsplit) and
-    the rows with table indexes ids, (2, rows): products[at] is table[ids] @ queries.T.
+    the rows with table indexes ids, (2, rows): products[at] is the half's table
+    columns at ids @ queries.T, a start half reading the first dim // 2.
 
     products is the queries' product with the run of table rows from ids.min()
     to ids.max(). A run longer than ids, which no canonical grouping makes for
     the start half, gathers the table rows first.
     """
     parts = []
-    for queries, table, half_ids in zip(halves, index.tables, ids):
+    tables = (index.table[:, : index.dim // 2], index.table)
+    for queries, table, half_ids in zip(halves, tables, ids):
         a, b = int(half_ids.min()), int(half_ids.max()) + 1
         if b - a > len(half_ids):
             parts.append((np.take(table, half_ids, axis=0) @ queries.T, np.arange(len(half_ids))))
@@ -574,18 +573,17 @@ def synthetic_dense_index(num_candidates: int, dim: int, seed: int = 0) -> Phras
     metadata["doc_id"] = at // len(per_doc)
     metadata["s"], metadata["e"] = per_doc[at % len(per_doc)].T
     rng = np.random.Generator(np.random.Philox(key=seed))
-    # Rows go straight into the two tables, which share no row.
-    half = dim // 2
-    start_table = np.empty((num_candidates, half), dtype=np.float32)
-    end_table = np.empty((num_candidates, dim - half), dtype=np.float32)
+    # Rows go straight into the table: start halves at [0, n), end halves at
+    # [n, 2n), so that each half's indexes are one run, and no two share a row.
+    half, n = dim // 2, num_candidates
+    table = np.zeros((2 * n, dim - half), dtype=np.float32)
     step = max(1, (1 << 22) // dim)  # ~16 MB float32 chunks
-    for start in range(0, num_candidates, step):
-        stop = min(num_candidates, start + step)
+    for start in range(0, n, step):
+        stop = min(n, start + step)
         rows = rng.normal(size=(stop - start, dim)).astype(np.float32)
-        start_table[start:stop], end_table[start:stop] = rows[:, :half], rows[:, half:]
-    ids = np.arange(num_candidates, dtype="<u4")
-    tables = _half_tables((start_table, end_table), ids, ids, metadata)
-    return PhraseIndex("dense", metadata, tables=tables)
+        table[start:stop, :half], table[n + start : n + stop] = rows[:, :half], rows[:, half:]
+    ids = np.arange(n, dtype="<u4")
+    return _grouped(metadata, dim, table, np.stack([ids, ids + n]))
 
 
 class _Reader:
@@ -657,68 +655,56 @@ def _chunks(count: int, dim: int):
     return [(a, min(a + step, count)) for a in range(0, count, step)]
 
 
-def _group_half(table: np.ndarray, ids: np.ndarray, order: np.ndarray | None):
-    """One half's canonical table and u32 indexes, for rows whose half is table[ids].
-
-    A run of bitwise-equal neighbours in order (row order when None) is one
-    table row, first used by its lowest row; table rows are numbered by first
-    use in row order and hold that row's half. Bits are compared, so -0.0 and
-    0.0 fall in different table rows. The table comes back as it is when its
-    rows are already those, in that order.
-    """
-    n = len(ids)
-    at = ids if order is None else ids[order]  # each position's table row
-    bits = table.view("<u4")
-    first = np.ones(n, dtype=bool)
-    for a, b in _chunks(n, table.shape[1]):
-        a = max(a, 1)
-        rows = bits[at[a - 1 : b]]
-        first[a:b] = (rows[1:] != rows[:-1]).any(axis=1)
-    del at
+def _grouped(metadata: np.ndarray, dim: int, source: np.ndarray, ids: np.ndarray) -> PhraseIndex:
+    """The dense index of rows whose start half is source[ids[0], :dim // 2] and
+    whose end half is source[ids[1]], its table grouped as a save writes it
+    (module docstring). Bits are compared, so -0.0 and 0.0 fall in different
+    table rows. The source comes back as the table when its rows are already
+    those, in that order."""
+    count = len(metadata)
+    uses = ids.reshape(-1)  # half-major: every start index, then every end index
+    keys = np.tile(metadata["doc_id"], 2).astype(np.uint64)  # each use's doc_id << 16 | token
+    keys <<= np.uint64(16)
+    keys[:count] |= metadata["s"]
+    keys[count:] |= metadata["e"]
+    order = np.argsort(keys, kind="stable")
+    del keys
+    bits = source.view("<u4")
+    first = np.ones(len(uses), dtype=bool)
+    for a, b in _chunks(len(uses), source.shape[1]):
+        at = order[max(a, 1) - 1 : b]
+        rows = bits[uses[at]]
+        if dim % 2:
+            rows[at < count, -1] = 0  # a start half, padded with +0.0
+        first[max(a, 1) : b] = (rows[1:] != rows[:-1]).any(axis=1)
+    # A run of equal neighbours is one table row, numbered by the rank of its first use.
+    runs = np.flatnonzero(first)
+    lowest = np.minimum.reduceat(order, runs) if len(runs) else runs
+    del runs
     group = np.cumsum(first, dtype="<u4")
     group -= 1
-    if order is not None:
-        # Runs are numbered in order, then renumbered by the rank of their lowest row.
-        lowest = np.full(int(group[-1]) + 1 if n else 0, n, dtype="<u4")
-        np.minimum.at(lowest, group, order)
-        first[:] = False
-        first[lowest] = True
-        rank = np.cumsum(first, dtype="<u4")[lowest]
-        rank -= 1
-        del lowest
-        group[order] = rank[group]  # group is read in full before the write
-    source = ids[first]  # the table row of each first user, in row order
-    if not np.array_equal(source, np.arange(len(table))):
-        table = table[source]
-    return table, group
-
-
-def _half_tables(tables, start_ids, end_ids, metadata: np.ndarray) -> tuple:
-    """(start table, end table, (2, count) u32 table indexes), grouped as a save
-    writes them (module docstring), of rows whose start half is
-    tables[0][start_ids] and whose end half is tables[1][end_ids]. The end
-    table is the start table when the two are bitwise equal."""
-    start, start_ids = _group_half(tables[0], start_ids, None)
-    by_end = np.argsort(_span_keys(metadata["doc_id"], metadata["e"], metadata["s"]))
-    end, end_ids = _group_half(tables[1], end_ids, by_end.astype("<u4"))
-    if start.shape == end.shape and np.array_equal(start.view("<u4"), end.view("<u4")):
-        end = start
-    return start, end, np.stack([start_ids, end_ids])
-
-
-def _table_sizes(index: PhraseIndex) -> tuple[int, int]:
-    """A dense index's (start rows, end rows), end SHARED when the end table is the start table."""
-    start, end = index.tables
-    return len(start), SHARED if end is start else len(end)
+    del first
+    by_use = np.argsort(lowest)
+    rank = np.empty(len(lowest), dtype="<u4")
+    rank[by_use] = np.arange(len(lowest), dtype="<u4")
+    table_ids = np.empty(len(uses), dtype="<u4")
+    table_ids[order] = rank[group]
+    del order, group, rank
+    first_use = lowest[by_use]
+    rows = uses[first_use]  # the source row of each table row
+    table = source if np.array_equal(rows, np.arange(len(source))) else source[rows]
+    start_first = first_use < count  # rows holding a start half, padded with +0.0 at an odd dim
+    if dim % 2 and table[start_first, -1].view("<u4").any():
+        table = source[rows]
+        table[start_first, -1] = 0.0
+    return PhraseIndex("dense", metadata, dim=dim, table=table, table_ids=table_ids.reshape(2, -1))
 
 
 def save_index(index: PhraseIndex, path: str) -> None:
     kind = KIND_DENSE if index.kind == "dense" else KIND_SPARSE
     parts = [np.array((kind, index.dim, len(index)), HEADER_DTYPE), index.metadata]
     if index.kind == "dense":
-        sizes = _table_sizes(index)
-        stored = index.tables[: 2 - (sizes[1] == SHARED)]
-        parts += [np.array(sizes, TABLES_DTYPE), index.table_ids, *stored]
+        parts += [np.array(len(index.table), "<u8"), index.table_ids, index.table]
     else:
         idf = index.idf
         raws = [term.encode("utf-8") for term in idf.vocab]
@@ -745,51 +731,39 @@ def _first_bad(*checks: tuple) -> tuple[int, str] | None:
 
 
 def _read_dense(r: _Reader, count: int, dim: int) -> tuple:
-    """The start table, end table and (2, count) table indexes of a dense payload.
+    """The word table and (2, count) table indexes of a dense payload.
 
-    The indexes must be in range, in first-use order, as a save writes them,
-    and use every table row; the table rows must be finite.
+    The indexes must be in range, in first-use order over every start index
+    and then every end index, as a save writes them, and use every table row;
+    the table rows must be finite.
     """
-    sizes_at = r.pos
-    sizes = r.record(TABLES_DTYPE, "table sizes")
-    shared = sizes[1] == SHARED
-    if shared and dim % 2:  # the halves are dim // 2 and dim - dim // 2 wide
-        raise FormatError(f"{r.path}: shared table with an odd dim {dim}", offset=sizes_at + 8)
-    sizes = (sizes[0], sizes[0]) if shared else sizes
+    rows_at = r.pos
+    rows = r.record("<u8", "table rows")
     ids_at = r.pos
-    ids = r.array("<u4", 2 * count, "table indexes").reshape(2, count)
-    for h, (half, rows) in enumerate(zip(TABLES_DTYPE.names, sizes)):
-        top = np.maximum.accumulate(ids[h])
-        found = _first_bad(
-            (lambda: ids[h] >= rows, f"is past the {half} table's {rows} rows"),
-            (lambda: np.r_[ids[h, :1] != 0, ids[h, 1:] > top[:-1] + 1],
-             "is not in first-use order"),
-        )
-        if found:
-            i, problem = found
-            at = ids_at + 4 * (h * count + i)
-            raise FormatError(f"{r.path}: {half} index of row {i} {problem}", offset=at)
-        used = int(top[-1]) + 1 if count else 0
-        if rows != used:
-            at = sizes_at + 8 * h
-            raise FormatError(f"{r.path}: {half} table has {rows} rows for {used} used", offset=at)
+    ids = r.array("<u4", 2 * count, "table indexes")
+    top = np.maximum.accumulate(ids)
+    found = _first_bad(
+        (lambda: ids >= rows, f"is past the table's {rows} rows"),
+        (lambda: np.r_[ids[:1] != 0, ids[1:] > top[:-1] + 1], "is not in first-use order"),
+    )
+    if found:
+        i, problem = found
+        half = "start" if i < count else "end"
+        raise FormatError(f"{r.path}: {half} index of row {i % count} {problem}",
+                          offset=ids_at + 4 * i)
+    used = int(top[-1]) + 1 if count else 0
     del top
-    stored = list(zip(TABLES_DTYPE.names, sizes, (dim // 2, dim - dim // 2)))[: 2 - shared]
-    if r.pos + 4 * sum(rows * width for _, rows, width in stored) > r.size:
-        raise FormatError(f"{r.path}: truncated while reading the tables", offset=r.pos)
-    tables = []
-    for half, rows, width in stored:
-        at = r.pos
-        table = r.array("<f4", rows * width, f"the {half} table").reshape(rows, width)
-        for a, b in _chunks(rows, width):
-            finite = np.isfinite(table[a:b]).all(axis=1)
-            if not finite.all():
-                row = a + int(finite.argmin())
-                raise FormatError(
-                    f"{r.path}: {half} table row {row} is not finite", offset=at + 4 * width * row
-                )
-        tables.append(table)
-    return tables[0], tables[-1], ids
+    if rows != used:
+        raise FormatError(f"{r.path}: the table has {rows} rows for {used} used", offset=rows_at)
+    width, at = dim - dim // 2, r.pos
+    table = r.array("<f4", rows * width, "the table").reshape(rows, width)
+    for a, b in _chunks(rows, width):
+        finite = np.isfinite(table[a:b]).all(axis=1)
+        if not finite.all():
+            row = a + int(finite.argmin())
+            raise FormatError(f"{r.path}: table row {row} is not finite",
+                              offset=at + 4 * width * row)
+    return table, ids.reshape(2, count)
 
 
 def load_index(path: str) -> PhraseIndex:
@@ -819,9 +793,9 @@ def load_index(path: str) -> PhraseIndex:
             raise FormatError(f"{path}: metadata record {i} {problem}", offset=at)
 
         if kind == KIND_DENSE:
-            tables = _read_dense(r, count, dim)
+            table, table_ids = _read_dense(r, count, dim)
             r.finish()
-            return PhraseIndex("dense", metadata, tables=tables)
+            return PhraseIndex("dense", metadata, dim=dim, table=table, table_ids=table_ids)
 
         num_terms, num_docs = r.record(SPARSE_DTYPE, "term and document counts")
         df: dict[str, int] = {}

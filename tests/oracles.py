@@ -19,7 +19,7 @@ from phraseindex.encode.tfidf import SparseVector
 from phraseindex.errors import ConfigError
 from phraseindex.evaluation import evaluate
 from phraseindex.filtering import PerceptronFilter
-from phraseindex.index import METADATA_DTYPE, PhraseIndex, SearchHit, _half_tables, _top_k
+from phraseindex.index import METADATA_DTYPE, PhraseIndex, SearchHit, _grouped, _top_k
 
 
 def tokenize(text: str) -> tuple[list[str], list[tuple[int, int]]]:
@@ -127,21 +127,17 @@ def alsh_row_code(alsh, vector: np.ndarray) -> list[int]:
 def alsh_probe_search(alsh, query, k_top: int, doc_id=None) -> tuple[list, int]:
     """search_approx one table row and one span at a time: ((span, score) hits, probes).
 
-    Each hashed table (the start table, plus the end table unless the index
-    shares one) is scaled by its largest row norm. A span is probed when its
-    start row's code equals q_s's in some table, or its end row's code equals
-    q_e's; its score is the float32 sum of its halves' float32 products, and
+    The word table is scaled by its largest row norm. A span is probed when
+    its start row's code equals q_s's in some table, or its end row's code
+    equals q_e's; its score is the float32 sum of its halves' float32
+    products, a start half reading the first dim // 2 columns of its row, and
     hits rank by score descending, then ordinal ascending.
     """
     index = alsh.backing
     m, U = alsh.params.m, alsh.params.U
-    shared = index.tables[1] is index.tables[0]
-    codes = []  # per half, each table row's codes
-    for table in index.tables[: 2 - shared]:
-        norms = [float(np.linalg.norm(row.astype(np.float64))) for row in table]
-        top = max(norms, default=0.0) or 1.0
-        codes.append([alsh_row_code(alsh, preprocess_data(row, top, U, m)) for row in table])
-    codes.append(codes[-1])
+    norms = [float(np.linalg.norm(row.astype(np.float64))) for row in index.table]
+    top = max(norms, default=0.0) or 1.0
+    codes = [alsh_row_code(alsh, preprocess_data(row, top, U, m)) for row in index.table]
     q = np.asarray(query, dtype=np.float64)
     halves = np.hsplit(q, [index.dim // 2])
     asked = [alsh_row_code(alsh, np.concatenate([half, np.zeros(m)])) for half in halves]
@@ -149,15 +145,15 @@ def alsh_probe_search(alsh, query, k_top: int, doc_id=None) -> tuple[list, int]:
     probed = [
         i for i in range(lo, hi)
         if any(
-            any(a == c for a, c in zip(asked[h], codes[h][int(index.table_ids[h, i])]))
+            any(a == c for a, c in zip(asked[h], codes[int(index.table_ids[h, i])]))
             for h in (0, 1)
         )
     ]
     scored = []
     for i in probed:
         parts = [
-            np.float32(half @ table[int(index.table_ids[h, i])].astype(np.float64))
-            for h, (half, table) in enumerate(zip(halves, index.tables))
+            np.float32(half @ index.table[int(index.table_ids[h, i]), : len(half)].astype(np.float64))
+            for h, half in enumerate(halves)
         ]
         scored.append((-float(parts[0] + parts[1]), i))
     scored.sort()
@@ -174,16 +170,18 @@ def csr_postings(postings: dict, num_terms: int) -> tuple:
 
 def vectors_index(metadata, vectors) -> PhraseIndex:
     """A dense index of a (count, dim) vector block, its halves grouped into the
-    start and end tables as a build groups them. A block whose row count is not
-    the metadata's makes the constructor raise ValueError."""
+    word table as a build groups them: start halves, padded with a 0.0 column
+    when dim is odd, then end halves. A block whose row count is not the
+    metadata's makes the constructor raise ValueError."""
     metadata = np.ascontiguousarray(metadata, dtype=METADATA_DTYPE)
-    tables = None
-    if len(vectors) == len(metadata):
-        block = np.asarray(vectors, dtype=np.float32)
-        half = block.shape[1] // 2
-        rows = np.arange(len(block), dtype="<u4")
-        tables = _half_tables((block[:, :half], block[:, half:]), rows, rows, metadata)
-    return PhraseIndex("dense", metadata, tables=tables)
+    block = np.asarray(vectors, dtype=np.float32)
+    n, dim = block.shape
+    if n != len(metadata):
+        return PhraseIndex("dense", metadata, dim=dim)
+    source = np.zeros((2 * n, dim - dim // 2), dtype=np.float32)
+    source[:n, : dim // 2], source[n:] = block[:, : dim // 2], block[:, dim // 2 :]
+    rows = np.arange(n, dtype="<u4")
+    return _grouped(metadata, dim, source, np.stack([rows, rows + n]))
 
 
 def tfidf_bag_encode(tokens, idf) -> SparseVector:
@@ -270,41 +268,34 @@ def per_span_dense_build(corpus, encoder, word_vectors, max_span_len=7):
 
 
 def dense_payload_bytes(vectors: np.ndarray, metadata: np.ndarray) -> bytes:
-    """A version 4 dense payload, built one row at a time from the format text.
+    """A version 5 dense payload, built one half-row use at a time from the format text.
 
-    A row joins its neighbour's table row when that half's bytes are equal,
-    neighbours in (doc_id, s, e) order for the start half and (doc_id, e, s)
-    for the end half; table rows are numbered by first use in row order. When
-    the halves are equally wide and the two tables' bytes are equal, the end
-    table's row count is 2**64 - 1 and the table is written once.
+    A start use is worth its row's start half padded with +0.0 to the end
+    half's width, an end use its end half. Uses are ordered stably by
+    (doc_id, token), the token being s for a start use and e for an end use,
+    every start use before every end use; a use joins its neighbour's table
+    row when their bytes are equal, and table rows are numbered by first use
+    in half-major order (every start use, then every end use).
     """
     rows = np.ascontiguousarray(vectors, dtype="<f4")
     half = rows.shape[1] // 2
+    pad = np.zeros(rows.shape[1] % 2, dtype="<f4").tobytes()
     keys = [tuple(rec) for rec in metadata.tolist()]
-    halves = [lambda i: rows[i, :half].tobytes(), lambda i: rows[i, half:].tobytes()]
-    orders = [
-        sorted(range(len(rows)), key=lambda i: keys[i]),
-        sorted(range(len(rows)), key=lambda i: (keys[i][0], keys[i][2], keys[i][1])),
-    ]
-    sizes, indexes, tables = [], [], []
-    for bits, order in zip(halves, orders):
-        run_of, run = {}, -1
-        for pos, i in enumerate(order):
-            if pos == 0 or bits(i) != bits(order[pos - 1]):
-                run += 1
-            run_of[i] = run
-        label_of, table = {}, []
-        for i in range(len(rows)):
-            if run_of[i] not in label_of:
-                label_of[run_of[i]] = len(table)
-                table.append(bits(i))
-        sizes.append(len(table))
-        indexes.append(np.array([label_of[run_of[i]] for i in range(len(rows))], "<u4"))
-        tables.append(b"".join(table))
-    if 2 * half == rows.shape[1] and sizes[0] == sizes[1] and tables[0] == tables[1]:
-        sizes, tables = [sizes[0], 2**64 - 1], tables[:1]
-    head = np.array(sizes, "<u8").tobytes()
-    return head + b"".join(ids.tobytes() for ids in indexes) + b"".join(tables)
+    uses = [(d, s, rows[i, :half].tobytes() + pad) for i, (d, s, _) in enumerate(keys)]
+    uses += [(d, e, rows[i, half:].tobytes()) for i, (d, _, e) in enumerate(keys)]
+    order = sorted(range(len(uses)), key=lambda u: uses[u][:2])
+    run_of, run = {}, -1
+    for pos, u in enumerate(order):
+        if pos == 0 or uses[u][2] != uses[order[pos - 1]][2]:
+            run += 1
+        run_of[u] = run
+    label_of, table = {}, []
+    for u in range(len(uses)):
+        if run_of[u] not in label_of:
+            label_of[run_of[u]] = len(table)
+            table.append(uses[u][2])
+    indexes = np.array([label_of[run_of[u]] for u in range(len(uses))], "<u4")
+    return np.array(len(table), "<u8").tobytes() + indexes.tobytes() + b"".join(table)
 
 
 def gold_label_mask(index, corpus) -> np.ndarray:
@@ -321,14 +312,13 @@ def sweep_points(index, filt, corpus, encode_question, num_points: int) -> list:
     """sweep_thresholds' curve points, each threshold's index built by apply_filter:
     every row is scored again, and an index built, for every threshold."""
     scores = np.sort(filtering._index_scores(filt, index))
-    total_words = index.total_words()
     n = len(scores)
     thresholds = [-math.inf]
     for i in range(1, num_points):
         thresholds.append(float(scores[min(n - 1, int(i / num_points * n))]))
     points = []
     for threshold in thresholds:
-        filtered, ratio = filtering.apply_filter(index, filt, threshold, total_words=total_words)
+        filtered, ratio = filtering.apply_filter(index, filt, threshold)
         if points and ratio >= points[-1].vectors_per_word:
             continue
         metrics = evaluate(filtered, corpus, encode_question, allow_missing_docs=True)

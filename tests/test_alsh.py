@@ -18,7 +18,7 @@ from phraseindex.alsh import (
     search_approx,
 )
 from phraseindex.errors import ConfigError, FormatError
-from phraseindex.index import METADATA_DTYPE, SHARED, search_exact
+from phraseindex.index import METADATA_DTYPE, search_exact
 
 from .oracles import alsh_probe_search, preprocess_data, vectors_index
 from .test_index import make_meta, quantized, sparse_fixture
@@ -31,7 +31,7 @@ def dense_fixture(n=120, dim=12, seed=77):
 def shared_fixture(docs=(9, 6), half=3, seed=5):
     """An index shaped as an encoder builds one: span (s, e) of a document with
     words W is [W[s], W[e]], spans of up to 3 words, and no two words alike
-    (column 0 counts them), so the start and end tables are one shared table."""
+    (column 0 counts them), so both halves of a word use one table row."""
     meta, rows, base = [], [], 0
     words = quantized((sum(docs), half), seed)
     words[:, 0] = np.arange(len(words)) / 16
@@ -43,7 +43,7 @@ def shared_fixture(docs=(9, 6), half=3, seed=5):
         base += n
     vectors = np.array(rows, dtype=np.float32).reshape(len(rows), 2 * half)
     index = vectors_index(np.array(meta, dtype=METADATA_DTYPE), vectors)
-    assert index.tables[1] is index.tables[0]
+    assert len(index.table) == sum(docs)
     return index
 
 
@@ -56,10 +56,9 @@ def bucket_dicts(alsh):
     return tables
 
 
-def table_norms(index):
-    """Each hashed table's largest row norm: the start table, then the end table unless shared."""
-    hashed = index.tables[: 2 - (index.tables[1] is index.tables[0])]
-    return [float(np.linalg.norm(t.astype(np.float64), axis=1).max()) for t in hashed]
+def table_norm(index):
+    """The word table's largest row norm."""
+    return float(np.linalg.norm(index.table.astype(np.float64), axis=1).max())
 
 
 # ------------------------------------------------------------- preprocessing
@@ -142,9 +141,9 @@ def test_build_requires_dense_index():
 def test_buckets_partition_every_table():
     dense = dense_fixture()
     alsh = build_alsh(dense, AlshParams(bits_per_table=3, tables=4, seed=9))
-    hashed = len(dense.tables[0]) + len(dense.tables[1])  # two tables: both are hashed
-    assert alsh.codes.shape == (4, hashed)
-    assert alsh.max_norms.tolist() == table_norms(dense)
+    hashed = len(dense.table)  # start halves at rows 0-119, end halves at 120-239
+    assert alsh.codes.shape == (4, hashed) == (4, 240)
+    assert alsh.max_norm == table_norm(dense)
     np.testing.assert_allclose(np.linalg.norm(alsh.hyperplanes, axis=2), 1.0, rtol=1e-12)
     assert alsh.keys.dtype == np.uint64 and alsh.rows.dtype == np.uint32
     assert np.all(alsh.keys[1:] > alsh.keys[:-1])
@@ -175,7 +174,7 @@ def test_build_is_seed_deterministic():
 def test_build_empty_index():
     empty = vectors_index(np.zeros(0, dtype=METADATA_DTYPE), np.zeros((0, 4), dtype=np.float32))
     alsh = build_alsh(empty, AlshParams(tables=2, bits_per_table=4))
-    assert alsh.max_norms.tolist() == [1.0]  # an empty start and end table are one table
+    assert alsh.max_norm == 1.0  # an empty table has no norm to scale by
     assert [len(t) for t in alsh.buckets] == [0, 0]
     assert alsh.indptr.tolist() == [0]
     assert search_approx(alsh, np.ones(4, dtype=np.float32)) == ([], 0)
@@ -230,14 +229,13 @@ def test_search_validation():
 
 def test_zero_query_rescores_the_code_zero_buckets():
     """Both halves of a zero question probe bucket 0 of every table: the spans
-    whose start row or end row (numbered after the start table's) is in one.
+    whose start row or end row (the rows after the start rows) is in one.
     Each probe scores 0, as in an exact search, so the hits are the lowest
     probed ordinals."""
     dense = dense_fixture(n=40, dim=6)
     alsh = build_alsh(dense, AlshParams(tables=4, bits_per_table=4))
     rows = np.unique(np.concatenate([table[0] for table in bucket_dicts(alsh) if 0 in table]))
-    start, end = dense.table_ids.astype(np.int64)
-    end += len(dense.tables[0])
+    start, end = dense.table_ids
     probed = np.flatnonzero(np.isin(start, rows) | np.isin(end, rows))
     assert probed.tolist() == [2, 3, 7, 10, 12, 14, 15, 17, 19, 21, 24, 25, 28, 30, 33, 35, 37]
     hits, probes = search_approx(alsh, np.zeros(6), k_top=3)
@@ -275,14 +273,14 @@ def test_more_tables_do_not_lose_recall():
 
 
 def test_sidecar_round_trip_is_bit_exact(tmp_path):
-    """Over two tables (an odd dim) and over one shared table."""
+    """Over a table of distinct halves (an odd dim) and over one an encoder's words fill."""
     for dense in (dense_fixture(n=64, dim=7, seed=17), shared_fixture()):
         alsh = build_alsh(dense, AlshParams(bits_per_table=4, tables=3, seed=11))
         path = str(tmp_path / "x.alsh")
         save_alsh(alsh, path)
         loaded = load_alsh(path, dense)
         assert loaded.params == alsh.params
-        assert np.array_equal(loaded.max_norms, alsh.max_norms)
+        assert loaded.max_norm == alsh.max_norm
         assert np.array_equal(loaded.hyperplanes, alsh.hyperplanes)
         assert np.array_equal(loaded.codes, alsh.codes)
         for name in ("keys", "indptr", "rows", "span_ptr", "spans"):
@@ -329,9 +327,9 @@ def test_load_rejects_a_backing_index_of_another_size(tmp_path):
     dense = dense_fixture(n=16, dim=4)
     path, _ = _saved(tmp_path, build_alsh(dense, AlshParams(tables=1, bits_per_table=2)))
     shrunk = vectors_index(make_meta([4]), dense.vectors[:4])
-    rows = len(dense.tables[0])
-    with pytest.raises(FormatError, match=f"start table has {rows} rows; the backing index's "
-                                          "has 4 rows") as err:
+    rows = len(dense.table)
+    with pytest.raises(FormatError, match=f"{rows} hashed rows; the backing index's "
+                                          "table has 8") as err:
         load_alsh(str(path), shrunk)
     assert err.value.offset == 40
 
@@ -357,20 +355,18 @@ def test_load_rejects_trailing_data(tmp_path):
 @pytest.mark.parametrize(
     "at, value, message",
     [
-        # Table 1's code of row 5: the last 16 bytes are its codes, u8 at 3 bits.
-        pytest.param(-16 + 5, np.uint8(8), "code 8 of table 1 is wider than 3 bits",
+        # Table 1's code of row 21: the last 32 bytes are its codes, u8 at 3 bits.
+        pytest.param(-32 + 21, np.uint8(8), "code 8 of table 1 is wider than 3 bits",
                      id="code too wide"),
-        pytest.param(48, np.uint64(15), "end table has 15 rows; the backing index's has 16 rows",
+        pytest.param(40, np.uint64(31), "31 hashed rows; the backing index's table has 32",
                      id="rows mismatch"),
-        pytest.param(40, np.uint64(17), "start table has 17 rows; the backing index's has 16",
-                     id="start rows mismatch"),
-        pytest.param(48, np.uint64(SHARED), "end table is the start table; the backing index's "
-                     "has 16 rows", id="shared, backing unshared"),
+        pytest.param(40, np.uint64(33), "33 hashed rows; the backing index's table has 32",
+                     id="rows past the table"),
     ],
 )
 def test_load_rejects_malformed_table(tmp_path, at, value, message):
     dense = dense_fixture(n=16, dim=4)
-    assert len(dense.tables[0]) == len(dense.tables[1]) == 16
+    assert len(dense.table) == 32
     path, raw = _saved(tmp_path, build_alsh(dense, AlshParams(tables=2, bits_per_table=3)))
     at %= len(raw)
     raw[at : at + value.nbytes] = value.tobytes()
@@ -378,20 +374,6 @@ def test_load_rejects_malformed_table(tmp_path, at, value, message):
     with pytest.raises(FormatError, match=message) as err:
         load_alsh(str(path), dense)
     assert err.value.offset == at
-
-
-def test_load_rejects_two_tables_over_a_shared_one(tmp_path):
-    """A sidecar over one shared table, its end-table count set to the start
-    table's, does not match the layout of the index it was built from."""
-    shared = shared_fixture()
-    path, raw = _saved(tmp_path, build_alsh(shared, AlshParams(tables=2, bits_per_table=3)))
-    rows = len(shared.tables[0])
-    raw[48:56] = np.uint64(rows).tobytes()
-    path.write_bytes(raw)
-    with pytest.raises(FormatError, match=f"end table has {rows} rows; the backing index's is "
-                                          "the start table") as err:
-        load_alsh(str(path), shared)
-    assert err.value.offset == 48
 
 
 @pytest.mark.parametrize(
@@ -434,7 +416,7 @@ def test_bucket_keys_fill_a_u64_and_no_more(tmp_path):
     assert search_approx(loaded, q, k_top=3) == search_approx(widest, q, k_top=3)
 
 
-@pytest.mark.parametrize("version", [1, 2, 3])
+@pytest.mark.parametrize("version", [1, 2, 3, 4])
 def test_load_rejects_old_versions(tmp_path, version):
     dense = dense_fixture(n=16, dim=4)
     path, raw = _saved(tmp_path, build_alsh(dense, AlshParams(tables=1, bits_per_table=2)))
@@ -459,7 +441,7 @@ def test_load_rejects_old_versions(tmp_path, version):
 def test_load_rejects_unusable_floats(tmp_path, field, value, needle):
     dense = dense_fixture(n=16, dim=4)
     path, raw = _saved(tmp_path, build_alsh(dense, AlshParams(tables=2, bits_per_table=2)))
-    at = 64 if field == "max_norm" else 72  # the end table's norm, or the first hyperplane
+    at = 48 if field == "max_norm" else 56  # the header's max norm, or the first hyperplane
     where = at if field == "max_norm" else at + 8 * 5  # a value inside the block
     struct.pack_into("<d", raw, where, value)
     path.write_bytes(raw)
@@ -472,12 +454,10 @@ def test_load_rejects_unusable_floats(tmp_path, field, value, needle):
 
 
 def _reference_build(index, params):
-    """The per-bucket dict build over the hashed table rows: (max_norms, planes, dicts).
+    """The per-bucket dict build over the word table's rows: (max_norm, planes, dicts).
 
-    Each hashed table (the start table, then the end table unless the index
-    shares one) is scaled by its own largest row norm and hashed in one block,
-    its rows zero-padded to the hyperplanes' width before the norm terms; a
-    bucket holds hashed rows, numbered start table first."""
+    The table is scaled by its largest row norm and hashed in one block, the
+    norm terms after its rows; a bucket holds table rows."""
     t, b, m = params.tables, params.bits_per_table, params.m
     aug_dim = index.dim - index.dim // 2 + m
     rng = np.random.Generator(np.random.Philox(key=params.seed))
@@ -485,16 +465,13 @@ def _reference_build(index, params):
     if b:
         hyperplanes /= np.linalg.norm(hyperplanes, axis=2, keepdims=True)
     flat = hyperplanes.reshape(t * b, aug_dim)
-    max_norms, codes = [], [np.zeros((t, 0), dtype=np.uint64)]
-    for table in index.tables[: 2 - (index.tables[1] is index.tables[0])]:
-        norms = np.linalg.norm(table.astype(np.float64), axis=1)
-        max_norms.append(float(norms.max()) if len(table) and norms.max() > 0 else 1.0)
-        scaled = table.astype(np.float64) * (params.U / max_norms[-1])
-        pad = np.zeros((len(table), aug_dim - m - table.shape[1]))
-        aug = np.concatenate([scaled, pad, _norm_terms((scaled * scaled).sum(axis=1), m)], axis=1)
-        proj = aug @ flat.T
-        codes.append(np.array([_pack_codes(proj[:, ti * b : (ti + 1) * b], b) for ti in range(t)]))
-    codes = np.concatenate(codes, axis=1)
+    table = index.table
+    norms = np.linalg.norm(table.astype(np.float64), axis=1)
+    max_norm = float(norms.max()) if len(table) and norms.max() > 0 else 1.0
+    scaled = table.astype(np.float64) * (params.U / max_norm)
+    aug = np.concatenate([scaled, _norm_terms((scaled * scaled).sum(axis=1), m)], axis=1)
+    proj = aug @ flat.T
+    codes = np.array([_pack_codes(proj[:, ti * b : (ti + 1) * b], b) for ti in range(t)])
     buckets = []
     for ti in range(t):
         table = {}
@@ -502,7 +479,7 @@ def _reference_build(index, params):
         for code in np.unique(codes[ti]).tolist():
             table[code] = order[codes[ti][order] == code].astype(np.uint64)
         buckets.append(table)
-    return max_norms, hyperplanes, buckets
+    return max_norm, hyperplanes, buckets
 
 
 @settings(max_examples=60, deadline=None)
@@ -521,8 +498,8 @@ def test_flat_tables_match_dict_reference(docs, dim, m, U, bits, tables, seed):
     index = vectors_index(make_meta(docs), quantized((n, dim), seed))
     params = AlshParams(m=m, U=U, bits_per_table=bits, tables=tables, seed=seed)
     alsh = build_alsh(index, params)
-    max_norms, hyperplanes, reference = _reference_build(index, params)
-    assert alsh.max_norms.tolist() == max_norms
+    max_norm, hyperplanes, reference = _reference_build(index, params)
+    assert alsh.max_norm == max_norm
     assert np.array_equal(alsh.hyperplanes, hyperplanes)
     assert len(alsh.buckets) == tables
     for table, ref in zip(bucket_dicts(alsh), reference):
@@ -551,8 +528,8 @@ def test_build_over_several_chunks_matches_dict_reference():
     budget = 15 * 8 * (dim // 2 + params.m)  # 15 rows of the augmented float64 block
     with mock.patch.object(alsh_module, "_HASH_CHUNK_BYTES", budget):
         alsh = build_alsh(index, params)
-    max_norms, _, reference = _reference_build(index, params)
-    assert alsh.max_norms.tolist() == max_norms
+    max_norm, _, reference = _reference_build(index, params)
+    assert alsh.max_norm == max_norm
     for table, ref in zip(bucket_dicts(alsh), reference):
         assert list(table) == sorted(ref)
         assert all(np.array_equal(table[code], rows) for code, rows in ref.items())
@@ -561,7 +538,7 @@ def test_build_over_several_chunks_matches_dict_reference():
 @settings(max_examples=60, deadline=None)
 @given(
     docs=st.lists(st.integers(0, 9), min_size=1, max_size=3),
-    kind=st.sampled_from(["shared", "filtered", "unshared"]),
+    kind=st.sampled_from(["encoder", "filtered", "random"]),
     dim=st.integers(1, 7),
     bits=st.integers(0, 8),
     tables=st.integers(1, 4),
@@ -570,10 +547,10 @@ def test_build_over_several_chunks_matches_dict_reference():
 )
 def test_search_approx_matches_the_probe_oracle(docs, kind, dim, bits, tables, k_top, seed):
     """Probes, hits and score bits equal the one-span-at-a-time oracle's on an
-    encoder-shaped index (one shared table), a filtered one and random rows of
-    dims 1-7 (two tables); with zero bits every span is probed, as search_exact
-    scores them."""
-    if kind == "unshared":
+    encoder-shaped index (each word's halves one table row), a filtered one and
+    random rows of dims 1-7 (every half its own row); with zero bits every span
+    is probed, as search_exact scores them."""
+    if kind == "random":
         index = vectors_index(make_meta(docs), quantized((sum(docs), dim), seed))
     else:
         index = shared_fixture(docs, half=1 + dim // 2, seed=seed)

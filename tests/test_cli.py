@@ -136,9 +136,9 @@ def test_alsh_build_reports_bucket_sizes(ws, tmp_path):
     assert report["mean_bucket"] == pytest.approx(sum(sizes) / len(sizes))
     assert report["p50_bucket"] == np.percentile(sizes, 50)
     assert report["p90_bucket"] == np.percentile(sizes, 90)
-    # An encoder-built index shares one table: each of its rows once per table.
-    assert report["shared_table"] is True and index.tables[1] is index.tables[0]
-    assert report["hashed_rows"] == len(index.tables[0]) < len(index) == 504
+    # An encoder-built index holds each token once: each table row once per hash table.
+    assert "shared_table" not in report
+    assert report["hashed_rows"] == len(index.table) == 78 < len(index) == 504
     assert sum(sizes) == 3 * report["hashed_rows"]
 
 
@@ -244,8 +244,8 @@ def test_stats_reports_both_blocks(ws):
 
 
 def test_stats_reports_the_index_layout(ws, tmp_path):
-    """An encoder-built dense index shares its word table; a filtered one keeps
-    a start and an end table; a sparse one counts its postings."""
+    """A dense index counts its word-table rows, one a token when encoder-built
+    and no more when filtered; a sparse one counts its postings."""
     dense = load_index(ws["dense"])
     filt = load_filter(ws["filter"])
     filtered = apply_filter(dense, filt, float(np.median(filt.score(dense.vectors))))[0]
@@ -258,13 +258,10 @@ def test_stats_reports_the_index_layout(ws, tmp_path):
         reports[name] = json.loads(out)["index"]
         assert reports[name]["file_bytes"] == Path(path).stat().st_size
     tokens = reports["dense"]["total_words"]
-    assert reports["dense"]["start_table_rows"] == reports["dense"]["end_table_rows"] == tokens
-    assert reports["dense"]["shared_table"] is True
-    assert reports["filtered"]["shared_table"] is False
-    assert (reports["filtered"]["start_table_rows"], reports["filtered"]["end_table_rows"]) == (
-        len(filtered.tables[0]), len(filtered.tables[1]))
+    assert reports["dense"]["table_rows"] == tokens
+    assert reports["filtered"]["table_rows"] == len(filtered.table) < tokens
     assert reports["sparse"]["postings"] == len(load_index(ws["sparse"]).ordinals)
-    assert "shared_table" not in reports["sparse"] and "postings" not in reports["dense"]
+    assert "table_rows" not in reports["sparse"] and "postings" not in reports["dense"]
 
 
 def test_mistyped_dataset_field_exits_two(tmp_path):
@@ -430,7 +427,27 @@ def test_non_positive_values_are_usage_errors(ws, argv):
 def test_bench_on_a_sparse_index_exits_two(ws):
     rc, out, err = run("bench", "--index", ws["sparse"])
     assert rc == 2 and out == ""
-    assert f"error: bench scans a dense index; {ws['sparse']} is sparse" in err
+    assert f"error: bench needs a dense index; {ws['sparse']} is sparse" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("bench",),
+        ("sweep", "--filter", "{filter}", "--dataset", "{dataset}", "--out", "{tmp}/curve.csv"),
+        ("alsh-build", "--out", "{tmp}/side.alsh"),
+        ("train-filter", "--dataset", "{dataset}", "--out", "{tmp}/model.flt"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_dense_only_commands_on_a_sparse_index_exit_two(ws, tmp_path, argv):
+    """Each command that needs a dense index refuses a sparse one with an error
+    line, as a data error, and writes nothing."""
+    args = [arg.format(**ws, tmp=tmp_path) for arg in argv]
+    rc, out, err = run(args[0], "--index", ws["sparse"], *args[1:])
+    assert rc == 2 and out == ""
+    assert err == f"error: {argv[0]} needs a dense index; {ws['sparse']} is sparse\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_query_dense_without_word_vectors_exits_two(ws):

@@ -253,14 +253,6 @@ def test_surviving_candidates_keep_their_scores():
         assert full[hit.span] == hit.score
 
 
-def test_total_words_override_changes_ratio_only():
-    index, filt = ladder_index(), ladder_filter()
-    a, ratio_a = apply_filter(index, filt, 1.0)
-    b, ratio_b = apply_filter(index, filt, 1.0, total_words=200)
-    assert a == b
-    assert ratio_b == len(b) / 200
-
-
 # ------------------------------------------------------------------ sweeping
 
 

@@ -20,9 +20,10 @@ pytestmark = pytest.mark.filterwarnings(
 
 @pytest.fixture(scope="module")
 def formats(tmp_path_factory, mini_corpus, sparse_index, dense_index):
-    """Bytes and loader of a sparse .idx, a dense .idx (one shared table), a
-    filtered dense .idx (two tables), an .alsh over each dense index and an
-    .flt built from mini_squad.json, plus a scratch path to write mutations to."""
+    """Bytes and loader of a sparse .idx, a dense .idx (a table row a token), a
+    filtered dense .idx (with tokens only one half uses), an .alsh over each
+    dense index and an .flt built from mini_squad.json, plus a scratch path to
+    write mutations to."""
     root = tmp_path_factory.mktemp("fuzz")
     save_index(sparse_index, str(root / "sparse.idx"))
     save_index(dense_index, str(root / "dense.idx"))
@@ -31,7 +32,7 @@ def formats(tmp_path_factory, mini_corpus, sparse_index, dense_index):
     filt = train_filter(dense_index, mini_corpus, epochs=5)
     save_filter(filt, str(root / "dense.flt"))
     filtered = apply_filter(dense_index, filt, float(np.median(filt.score(dense_index.vectors))))[0]
-    assert filtered.tables[1] is not filtered.tables[0]
+    assert not np.array_equal(*(np.unique(ids) for ids in filtered.table_ids))
     save_index(filtered, str(root / "filtered.idx"))
     alsh = build_alsh(filtered, AlshParams(bits_per_table=6, tables=4, seed=9))
     save_alsh(alsh, str(root / "filtered.alsh"))
@@ -48,12 +49,13 @@ def formats(tmp_path_factory, mini_corpus, sparse_index, dense_index):
 
 
 def test_dense_file_with_indexes_no_save_would_write_re_saves_verbatim(formats, tmp_path):
-    """A row moved to another start-table row, while its old one keeps a user, still
-    loads (indexes in range and first-use order, every table row used); the index
-    keeps the file's tables and indexes, so it saves to the same bytes."""
+    """A row's start half moved to another table row, while its old one keeps a
+    user, still loads (indexes in range and first-use order, every table row
+    used); the index keeps the file's table and indexes, so it saves to the same
+    bytes."""
     raw = bytearray(formats[0]["dense.idx"][0])
     count = int(np.frombuffer(raw, "<u8", 1, 13)[0])
-    ids_at = 21 + 8 * count + 16
+    ids_at = 21 + 8 * count + 8
     start = np.frombuffer(raw, "<u4", count, ids_at)
     row = int(np.flatnonzero((start[1:] == start[:-1]) & (start[1:] > 0))[-1]) + 1
     raw[ids_at + 4 * row : ids_at + 4 * row + 4] = np.array(0, "<u4").tobytes()

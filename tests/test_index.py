@@ -859,18 +859,17 @@ def test_load_rejects_unusable_metadata(tmp_path, sparse_index, case, record, ne
 def test_load_rejects_non_finite_vectors(tmp_path, dense_index, value):
     # Column 3 of row 5 is in its start half, column -1 in its end half.
     half = dense_index.dim // 2
-    for h, name, col, width in [(0, "start", 3, half), (1, "end", -1, dense_index.dim - half)]:
+    width = dense_index.dim - half
+    for h, col in [(0, 3), (1, -1)]:
         vectors = dense_index.vectors.copy()
         vectors[5, col] = value
         bad = vectors_index(dense_index.metadata, vectors)
         path, raw = _saved_bytes(tmp_path, bad)
-        sizes_at = 21 + len(dense_index) * METADATA_DTYPE.itemsize
-        sizes = struct.unpack_from("<QQ", raw, sizes_at)
-        ids_at = sizes_at + 16
+        ids_at = 21 + len(dense_index) * METADATA_DTYPE.itemsize + 8
         # The table row that holds row 5's half, and where that table row starts.
         row = struct.unpack_from("<I", raw, ids_at + 4 * (h * len(dense_index) + 5))[0]
-        at = ids_at + 8 * len(dense_index) + 4 * (h * sizes[0] * half + row * width)
-        with pytest.raises(FormatError, match=f"{name} table row {row} is not finite") as err:
+        at = ids_at + 8 * len(dense_index) + 4 * row * width
+        with pytest.raises(FormatError, match=f"table row {row} is not finite") as err:
             load_index(str(path))
         assert err.value.offset == at
         inner = col % dense_index.dim - h * half  # the column within the table row
@@ -1052,7 +1051,7 @@ def factored_cases(draw):
     infinities and NaN. The rows are built as an encoder builds them,
     [words[s][:dim // 2], words[e][dim // 2:]] with words drawn from three rows,
     so that halves recur; or they are independent; or the index is given as
-    tables of a few rows and random table indexes, as a load keeps them."""
+    a table of a few rows and random table indexes, as a load keeps them."""
     lengths = draw(st.lists(st.integers(0, 5), min_size=1, max_size=3), label="lengths")
     max_span_len = draw(st.integers(1, 3), label="max_span_len")
     spans = [
@@ -1068,13 +1067,13 @@ def factored_cases(draw):
         values = draw(st.lists(block_cell, min_size=rows * width, max_size=rows * width))
         return np.array(values, np.float32).reshape(rows, width)
 
-    rows = draw(st.sampled_from(["encoder", "independent", "tables"]), label="rows")
-    if rows == "tables":
-        tables = [cells(draw(st.integers(1, 6)), width) for width in (half, dim - half)]
-        ids = np.array([draw(st.lists(st.integers(0, len(t) - 1), min_size=n, max_size=n))
-                        for t in tables], dtype="<u4").reshape(2, n)
-        index = PhraseIndex("dense", metadata, tables=(*tables, ids))
-        vectors = np.concatenate([tables[0][ids[0]], tables[1][ids[1]]], axis=1)
+    rows = draw(st.sampled_from(["encoder", "independent", "table"]), label="rows")
+    if rows == "table":
+        table = cells(draw(st.integers(1, 6)), dim - half)
+        ids = np.array(draw(st.lists(st.integers(0, len(table) - 1), min_size=2 * n,
+                                     max_size=2 * n)), dtype="<u4").reshape(2, n)
+        index = PhraseIndex("dense", metadata, dim=dim, table=table, table_ids=ids)
+        vectors = np.concatenate([table[ids[0], :half], table[ids[1]]], axis=1)
     else:
         vectors = cells(n, dim)
         if rows == "encoder":
@@ -1127,13 +1126,15 @@ def test_factored_search_of_random_rows_matches_the_block_gemm(doc_id, k_top):
 
 @pytest.mark.parametrize("rows_per_block", [1, 2, 3, None])
 def test_factored_search_of_blocks_whose_table_rows_lie_far_apart(rows_per_block):
-    """Rows 0-3 use table rows 0, 3, 1, 2 of each half, rows 4-5 rows 3 and 0:
-    a block's run of table rows can be longer than the block, as in a loaded file."""
-    start = np.array([[2], [-1], [0], [5]], np.float32)
-    end = np.array([[1, 0], [0, 2], [3, -1], [-2, 1]], np.float32)
-    ids = np.array([[0, 3, 1, 2, 3, 0], [0, 3, 1, 2, 3, 0]], "<u4")
-    index = PhraseIndex("dense", make_meta([6]), tables=(start, end, ids))
-    vectors = np.concatenate([start[ids[0]], end[ids[1]]], axis=1)
+    """Rows 0-3 use start rows 0, 3, 1, 2 and end rows 4, 7, 5, 6, rows 4-5 start
+    rows 3 and 0 and end rows 7 and 4: a block's run of table rows can be longer
+    than the block, as in a loaded file. The start rows' last column, which no
+    start half reads, is 9."""
+    table = np.array([[2, 9], [-1, 9], [0, 9], [5, 9], [1, 0], [0, 2], [3, -1], [-2, 1]],
+                     np.float32)
+    ids = np.array([[0, 3, 1, 2, 3, 0], [4, 7, 5, 6, 7, 4]], "<u4")
+    index = PhraseIndex("dense", make_meta([6]), dim=3, table=table, table_ids=ids)
+    vectors = np.concatenate([table[ids[0], :1], table[ids[1]]], axis=1)
     queries = np.array([[1, 1, 1], [-1, 2, 0], [0, 0, 1]], np.float32)
     block_rows = index_module._block_rows if rows_per_block is None else lambda m: rows_per_block
     with mock.patch.object(index_module, "_block_rows", block_rows):

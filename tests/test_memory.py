@@ -70,15 +70,14 @@ def encoder_built(num_docs=80, doc_len=60):
 
 def test_encoder_built_dense_save_and_load_hold_their_bounds(tmp_path):
     """Most halves of an encoder-built block are shared: a save writes the
-    table the index holds, and a load holds the file's one table and its
-    indexes, not the block."""
+    table the index holds, and a load holds the file's table and its indexes,
+    not the block."""
     index = encoder_built()
     path = str(tmp_path / "dense.idx")
     _, peak = traced_peak(lambda: save_index(index, path))
     assert peak < MiB
     loaded, peak, held = traced(lambda: load_index(path))
-    assert loaded.tables[1] is loaded.tables[0]
-    arrays = (loaded.tables[0], loaded.table_ids, loaded.metadata)
+    arrays = (loaded.table, loaded.table_ids, loaded.metadata)
     assert held <= sum(a.nbytes for a in arrays) + MiB
     assert peak <= held + MiB
     assert loaded.vectors.tobytes() == index.vectors.tobytes()
@@ -123,8 +122,8 @@ def test_alsh_build_holds_codes_tables_and_the_hashing_budget():
     index = synthetic_dense_index(20_000, 128)
     params = alsh_module.AlshParams()
     built, peak = traced_peak(lambda: alsh_module.build_alsh(index, params))
-    # 12-bit codes are stored as uint16, one a table and row of the two hashed tables.
-    codes = params.tables * (len(index.tables[0]) + len(index.tables[1])) * 2
+    # 12-bit codes are stored as uint16, one a hash table and word-table row.
+    codes = params.tables * len(index.table) * 2
     derived = (built.keys, built.indptr, built.rows, built.span_ptr, built.spans)
     tables = sum(a.nbytes for a in derived)
     hashing = 4 * alsh_module._HASH_CHUNK_BYTES  # see _HASH_CHUNK_BYTES
